@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, det_levi_civita
+from .linalg import _permutation_sign, as_matrix, det_levi_civita
 
 #: N! enumeration bound for permutation utilities and the sparse state.
 MAX_PARTICLES = 8
@@ -52,17 +52,8 @@ def enumerate_permutations(n: int) -> list[SignedPermutation]:
         raise ValidationError(f"refusing N! enumeration for n={n} > {MAX_PARTICLES}")
     out = []
     for mapping in permutations(range(n)):
-        out.append(SignedPermutation(mapping=mapping, sign=_parity(mapping)))
+        out.append(SignedPermutation(mapping=mapping, sign=_permutation_sign(mapping)))
     return out
-
-
-def _parity(mapping: tuple[int, ...]) -> int:
-    inversions = 0
-    for i in range(len(mapping)):
-        for j in range(i + 1, len(mapping)):
-            if mapping[i] > mapping[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 def asym_state(n: int) -> AsymState:

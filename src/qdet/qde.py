@@ -42,8 +42,8 @@ from .simulator import (
     inverse_qft,
     load_asym,
     measure_ancilla_postselect,
-    measure_register,
     register_probabilities,
+    sample_distribution,
     shot_rng,
 )
 
@@ -142,7 +142,7 @@ def qde_run(
     inverse_qft(sv)
 
     exact = register_probabilities(sv, REG_PHASE)
-    counts = measure_register(sv, REG_PHASE, seed, shots)
+    counts = sample_distribution(exact, seed, shots)
     return QdeResult(
         phase=PhaseEstimate.from_counts(counts, t),
         counters=sv.counters,

@@ -10,10 +10,16 @@ Qubit layout (little-endian: qubit q is bit q of the flat amplitude index):
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r + 2**(t + N*n) * ancilla_value.
 
-All gates mutate the state vector in place and return it; a run owns its
-StateVector exclusively.  Shot sampling uses one counter-based RNG substream
-per shot (Philox keyed by (seed, shot)), so histograms are independent of
-shot evaluation order.
+Gates that act on phase qubit m split the phase index as (above m, bit m,
+below m): the flat amplitudes reshape for free to (ancilla_dim, slot_dim,
+2**(t-m-1), 2, 2**m), whose [..., 0, :] and [..., 1, :] are basic-slicing
+views of the bit-m = 0 and bit-m = 1 halves.  The Hadamard layer, the
+controlled stages and the ancilla measurement write into the existing
+amplitude buffer; `inverse_qft` and `qft` bind a new one to
+``sv.amplitudes``.  Every gate returns the StateVector, which a run owns
+exclusively.  Shot sampling uses one counter-based RNG substream per shot
+(Philox keyed by (seed, shot)), so histograms are independent of shot
+evaluation order.
 """
 
 from __future__ import annotations
@@ -166,15 +172,15 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
 def hadamard_layer(sv: StateVector) -> StateVector:
     """Hadamard on every phase-register qubit (the QFT of the |0> state)."""
     t = sv.layout.t
-    flat = sv.amplitudes.reshape(-1, 1 << t)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for m in range(t):
-        low = _phase_indices_with_bit(t, m, 0)
-        high = low + (1 << m)
-        a = flat[:, low]
-        b = flat[:, high]
-        flat[:, low] = (a + b) * inv_sqrt2
-        flat[:, high] = (a - b) * inv_sqrt2
+        view = _phase_bit_view(sv, m)
+        a = view[..., 0, :]
+        b = view[..., 1, :]
+        total = a + b
+        np.subtract(a, b, out=b)
+        b *= inv_sqrt2
+        np.multiply(total, inv_sqrt2, out=a)
     sv.counters.modeled_qft_ops += t
     _assert_normalized(sv)
     return sv
@@ -196,15 +202,19 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
         raise ValidationError(
             f"stage operator is {arr.shape[0]}x{arr.shape[0]}, slots hold {layout.n_particles} labels"
         )
-    tensor = _slot_axes_view(sv)
-    selected = _phase_indices_with_bit(layout.t, m, 1)
-    sub = tensor[..., selected]
+    # Slot s is base-N digit s of the slot index.  With that index innermost,
+    # each matmul over a (rest, N) reshape applies u_m to the next slot and
+    # moves it to the front; after N steps the slot index leads, in order.
+    # One matmul over all of the rest also rounds every amplitude alike: BLAS
+    # rounds a matrix's columns past its last full tile differently, and a
+    # batched (before, N, after) matmul would have such a tail in every batch.
     n = layout.n_particles
-    for s in range(n):
-        axis = 1 + (n - 1 - s)
-        sub = np.moveaxis(np.tensordot(arr, sub, axes=([1], [axis])), 0, axis)
+    on = _phase_bit_view(sv, m)[..., 1, :]
+    sub = np.ascontiguousarray(np.moveaxis(on, 1, -1))
+    for _ in range(n):
+        sub = arr @ sub.reshape(-1, n).T
         sv.counters.controlled_slot_applications += 1
-    tensor[..., selected] = sub
+    on[...] = np.moveaxis(sub.reshape((layout.slot_dim, layout.ancilla_dim) + on.shape[2:]), 0, 1)
     _assert_normalized(sv)
     return sv
 
@@ -258,7 +268,11 @@ def measure_register(sv: StateVector, which: str, rng_seed: int, shots: int) -> 
     """
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
-    probs = register_probabilities(sv, which)
+    return sample_distribution(register_probabilities(sv, which), rng_seed, shots)
+
+
+def sample_distribution(probs: np.ndarray, rng_seed: int, shots: int) -> dict[int, int]:
+    """Histogram of ``shots`` draws from ``probs``; shot s uses substream (rng_seed, s)."""
     cumulative = np.cumsum(probs)
     counts: dict[int, int] = {}
     top = len(cumulative) - 1
@@ -356,24 +370,20 @@ def controlled_block_stage(sv: StateVector, m: int, v_m: np.ndarray) -> StateVec
     else:
         leak = math.sqrt(leak_sq)
 
-    t = layout.t
-    split = _ancilla_split_view(sv, m)  # (hi, 2, lo, slot_dim, 2**t)
-    hi, _, lo, _, _ = split.shape
+    # The ancilla register holds t qubits, so ancilla bit m and phase bit m
+    # split their registers alike: (above m, bit m, below m).
+    hi, lo = 1 << (layout.t - m - 1), 1 << m
+    split = sv.amplitudes.reshape(hi, 2, lo, d, hi, 2, lo)
 
-    on = _phase_indices_with_bit(t, m, 1)
-    sub = split[..., on]
-    k = sub.shape[-1]
-    joint = sub.transpose(0, 2, 4, 1, 3).reshape(hi, lo, k, 2 * d)
-    joint = joint @ arr.T
-    split[..., on] = joint.reshape(hi, lo, k, 2, d).transpose(0, 3, 1, 4, 2)
+    on = split[..., 1, :]
+    joint = on.transpose(0, 2, 4, 5, 1, 3).reshape(hi, lo, hi * lo, 2 * d) @ arr.T
+    on[...] = joint.reshape(hi, lo, hi, lo, 2, d).transpose(0, 4, 1, 5, 2, 3)
 
-    off = _phase_indices_with_bit(t, m, 0)
-    sub0 = split[..., off]
-    b0 = rho * sub0[:, 0] + leak * sub0[:, 1]
-    b1 = leak * sub0[:, 0] - rho * sub0[:, 1]
-    sub0[:, 0] = b0
-    sub0[:, 1] = b1
-    split[..., off] = sub0
+    off = split[..., 0, :]
+    b0 = rho * off[:, 0] + leak * off[:, 1]
+    b1 = leak * off[:, 0] - rho * off[:, 1]
+    off[:, 0] = b0
+    off[:, 1] = b1
 
     sv.counters.controlled_slot_applications += layout.n_particles
     _assert_normalized(sv)
@@ -399,13 +409,6 @@ def _grouped_view(sv: StateVector) -> np.ndarray:
     return sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim, lay.phase_dim)
 
 
-def _slot_axes_view(sv: StateVector) -> np.ndarray:
-    """View with one axis per slot; slot s sits at axis 1 + (N-1-s)."""
-    lay = sv.layout
-    n = lay.n_particles
-    return sv.amplitudes.reshape((lay.ancilla_dim,) + (n,) * n + (lay.phase_dim,))
-
-
 def _ancilla_split_view(sv: StateVector, ancilla_index: int) -> np.ndarray:
     """View (above, 2, below, slot_dim, phase_dim) isolating one ancilla bit."""
     lay = sv.layout
@@ -414,9 +417,10 @@ def _ancilla_split_view(sv: StateVector, ancilla_index: int) -> np.ndarray:
     return sv.amplitudes.reshape(hi, 2, lo, lay.slot_dim, lay.phase_dim)
 
 
-def _phase_indices_with_bit(t: int, m: int, value: int) -> np.ndarray:
-    j = np.arange(1 << t)
-    return np.nonzero(((j >> m) & 1) == value)[0]
+def _phase_bit_view(sv: StateVector, m: int) -> np.ndarray:
+    """View (ancilla_dim, slot_dim, 2**(t-m-1), 2, 2**m) isolating phase bit m."""
+    lay = sv.layout
+    return sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim, 1 << (lay.t - m - 1), 2, 1 << m)
 
 
 _ASYM_CACHE: dict[int, AsymState] = {}

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_contraction
 
 from qdet.antisym import asym_state
 from qdet.errors import StateTooLargeError, ValidationError
@@ -13,6 +14,7 @@ from qdet.simulator import (
     REG_PHASE,
     REG_SLOTS,
     QubitLayout,
+    StateVector,
     ancilla_zero_probability,
     asym_fidelity,
     controlled_block_stage,
@@ -419,3 +421,92 @@ class TestPipelineInvariants:
             assert asym_fidelity(sv, state) >= 1.0 - 1e-9
         inverse_qft(sv)
         assert asym_fidelity(sv, state) >= 1.0 - 1e-9
+
+
+def _phase_indices_with_bit(t, m, value):
+    j = np.arange(1 << t)
+    return np.nonzero(((j >> m) & 1) == value)[0]
+
+
+def reference_hadamard_layer(sv):
+    """Fancy-index gather/scatter form of `hadamard_layer`."""
+    t = sv.layout.t
+    flat = sv.amplitudes.reshape(-1, 1 << t)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for m in range(t):
+        low = _phase_indices_with_bit(t, m, 0)
+        high = low + (1 << m)
+        a = flat[:, low]
+        b = flat[:, high]
+        flat[:, low] = (a + b) * inv_sqrt2
+        flat[:, high] = (a - b) * inv_sqrt2
+
+
+def reference_power_stage(sv, m, u_m):
+    """Fancy-index gather/scatter form of `controlled_power_stage`."""
+    lay = sv.layout
+    n = lay.n_particles
+    tensor = sv.amplitudes.reshape((lay.ancilla_dim,) + (n,) * n + (lay.phase_dim,))
+    selected = _phase_indices_with_bit(lay.t, m, 1)
+    sub = tensor[..., selected]
+    for s in range(n):
+        axis = 1 + (n - 1 - s)
+        sub = np.moveaxis(np.tensordot(u_m, sub, axes=([1], [axis])), 0, axis)
+    tensor[..., selected] = sub
+
+
+def reference_block_stage(sv, m, v_m):
+    """Fancy-index gather/scatter form of `controlled_block_stage`."""
+    lay = sv.layout
+    d = lay.slot_dim
+    asym_vec = slot_register_vector(asym_state(lay.n_particles), lay)
+    eigenvalue = complex(np.vdot(asym_vec, v_m[:d, :d] @ asym_vec))
+    rho = min(abs(eigenvalue), 1.0)
+    leak_sq = max(0.0, 1.0 - rho * rho)
+    rho, leak = (1.0, 0.0) if leak_sq < 1e-11 else (rho, math.sqrt(leak_sq))
+
+    split = sv.amplitudes.reshape(1 << (lay.ancilla_count - 1 - m), 2, 1 << m, d, lay.phase_dim)
+    hi, _, lo, _, _ = split.shape
+    on = _phase_indices_with_bit(lay.t, m, 1)
+    sub = split[..., on]
+    k = sub.shape[-1]
+    joint = sub.transpose(0, 2, 4, 1, 3).reshape(hi, lo, k, 2 * d) @ v_m.T
+    split[..., on] = joint.reshape(hi, lo, k, 2, d).transpose(0, 3, 1, 4, 2)
+    off = _phase_indices_with_bit(lay.t, m, 0)
+    sub0 = split[..., off]
+    b0 = rho * sub0[:, 0] + leak * sub0[:, 1]
+    b1 = leak * sub0[:, 0] - rho * sub0[:, 1]
+    sub0[:, 0] = b0
+    sub0[:, 1] = b1
+    split[..., off] = sub0
+
+
+class TestPhaseBitViewGates:
+    """The view-based gates reproduce the fancy-index reference bit for bit, in place."""
+
+    @pytest.mark.parametrize("ancillas", [False, True])
+    @pytest.mark.parametrize("t", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bit_exact_and_in_place(self, n, t, ancillas):
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+        rng = np.random.Generator(np.random.PCG64(1000 * n + 10 * t + ancillas))
+        u = haar_unitary(n, 300 + t)
+        a = random_contraction(n, 400 + t)
+        cases = [(hadamard_layer, reference_hadamard_layer, ())]
+        for m in range(t):
+            cases.append((controlled_power_stage, reference_power_stage, (m, mat_pow2(u, m))))
+            if ancillas:
+                v_m = block_encode(kron_power(mat_pow2(a, m), n))
+                cases.append((controlled_block_stage, reference_block_stage, (m, v_m)))
+        for gate, reference, args in cases:
+            amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(
+                1 << layout.total_qubits
+            )
+            amps /= np.linalg.norm(amps)
+            sv = StateVector(layout=layout, amplitudes=amps.copy())
+            expected = StateVector(layout=layout, amplitudes=amps.copy())
+            buffer = sv.amplitudes
+            gate(sv, *args)
+            reference(expected, *args)
+            assert np.shares_memory(sv.amplitudes, buffer), gate.__name__
+            assert np.array_equal(sv.amplitudes, expected.amplitudes), (gate.__name__, args[:1])

@@ -245,11 +245,14 @@ def _run_contract(config: RunConfig) -> RunReport:
     matrix = load_matrix(config)
     oracle = det_lu(matrix)
     result = contraction_run(matrix, config.t, config.shots, config.seed, qubit_cap=config.qubit_cap)
-    if result.no_accepted_shots:
-        disagreement = False
-    else:
+    # The accepted count is binomial in the oracle's acceptance probability p:
+    # more than 5 sigma off is a disagreement (any deviation when p is 0 or 1).
+    p = min(result.predicted_acceptance, 1.0)
+    sigma = math.sqrt(result.attempted * p * (1.0 - p))
+    disagreement = abs(result.accepted - result.attempted * p) > 5.0 * sigma
+    if not result.no_accepted_shots:
         grid_step = TWO_PI / (1 << config.t)
-        disagreement = _circular_distance(result.phase.phi_hat, oracle.phase) > grid_step + 1e-9
+        disagreement |= _circular_distance(result.phase.phi_hat, oracle.phase) > grid_step + 1e-9
     payload = {
         "accepted": result.accepted,
         "attempted": result.attempted,

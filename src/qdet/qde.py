@@ -23,10 +23,8 @@ from .errors import ValidationError, VerificationError
 from .linalg import (
     TWO_PI,
     as_matrix,
-    block_encode,
     det_lu,
     is_unitary,
-    kron_power,
     mat_pow2,
     operator_norm,
 )
@@ -193,6 +191,10 @@ def contraction_run(
     on the shot, so the path (and the exact conditioned distribution) is
     computed once; per-shot sampling then consumes the same substream draws
     in the same order as a literal per-shot rerun would.
+
+    Stage m passes A**(2**m) to `controlled_block_stage`, which applies its
+    block encoding on every slot in factored SVD form, so only the qubit cap
+    bounds the particle count.
     """
     arr = as_matrix(a)
     norm = operator_norm(arr)
@@ -201,22 +203,15 @@ def contraction_run(
     layout = _layout(arr.shape[0], t, ancillas=True, qubit_cap=qubit_cap)
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
-    n = layout.n_particles
-    if layout.slot_dim > 4096:
-        raise ValidationError(
-            f"contraction mode builds dense block encodings of dimension 2*{layout.slot_dim}; "
-            f"slot spaces beyond 4096 (particle counts above 4) are out of desk scale"
-        )
 
     sv = init_state(layout)
-    load_asym(sv, asym_state(n))
+    load_asym(sv, asym_state(layout.n_particles))
     hadamard_layer(sv)
 
     stage_zero_probs: list[float] = []
     conditioned: np.ndarray | None = None
     for m in range(t):
-        encoding = block_encode(kron_power(mat_pow2(arr, m), n))
-        controlled_block_stage(sv, m, encoding)
+        controlled_block_stage(sv, m, mat_pow2(arr, m))
         p_zero = ancilla_zero_probability(sv, m)
         if p_zero < 1e-300:
             # The zero branch carries no usable amplitude at this stage;

@@ -13,9 +13,12 @@ index decomposes as  j + 2**t * r + 2**(t + N*n) * ancilla_value.
 Gates that act on phase qubit m split the phase index as (above m, bit m,
 below m): the flat amplitudes reshape for free to (ancilla_dim, slot_dim,
 2**(t-m-1), 2, 2**m), whose [..., 0, :] and [..., 1, :] are basic-slicing
-views of the bit-m = 0 and bit-m = 1 halves.  The Hadamard layer, the
-controlled stages and the ancilla measurement write into the existing
-amplitude buffer; `inverse_qft` and `qft` bind a new one to
+views of the bit-m = 0 and bit-m = 1 halves.  Both controlled stages touch
+the slot register only through N x N matrices applied slot by slot; the
+contraction stage applies its block encoding in factored SVD form, never as
+a dense slot-space matrix.  The Hadamard layer, the controlled stages and
+the ancilla measurement write into the existing amplitude buffer;
+`inverse_qft` and `qft` bind a new one to
 ``sv.amplitudes``.  Every gate returns the StateVector, which a run owns
 exclusively.  Shot sampling uses one counter-based RNG substream per shot
 (Philox keyed by (seed, shot)), so histograms are independent of shot
@@ -24,14 +27,15 @@ evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antisym import AsymState, asym_state
+from .antisym import AsymState
 from .errors import StateTooLargeError, ValidationError, VerificationError
-from .linalg import as_matrix, is_unitary
+from .linalg import as_matrix
 
 #: Register identifiers accepted by `measure_register`.
 REG_PHASE = "phase"
@@ -41,6 +45,8 @@ REG_ANCILLA = "ancilla"
 DEFAULT_QUBIT_CAP = 26
 
 _NORM_TOL = 1e-10
+_CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
+_LEAK_SNAP = 1e-11  # block_encode's eigenvalue snap: smaller leaks are rounding noise
 _U64 = (1 << 64) - 1
 
 
@@ -191,8 +197,8 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
 
     ``u_m`` is expected to be the 2**m-th power of the base operator,
     precomputed by repeated squaring.  The N slot applications happen
-    sequentially and are tallied individually, making the t*N operation
-    count of a full run literal.
+    sequentially and each is tallied, making the t*N operation count of a
+    full run literal.
     """
     layout = sv.layout
     arr = as_matrix(u_m)
@@ -202,19 +208,8 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
         raise ValidationError(
             f"stage operator is {arr.shape[0]}x{arr.shape[0]}, slots hold {layout.n_particles} labels"
         )
-    # Slot s is base-N digit s of the slot index.  With that index innermost,
-    # each matmul over a (rest, N) reshape applies u_m to the next slot and
-    # moves it to the front; after N steps the slot index leads, in order.
-    # One matmul over all of the rest also rounds every amplitude alike: BLAS
-    # rounds a matrix's columns past its last full tile differently, and a
-    # batched (before, N, after) matmul would have such a tail in every batch.
-    n = layout.n_particles
-    on = _phase_bit_view(sv, m)[..., 1, :]
-    sub = np.ascontiguousarray(np.moveaxis(on, 1, -1))
-    for _ in range(n):
-        sub = arr @ sub.reshape(-1, n).T
-        sv.counters.controlled_slot_applications += 1
-    on[...] = np.moveaxis(sub.reshape((layout.slot_dim, layout.ancilla_dim) + on.shape[2:]), 0, 1)
+    _apply_slotwise(arr, _phase_bit_view(sv, m)[..., 1, :])
+    sv.counters.controlled_slot_applications += layout.n_particles
     _assert_normalized(sv)
     return sv
 
@@ -322,70 +317,59 @@ def measure_ancilla_postselect(
     return outcome, sv, p_outcome
 
 
-def controlled_block_stage(sv: StateVector, m: int, v_m: np.ndarray) -> StateVector:
-    """One contraction-mode stage: block-encoded slot operator plus its ancilla.
+def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVector:
+    """One contraction-mode stage: the block-encoded slot-wise contraction plus its ancilla.
 
-    ``v_m`` must be the one-ancilla block encoding of the full slot-space
-    operator (the stage contraction applied to every slot), with the
-    antisymmetric state an eigenvector of its top-left block.  Conditioned on
-    phase-register qubit m = 1 the encoding acts jointly on the slot register
-    and ancilla m; on the control-0 branch the ancilla undergoes the
-    magnitude-matched encoding of rho*I, where rho is the modulus of that
-    eigenvalue.  The compensation makes the ancilla-0 amplitude damping
-    branch-independent, so P(ancilla m reads 0) = rho**2 exactly and the
-    post-selected phase-register amplitudes keep uniform magnitude -- the
-    property the product formula for the all-zeros probability and the exact
-    post-selected phase readout both rest on.
+    ``a_m`` is the N x N stage contraction A**(2**m).  Conditioned on
+    phase-register qubit m = 1, the one-ancilla block encoding of a_m on every
+    slot acts on the slot register and ancilla m.  With a_m = W diag(s) V^dag
+    it factors as diag(W^N, V^N) . [[S, L], [L, -S]] . diag(V^N^dag, W^N^dag):
+    slot-wise V^dag / W^dag on the ancilla-0 / 1 halves, a 2x2 reflection per
+    slot basis state r with S_r = prod over slots of s[label] and
+    L = sqrt(1 - S**2), then slot-wise W / V.  On the control-0 branch the
+    ancilla undergoes the magnitude-matched encoding of rho*I with
+    rho = prod(s) = |det a_m|.  The compensation makes the ancilla-0
+    amplitude damping branch-independent, so P(ancilla m reads 0) = rho**2
+    exactly and the post-selected phase-register amplitudes keep uniform
+    magnitude -- the property the product formula for the all-zeros
+    probability and the exact post-selected phase readout both rest on.
+    Singular values are clamped at 1, since the run admits inputs of norm up
+    to 1 + 1e-9, whose stage power may reach (1 + 1e-9)**(2**m).
     """
     layout = sv.layout
-    arr = as_matrix(v_m)
-    d = layout.slot_dim
+    arr = as_matrix(a_m)
+    n = layout.n_particles
     if m < 0 or m >= layout.t:
         raise ValidationError(f"stage index {m} outside phase register of {layout.t} qubits")
     if layout.ancilla_count <= m:
         raise ValidationError(f"layout has {layout.ancilla_count} ancillas; stage {m} needs one")
-    if arr.shape[0] != 2 * d:
-        raise ValidationError(
-            f"block stage operator must act on slot space + 1 ancilla (dim {2 * d}), got {arr.shape[0]}"
-        )
-    if not is_unitary(arr, 1e-9):
-        raise ValidationError("block stage operator is not unitary to 1e-9")
-
-    top_left = arr[:d, :d]
-    asym_vec = slot_register_vector(_asym_cache(layout.n_particles), layout)
-    image = top_left @ asym_vec
-    eigenvalue = complex(np.vdot(asym_vec, image))
-    if np.linalg.norm(image - eigenvalue * asym_vec) > 1e-9:
-        raise ValidationError(
-            "antisymmetric state is not an eigenvector of the encoded block; "
-            "expected a slot-wise (tensor power) operator"
-        )
-    rho = min(abs(eigenvalue), 1.0)
-    leak_sq = max(0.0, 1.0 - rho * rho)
-    # A leak below the eigenvalue noise floor means the encoded operator is
-    # unitary; keep the compensation branch exactly leak-free instead of
-    # sqrt-amplifying rounding noise.
-    if leak_sq < 1e-11:
-        rho, leak = 1.0, 0.0
-    else:
-        leak = math.sqrt(leak_sq)
+    if arr.shape[0] != n:
+        raise ValidationError(f"stage contraction is {arr.shape[0]}x{arr.shape[0]}, slots hold {n} labels")
+    w, s, vh = np.linalg.svd(arr)
+    if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
+        raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
+    s = np.minimum(s, 1.0)
+    sigma = functools.reduce(np.multiply.outer, [s] * n).reshape(-1, 1, 1)
+    leak_sq = 1.0 - sigma * sigma
+    leak = np.sqrt(leak_sq)
+    leak[leak_sq < _LEAK_SNAP] = 0.0
+    rho = float(np.prod(s))
+    rho_leak_sq = 1.0 - rho * rho
+    rho, rho_leak = (1.0, 0.0) if rho_leak_sq < _LEAK_SNAP else (rho, math.sqrt(rho_leak_sq))
 
     # The ancilla register holds t qubits, so ancilla bit m and phase bit m
     # split their registers alike: (above m, bit m, below m).
     hi, lo = 1 << (layout.t - m - 1), 1 << m
-    split = sv.amplitudes.reshape(hi, 2, lo, d, hi, 2, lo)
+    split = sv.amplitudes.reshape(hi, 2, lo, layout.slot_dim, hi, 2, lo)
+    on, off = split[..., 1, :], split[..., 0, :]
+    _apply_slotwise(vh, on[:, 0])
+    _apply_slotwise(w.conj().T, on[:, 1])
+    _reflect(on[:, 0], on[:, 1], sigma, leak)
+    _apply_slotwise(w, on[:, 0])
+    _apply_slotwise(vh.conj().T, on[:, 1])
+    _reflect(off[:, 0], off[:, 1], rho, rho_leak)
 
-    on = split[..., 1, :]
-    joint = on.transpose(0, 2, 4, 5, 1, 3).reshape(hi, lo, hi * lo, 2 * d) @ arr.T
-    on[...] = joint.reshape(hi, lo, hi, lo, 2, d).transpose(0, 4, 1, 5, 2, 3)
-
-    off = split[..., 0, :]
-    b0 = rho * off[:, 0] + leak * off[:, 1]
-    b1 = leak * off[:, 0] - rho * off[:, 1]
-    off[:, 0] = b0
-    off[:, 1] = b1
-
-    sv.counters.controlled_slot_applications += layout.n_particles
+    sv.counters.controlled_slot_applications += n
     _assert_normalized(sv)
     return sv
 
@@ -423,14 +407,29 @@ def _phase_bit_view(sv: StateVector, m: int) -> np.ndarray:
     return sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim, 1 << (lay.t - m - 1), 2, 1 << m)
 
 
-_ASYM_CACHE: dict[int, AsymState] = {}
+def _apply_slotwise(u: np.ndarray, block: np.ndarray) -> None:
+    """Apply the N x N ``u`` to every slot of ``block`` (slot axis third from last), in place.
+
+    Slot s is base-N digit s of the slot index.  With that index innermost,
+    each matmul over a (rest, N) reshape applies u to the next slot and moves
+    it to the front; after N steps the slot index leads, in order.  One matmul
+    over all of the rest also rounds every amplitude alike: BLAS rounds a
+    matrix's columns past its last full tile differently, and a batched
+    (before, N, after) matmul would have such a tail in every batch.
+    """
+    n = u.shape[0]
+    sub = np.ascontiguousarray(np.moveaxis(block, -3, -1))
+    for _ in range(n):
+        sub = u @ sub.reshape(-1, n).T
+    shape = block.shape
+    block[...] = np.moveaxis(sub.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
 
 
-def _asym_cache(n: int) -> AsymState:
-    state = _ASYM_CACHE.get(n)
-    if state is None:
-        state = _ASYM_CACHE[n] = asym_state(n)
-    return state
+def _reflect(x0: np.ndarray, x1: np.ndarray, c, s) -> None:
+    """Apply [[c, s], [s, -c]] to the amplitude pair (x0, x1), in place."""
+    b0 = c * x0 + s * x1
+    x1[...] = s * x0 - c * x1
+    x0[...] = b0
 
 
 def _assert_normalized(sv: StateVector) -> None:

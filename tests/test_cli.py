@@ -1,5 +1,6 @@
 """Matrix I/O, generator specs, report dispatch, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import qdet.cli
 from qdet.cli import (
     EXIT_RESOURCE,
     EXIT_VALIDATION,
@@ -19,6 +21,7 @@ from qdet.cli import (
     run,
 )
 from qdet.errors import MatrixParseError, ValidationError
+from qdet.qde import contraction_run
 
 
 def write_matrix(tmp_path, doc, name="m.json"):
@@ -129,6 +132,35 @@ class TestRunDispatch:
         assert report.result["predicted_acceptance"] == pytest.approx(0.81**6)
         assert report.result["exact_acceptance"] == pytest.approx(0.81**6, abs=1e-9)
         assert not report.disagreement
+
+    def test_contract_flags_implausible_acceptance(self, monkeypatch, capsys):
+        # The phase is right but the accepted count sits far outside the
+        # binomial spread of the predicted acceptance rate (0.81**6 = 0.28).
+        def skewed_run(*args, **kwargs):
+            result = contraction_run(*args, **kwargs)
+            return dataclasses.replace(result, accepted=result.attempted // 2)
+
+        monkeypatch.setattr(qdet.cli, "contraction_run", skewed_run)
+        argv = ["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2", "--shots", "2000"]
+        assert main(argv) == EXIT_VERIFICATION
+        assert json.loads(capsys.readouterr().out)["disagreement"] is True
+
+    def test_contract_flags_any_deviation_at_certain_acceptance(self, monkeypatch):
+        def one_rejected(*args, **kwargs):
+            result = contraction_run(*args, **kwargs)
+            return dataclasses.replace(result, accepted=result.attempted - 1)
+
+        monkeypatch.setattr(qdet.cli, "contraction_run", one_rejected)
+        config = RunConfig(mode="contract", generator="scaled-identity:2:1:0", t=2, shots=500, seed=3)
+        report = run(config)
+        assert report.disagreement
+        assert report.exit_code == EXIT_VERIFICATION
+
+    def test_readme_contract_example_agrees(self, capsys):
+        # qdet --mode contract --gen scaled-identity:2:0.9:0 --t 2 --shots 10000 --seed 1
+        argv = ["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2"]
+        assert main(argv + ["--shots", "10000", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["disagreement"] is False
 
     def test_verify_passes_at_default_tolerance(self):
         config = RunConfig(mode="verify", verify_n=3, verify_count=50, seed=1)

@@ -178,6 +178,22 @@ class TestContractionRun:
         with pytest.raises(ValidationError):
             contraction_run(1.2 * np.eye(2), t=2, shots=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "a, t",
+        [
+            (np.diag([1 + 6e-10, 0.5]), 1),
+            ((1 + 2e-10) * np.eye(2), 3),
+            ((1 + 5e-10) * np.eye(2), 3),
+            ((1 + 9e-10) * np.eye(4), 4),
+        ],
+    )
+    def test_admits_norm_slack(self, a, t):
+        # Inputs within the admitted 1e-9 norm slack run every stage; their
+        # singular values are clamped at 1 inside the stage.
+        result = contraction_run(a, t=t, shots=100, seed=1)
+        expected = min(det_lu(a).magnitude, 1.0) ** (2 * (2**t - 1))
+        assert result.exact_acceptance == pytest.approx(expected, abs=1e-9)
+
     def test_exact_acceptance_matches_product_law(self):
         # Exact (non-sampled) acceptance equals |det A|^(2*(2^t - 1)).
         for t in (1, 2, 3):
@@ -209,7 +225,7 @@ class TestContractionRun:
 
     def test_four_slot_contraction(self):
         # Non-diagonal input on the larger register: 4 slots of 2 qubits plus
-        # t = 2 ancillas, block encodings of dimension 512.
+        # t = 2 ancillas, each stage factored into slot-wise 4x4 applications.
         a = 0.97 * haar_unitary(4, 5)
         oracle = det_lu(a)
         result = contraction_run(a, t=2, shots=300, seed=9)

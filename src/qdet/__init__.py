@@ -59,6 +59,7 @@ from .simulator import (
     qft,
     register_probabilities,
     shot_rng,
+    shot_uniforms,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .simulator import (
     measure_ancilla_postselect,
     register_probabilities,
     sample_distribution,
-    shot_rng,
 )
 
 VALIDATION_TOL = 1e-9
@@ -189,8 +188,12 @@ def contraction_run(
     rejected at the first ancilla reading 1 and accepted shots contribute one
     phase-register sample.  The states along the all-zeros path do not depend
     on the shot, so the path (and the exact conditioned distribution) is
-    computed once; per-shot sampling then consumes the same substream draws
-    in the same order as a literal per-shot rerun would.
+    computed once.  `sample_distribution` then draws every shot's t + 1
+    uniforms in bulk: shot s survives when its draw m is below stage m's
+    zero probability for every m, and a survivor reads its phase from draw
+    t.  The draws equal those of substream (seed, s) taken in order, as a
+    literal per-shot rerun would consume them.  When a stage's zero branch
+    has no amplitude, every shot is rejected and nothing is drawn.
 
     Stage m passes A**(2**m) to `controlled_block_stage`, which applies its
     block encoding on every slot in factored SVD form, so only the qubit cap
@@ -212,7 +215,8 @@ def contraction_run(
     conditioned: np.ndarray | None = None
     for m in range(t):
         controlled_block_stage(sv, m, mat_pow2(arr, m))
-        p_zero = ancilla_zero_probability(sv, m)
+        # Rounding can leave the renormalised zero branch a hair above 1.
+        p_zero = min(ancilla_zero_probability(sv, m), 1.0)
         if p_zero < 1e-300:
             # The zero branch carries no usable amplitude at this stage;
             # every shot is rejected here at the latest.
@@ -225,22 +229,8 @@ def contraction_run(
         conditioned = register_probabilities(sv, REG_PHASE)
 
     exact_acceptance = float(np.prod(stage_zero_probs))
-    cumulative = np.cumsum(conditioned) if conditioned is not None else None
-
-    accepted = 0
-    counts: dict[int, int] = {}
-    top = (1 << t) - 1
-    for shot in range(shots):
-        rng = shot_rng(seed, shot)
-        survived = True
-        for p_zero in stage_zero_probs:
-            if rng.random() >= p_zero:
-                survived = False
-                break
-        if survived and cumulative is not None:
-            k = min(int(np.searchsorted(cumulative, rng.random(), side="right")), top)
-            counts[k] = counts.get(k, 0) + 1
-            accepted += 1
+    counts = {} if conditioned is None else sample_distribution(conditioned, seed, shots, stage_zero_probs)
+    accepted = sum(counts.values())
 
     oracle_magnitude = det_lu(arr).magnitude
     exponent = 2 * ((1 << t) - 1)

@@ -20,15 +20,22 @@ a dense slot-space matrix.  The Hadamard layer, the controlled stages and
 the ancilla measurement write into the existing amplitude buffer;
 `inverse_qft` and `qft` bind a new one to
 ``sv.amplitudes``.  Every gate returns the StateVector, which a run owns
-exclusively.  Shot sampling uses one counter-based RNG substream per shot
-(Philox keyed by (seed, shot)), so histograms are independent of shot
-evaluation order.
+exclusively.
+
+Shot s reads its uniform draws from its own counter-based substream,
+`shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
+depend on shot evaluation order.  The draws are not generated one shot at a
+time: `shot_uniforms` evaluates Philox for a block of shots at once in numpy
+and returns the same floats, bit for bit, as those per-shot substreams.
+Sampling takes the shots in blocks of `_SHOT_CHUNK`, so its memory does not
+grow with the shot count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +55,19 @@ _NORM_TOL = 1e-10
 _CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
 _LEAK_SNAP = 1e-11  # block_encode's eigenvalue snap: smaller leaks are rounding noise
 _U64 = (1 << 64) - 1
+_SHOT_CHUNK = 1 << 14  # shots drawn per block: bounds sampling memory for any shot count
+
+# Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox bit generator runs it:
+# round multipliers split into 32-bit halves for `_mulhilo`, and Weyl key bumps.
+_PHILOX_M = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_DOUBLE_SHIFT = np.uint64(11)  # random(): the top 53 bits of a word, times 2**-53
 
 
 @dataclass(frozen=True)
@@ -266,16 +286,31 @@ def measure_register(sv: StateVector, which: str, rng_seed: int, shots: int) -> 
     return sample_distribution(register_probabilities(sv, which), rng_seed, shots)
 
 
-def sample_distribution(probs: np.ndarray, rng_seed: int, shots: int) -> dict[int, int]:
-    """Histogram of ``shots`` draws from ``probs``; shot s uses substream (rng_seed, s)."""
+def sample_distribution(
+    probs: np.ndarray, rng_seed: int, shots: int, postselect: Sequence[float] = ()
+) -> dict[int, int]:
+    """Histogram of ``shots`` draws from ``probs``, keyed by outcome in ascending order.
+
+    Shot s consumes the draws of substream (rng_seed, s) in order.  With
+    ``postselect = (p_0, ..., p_{n-1})`` the shot survives only when its
+    draw i is below p_i for every i, and a survivor samples ``probs`` with
+    draw n; rejected shots are not counted.  Without it every shot samples
+    with its first draw.  An outcome is the first index whose cumulative
+    probability exceeds the draw, clamped to the last index when rounding
+    leaves the total below the draw.  The draws come from `shot_uniforms`
+    in blocks of `_SHOT_CHUNK` shots, equal bit for bit to the per-shot
+    substreams.
+    """
     cumulative = np.cumsum(probs)
-    counts: dict[int, int] = {}
-    top = len(cumulative) - 1
-    for shot in range(shots):
-        u = shot_rng(rng_seed, shot).random()
-        outcome = min(int(np.searchsorted(cumulative, u, side="right")), top)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    return counts
+    stages = np.asarray(postselect, dtype=np.float64)
+    n = len(stages)
+    totals = np.zeros(len(cumulative), dtype=np.int64)
+    for first in range(0, shots, _SHOT_CHUNK):
+        u = shot_uniforms(rng_seed, min(_SHOT_CHUNK, shots - first), n + 1, first)
+        draws = u[np.all(u[:, :n] < stages, axis=1), n]
+        outcomes = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(cumulative) - 1)
+        np.add.at(totals, outcomes, 1)
+    return {int(k): int(totals[k]) for k in np.flatnonzero(totals)}
 
 
 def ancilla_zero_probability(sv: StateVector, ancilla_index: int) -> float:
@@ -382,9 +417,50 @@ def asym_fidelity(sv: StateVector, state: AsymState) -> float:
 
 
 def shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """Counter-based substream for one shot; order-independent across shots."""
+    """Counter-based substream for one shot; order-independent across shots.
+
+    This defines the draws of every shot; `shot_uniforms` computes the same
+    draws for many shots at once.
+    """
     key = np.array([seed & _U64, shot & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def shot_uniforms(seed: int, shots: int, draws: int, first_shot: int = 0) -> np.ndarray:
+    """The first ``draws`` uniforms of shots first_shot .. first_shot + shots - 1, as (shots, draws).
+
+    Row i equals ``[g.random() for _ in range(draws)]`` with
+    ``g = shot_rng(seed, first_shot + i)``, bit for bit: word w of a shot's
+    stream is word w % 4 of Philox4x64-10 on counter (w // 4 + 1, 0, 0, 0)
+    under key (seed mod 2**64, shot), and each word x becomes
+    (x >> 11) * 2**-53.
+    """
+    blocks = -(-draws // 4)
+    k0 = np.full((1, 1), seed & _U64, dtype=np.uint64)
+    k1 = np.arange(first_shot, first_shot + shots, dtype=np.uint64).reshape(-1, 1)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (shots, blocks))
+    c1 = c2 = c3 = np.zeros((shots, blocks), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shots, 4 * blocks)[:, :draws]
+    return (words >> _DOUBLE_SHIFT) * (1.0 / (1 << 53))
+
+
+def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    m_full, m_lo, m_hi = m
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    p0 = m_lo * x_lo
+    p1 = m_lo * x_hi
+    p2 = m_hi * x_lo
+    mid = (p0 >> _SHIFT32) + (p1 & _LO32) + (p2 & _LO32)
+    hi = m_hi * x_hi + (p1 >> _SHIFT32) + (p2 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, m_full * x
 
 
 def _grouped_view(sv: StateVector) -> np.ndarray:
@@ -426,9 +502,17 @@ def _apply_slotwise(u: np.ndarray, block: np.ndarray) -> None:
 
 
 def _reflect(x0: np.ndarray, x1: np.ndarray, c, s) -> None:
-    """Apply [[c, s], [s, -c]] to the amplitude pair (x0, x1), in place."""
-    b0 = c * x0 + s * x1
-    x1[...] = s * x0 - c * x1
+    """Apply [[c, s], [s, -c]] to the amplitude pair (x0, x1), in place.
+
+    Two temporaries the size of x0; the products and sums are the ones
+    ``c*x0 + s*x1`` and ``s*x0 - c*x1`` form, so the rounding is theirs.
+    """
+    b0 = np.multiply(c, x0)
+    tmp = np.multiply(s, x1)
+    b0 += tmp
+    np.multiply(s, x0, out=tmp)
+    np.multiply(c, x1, out=x1)
+    np.subtract(tmp, x1, out=x1)
     x0[...] = b0
 
 

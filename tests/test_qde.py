@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdet import simulator
+from qdet.antisym import asym_state
 from qdet.errors import ValidationError
-from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary
+from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary, mat_pow2
 from qdet.qde import (
     contraction_run,
     magnitude_estimate,
@@ -16,6 +18,7 @@ from qdet.qde import (
     qde_run,
     sign_run,
 )
+from qdet.simulator import REG_PHASE, QubitLayout, shot_rng
 
 from conftest import random_contraction
 
@@ -194,6 +197,11 @@ class TestContractionRun:
         expected = min(det_lu(a).magnitude, 1.0) ** (2 * (2**t - 1))
         assert result.exact_acceptance == pytest.approx(expected, abs=1e-9)
 
+    def test_exact_acceptance_never_exceeds_one(self):
+        # Stages 1-3 read a renormalised zero-branch probability of 1 + 2.2e-16 here.
+        result = contraction_run((1 + 9e-10) * np.eye(4), t=4, shots=10, seed=1)
+        assert result.exact_acceptance <= 1.0
+
     def test_exact_acceptance_matches_product_law(self):
         # Exact (non-sampled) acceptance equals |det A|^(2*(2^t - 1)).
         for t in (1, 2, 3):
@@ -234,6 +242,78 @@ class TestContractionRun:
         grid = TWO_PI / 4
         k_star = int(np.argmax(result.exact_conditioned_distribution))
         assert circular_distance(phase_from_k(k_star, 2), oracle.phase) <= grid / 2 + 1e-9
+
+
+def reference_contraction_counts(a, t, shots, seed):
+    """The all-zeros path plus the per-shot survival walk `contraction_run` replaced."""
+    layout = QubitLayout(t=t, n_particles=a.shape[0], ancilla_count=t)
+    sv = simulator.init_state(layout)
+    simulator.load_asym(sv, asym_state(layout.n_particles))
+    simulator.hadamard_layer(sv)
+    stage_zero_probs = []
+    cumulative = None
+    for m in range(t):
+        simulator.controlled_block_stage(sv, m, mat_pow2(a, m))
+        p_zero = simulator.ancilla_zero_probability(sv, m)
+        if p_zero < 1e-300:
+            stage_zero_probs.append(0.0)
+            break
+        simulator.measure_ancilla_postselect(sv, m, 0.0)
+        stage_zero_probs.append(p_zero)
+    else:
+        simulator.inverse_qft(sv)
+        cumulative = np.cumsum(simulator.register_probabilities(sv, REG_PHASE))
+
+    accepted = 0
+    counts = {}
+    top = (1 << t) - 1
+    for shot in range(shots):
+        rng = shot_rng(seed, shot)
+        survived = True
+        for p_zero in stage_zero_probs:
+            if rng.random() >= p_zero:
+                survived = False
+                break
+        if survived and cumulative is not None:
+            k = min(int(np.searchsorted(cumulative, rng.random(), side="right")), top)
+            counts[k] = counts.get(k, 0) + 1
+            accepted += 1
+    return accepted, dict(sorted(counts.items()))
+
+
+def workload_style_contraction(n, seed, low):
+    """W diag(s) V^dag with Haar W, V and singular values uniform in [low, 1)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return (haar_unitary(n, seed) * rng.uniform(low, 1.0, n)) @ haar_unitary(n, seed + 1).conj().T
+
+
+class TestBulkSurvivalWalk:
+    """Bulk post-selected sampling reproduces the per-shot walk exactly."""
+
+    @pytest.mark.parametrize(
+        "a, t, shots, seed",
+        [
+            (workload_style_contraction(4, 50, 0.97), 3, 3000, 3),
+            (workload_style_contraction(2, 60, 0.97), 4, 3000, 11),
+            (np.zeros((2, 2)), 2, 200, 5),
+            (np.diag([1 + 6e-10, 0.5]), 1, 500, 1),
+            ((1 + 2e-10) * np.eye(2), 3, 500, 1),
+            ((1 + 5e-10) * np.eye(2), 3, 500, 1),
+            ((1 + 9e-10) * np.eye(4), 4, 500, 1),
+        ],
+    )
+    def test_matches_per_shot_walk(self, a, t, shots, seed, monkeypatch):
+        # A small chunk makes every run span several blocks of shots.
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 700)
+        result = contraction_run(a, t=t, shots=shots, seed=seed)
+        assert (result.accepted, result.phase.histogram) == reference_contraction_counts(a, t, shots, seed)
+
+    def test_matches_per_shot_walk_at_default_chunk(self):
+        a = workload_style_contraction(2, 70, 0.95)
+        shots = simulator._SHOT_CHUNK + 100
+        result = contraction_run(a, t=2, shots=shots, seed=7)
+        assert 0 < result.accepted < shots
+        assert (result.accepted, result.phase.histogram) == reference_contraction_counts(a, 2, shots, 7)
 
 
 class TestMagnitudeEstimate:

@@ -1,11 +1,13 @@
 """Register layout, gates, counters, and measurement behavior of the simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_contraction
 
+from qdet import simulator
 from qdet.antisym import asym_state
 from qdet.errors import StateTooLargeError, ValidationError
 from qdet.linalg import block_encode, det_lu, haar_unitary, kron_power, mat_pow2
@@ -27,7 +29,9 @@ from qdet.simulator import (
     measure_register,
     qft,
     register_probabilities,
+    sample_distribution,
     shot_rng,
+    shot_uniforms,
     slot_register_vector,
 )
 
@@ -261,6 +265,85 @@ class TestShotRng:
         shot_rng(-3, 0).random()
 
 
+def reference_uniforms(seed, shots, draws, first_shot=0):
+    """The per-shot substreams, drawn one shot at a time."""
+    return np.array(
+        [[g.random() for _ in range(draws)] for g in (shot_rng(seed, first_shot + i) for i in range(shots))]
+    ).reshape(shots, draws)
+
+
+def reference_sample_distribution(probs, rng_seed, shots):
+    """The per-shot loop `sample_distribution` replaced."""
+    cumulative = np.cumsum(probs)
+    counts = {}
+    top = len(cumulative) - 1
+    for shot in range(shots):
+        u = shot_rng(rng_seed, shot).random()
+        outcome = min(int(np.searchsorted(cumulative, u, side="right")), top)
+        counts[outcome] = counts.get(outcome, 0) + 1
+    return counts
+
+
+class TestShotUniforms:
+    """The bulk Philox draws equal the per-shot substreams bit for bit."""
+
+    @pytest.mark.parametrize("draws", range(1, 10))
+    @pytest.mark.parametrize("seed", [0, 9, -3, 2**63 + 5, 2**64 - 1])
+    def test_matches_shot_rng(self, seed, draws):
+        u = shot_uniforms(seed, 37, draws)
+        assert u.shape == (37, draws) and u.dtype == np.float64
+        assert np.array_equal(u, reference_uniforms(seed, 37, draws))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_single_shot(self, seed):
+        assert np.array_equal(shot_uniforms(seed, 1, 6), reference_uniforms(seed, 1, 6))
+
+    def test_more_than_one_chunk(self):
+        shots = simulator._SHOT_CHUNK + 3
+        assert np.array_equal(shot_uniforms(11, shots, 1), reference_uniforms(11, shots, 1))
+
+    def test_first_shot_offset(self):
+        first = 3 * simulator._SHOT_CHUNK - 2
+        assert np.array_equal(shot_uniforms(5, 4, 5, first), reference_uniforms(5, 4, 5, first))
+
+
+class TestSampleDistribution:
+    """Chunked bulk sampling reproduces the per-shot loop's histogram."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_random_probabilities(self, seed):
+        probs = np.random.Generator(np.random.PCG64(seed)).dirichlet(np.ones(16))
+        assert sample_distribution(probs, seed, 3000) == reference_sample_distribution(probs, seed, 3000)
+
+    def test_total_below_one_clamps_to_top_outcome(self):
+        probs = np.full(8, (1.0 - 1e-2) / 8)
+        draws = shot_uniforms(4, 2000, 1)
+        assert np.any(draws >= np.cumsum(probs)[-1])
+        expected = reference_sample_distribution(probs, 4, 2000)
+        assert sample_distribution(probs, 4, 2000) == expected
+        assert expected[7] > 2000 / 8 + 10
+
+    @pytest.mark.parametrize("seed", [0, 9, -3])
+    def test_single_shot(self, seed):
+        probs = np.array([0.25, 0.5, 0.25])
+        assert sample_distribution(probs, seed, 1) == reference_sample_distribution(probs, seed, 1)
+
+    def test_shots_span_chunks(self, monkeypatch):
+        probs = np.random.Generator(np.random.PCG64(3)).dirichlet(np.ones(5))
+        expected = reference_sample_distribution(probs, 3, 2500)
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 1000)
+        assert sample_distribution(probs, 3, 2500) == expected
+
+    def test_more_than_one_default_chunk(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        shots = simulator._SHOT_CHUNK + 17
+        assert sample_distribution(probs, 2, shots) == reference_sample_distribution(probs, 2, shots)
+
+    def test_keys_ascending(self):
+        counts = sample_distribution(np.full(8, 1 / 8), 1, 500)
+        assert list(counts) == sorted(counts)
+
+
 class TestMeasureAncillaPostselect:
     def test_ancilla_in_zero(self):
         sv = prepared_state(t=1, n=2, ancillas=True)
@@ -437,6 +520,53 @@ class TestPipelineInvariants:
             assert asym_fidelity(sv, state) >= 1.0 - 1e-9
         inverse_qft(sv)
         assert asym_fidelity(sv, state) >= 1.0 - 1e-9
+
+
+def reference_reflect(x0, x1, c, s):
+    """`_reflect` as the full-expression form, with its quarter-state temporaries."""
+    b0 = c * x0 + s * x1
+    x1[...] = s * x0 - c * x1
+    x0[...] = b0
+
+
+class TestReflect:
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_bit_exact_with_expression_form(self, scalar):
+        # The views and coefficient shapes controlled_block_stage passes.
+        rng = np.random.Generator(np.random.PCG64(77 + scalar))
+        t, m, d = 3, 1, 16
+        hi, lo = 1 << (t - m - 1), 1 << m
+        amps = rng.standard_normal(d * 4**t) + 1j * rng.standard_normal(d * 4**t)
+        if scalar:
+            c, s = 0.6, 0.8
+        else:
+            c = rng.uniform(0.0, 1.0, d).reshape(-1, 1, 1)
+            s = np.sqrt(1.0 - c * c)
+        got, expected = amps.copy(), amps.copy()
+        for buf, apply in ((got, simulator._reflect), (expected, reference_reflect)):
+            on = buf.reshape(hi, 2, lo, d, hi, 2, lo)[..., 1, :]
+            apply(on[:, 0], on[:, 1], c, s)
+        assert np.array_equal(got, expected)
+        assert not np.array_equal(got, amps)
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_at_most_two_branch_sized_temporaries(self, scalar):
+        # numpy reports its buffers to tracemalloc; the branches are 4 MiB, so
+        # the ufunc iterator's fixed-size buffers stay well under a quarter.
+        t, m, d = 6, 2, 256
+        hi, lo = 1 << (t - m - 1), 1 << m
+        c, s = (0.6, 0.8) if scalar else (np.full((d, 1, 1), 0.6), np.full((d, 1, 1), 0.8))
+        peaks = []
+        for apply in (simulator._reflect, reference_reflect):
+            on = np.ones(d * 4**t, dtype=np.complex128).reshape(hi, 2, lo, d, hi, 2, lo)[..., 1, :]
+            tracemalloc.start()
+            try:
+                apply(on[:, 0], on[:, 1], c, s)
+                peaks.append(tracemalloc.get_traced_memory()[1] / on[:, 0].nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2.25
+        assert peaks[1] >= 2.75
 
 
 def _phase_indices_with_bit(t, m, value):

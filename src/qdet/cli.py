@@ -432,38 +432,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Determinant estimation by exact phase-estimation simulation, "
         "self-checked against classical determinant oracles.",
     )
+    # Each dest is a RunConfig field and each default is that field's, so
+    # `main` builds the config from the parsed namespace as it stands.
     parser.add_argument("--mode", required=True, choices=MODES)
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--matrix", help="path to a matrix JSON file")
-    source.add_argument("--gen", help=GENERATOR_USAGE)
-    parser.add_argument("--t", type=int, default=3, help="phase-register qubits (default 3)")
-    parser.add_argument("--shots", type=int, default=1000, help="measurement shots (default 1000)")
-    parser.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-    parser.add_argument("--out", help="also write the JSON report to this path")
-    parser.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
-    parser.add_argument("--verify-tolerance", type=float, default=1e-10)
-    parser.add_argument("--verify-n", type=int, default=3, help="matrix dimension for verify mode")
-    parser.add_argument("--verify-count", type=int, default=50, help="matrices per class for verify mode")
+    source.add_argument("--matrix", dest="matrix_path", metavar="MATRIX", help="path to a matrix JSON file")
+    source.add_argument("--gen", dest="generator", metavar="GEN", help=GENERATOR_USAGE)
+    parser.add_argument("--t", type=int, default=RunConfig.t, help="phase-register qubits (default %(default)s)")
+    parser.add_argument("--shots", type=int, default=RunConfig.shots, help="measurement shots (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="RNG seed (default %(default)s)")
+    parser.add_argument("--out", dest="output_path", metavar="OUT", help="also write the JSON report to this path")
+    parser.add_argument("--qubit-cap", type=int, default=RunConfig.qubit_cap)
+    parser.add_argument("--verify-tolerance", type=float, default=RunConfig.verify_tolerance)
+    parser.add_argument("--verify-n", type=int, default=RunConfig.verify_n, help="matrix dimension for verify mode")
+    parser.add_argument(
+        "--verify-count", type=int, default=RunConfig.verify_count, help="matrices per class for verify mode"
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            mode=args.mode,
-            matrix_path=args.matrix,
-            generator=args.gen,
-            t=args.t,
-            shots=args.shots,
-            seed=args.seed,
-            output_path=args.out,
-            qubit_cap=args.qubit_cap,
-            verify_tolerance=args.verify_tolerance,
-            verify_n=args.verify_n,
-            verify_count=args.verify_count,
-        )
-        report = run(config)
+        report = run(RunConfig(**vars(args)))
     except StateTooLargeError as exc:
         print(f"QDET-ERROR code=resource-cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

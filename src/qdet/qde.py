@@ -29,6 +29,7 @@ from .linalg import (
     operator_norm,
 )
 from .simulator import (
+    DEFAULT_QUBIT_CAP,
     REG_PHASE,
     CostCounters,
     QubitLayout,
@@ -120,14 +121,12 @@ def phase_from_k(k: int, t: int) -> float:
     return TWO_PI * k / (1 << t)
 
 
-def qde_run(
-    u, t: int, shots: int, seed: int, *, qubit_cap: int | None = None
-) -> QdeResult:
+def qde_run(u, t: int, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_CAP) -> QdeResult:
     """Full unitary-mode pipeline: estimate arg det(U) to t binary digits."""
     arr = as_matrix(u)
     if not is_unitary(arr, VALIDATION_TOL):
         raise ValidationError("input matrix is not unitary to 1e-9")
-    layout = _layout(arr.shape[0], t, ancillas=False, qubit_cap=qubit_cap)
+    layout = QubitLayout(t=t, n_particles=arr.shape[0], qubit_cap=qubit_cap)
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 
@@ -147,7 +146,7 @@ def qde_run(
     )
 
 
-def sign_run(o, shots: int, seed: int, *, qubit_cap: int | None = None) -> SignResult:
+def sign_run(o, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_CAP) -> SignResult:
     """Decide the determinant sign of a real orthogonal matrix.
 
     Runs the t = 1 circuit (Hadamard, controlled slot-wise O, Hadamard);
@@ -180,7 +179,7 @@ def sign_run(o, shots: int, seed: int, *, qubit_cap: int | None = None) -> SignR
 
 
 def contraction_run(
-    a, t: int, shots: int, seed: int, *, qubit_cap: int | None = None
+    a, t: int, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_CAP
 ) -> ContractionResult:
     """Contraction-mode pipeline with per-stage ancilla post-selection.
 
@@ -203,7 +202,7 @@ def contraction_run(
     norm = operator_norm(arr)
     if norm > 1.0 + VALIDATION_TOL:
         raise ValidationError(f"not a contraction: operator norm {norm:.12g} > 1")
-    layout = _layout(arr.shape[0], t, ancillas=True, qubit_cap=qubit_cap)
+    layout = QubitLayout(t=t, n_particles=arr.shape[0], ancilla_count=t, qubit_cap=qubit_cap)
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 
@@ -259,11 +258,6 @@ def magnitude_estimate(accepted: int, attempted: int, t: int) -> float:
     if accepted == 0:
         return 0.0
     return (accepted / attempted) ** (1.0 / (2 * ((1 << t) - 1)))
-
-
-def _layout(n: int, t: int, *, ancillas: bool, qubit_cap: int | None) -> QubitLayout:
-    kwargs = {} if qubit_cap is None else {"qubit_cap": qubit_cap}
-    return QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0, **kwargs)
 
 
 __all__ = [

@@ -10,10 +10,12 @@ Qubit layout (little-endian: qubit q is bit q of the flat amplitude index):
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r + 2**(t + N*n) * ancilla_value.
 
-Gates that act on phase qubit m split the phase index as (above m, bit m,
-below m): the flat amplitudes reshape for free to (ancilla_dim, slot_dim,
-2**(t-m-1), 2, 2**m), whose [..., 0, :] and [..., 1, :] are basic-slicing
-views of the bit-m = 0 and bit-m = 1 halves.  Both controlled stages touch
+Every gate and measurement reads the amplitudes through one view,
+`_split_view`: the flat buffer reshaped for free to (ancilla_dim, slot_dim,
+phase_dim).  A gate on phase qubit m names that bit, and the phase axis
+splits as (above m, bit m, below m) = (2**(t-m-1), 2, 2**m); an ancilla bit
+splits the ancilla axis the same way.  Indexing the 2-axis at 0 or 1 gives
+basic-slicing views of the two halves.  Both controlled stages touch
 the slot register only through N x N matrices applied slot by slot; the
 contraction stage applies its block encoding in factored SVD form, never as
 a dense slot-space matrix.  The Hadamard layer, the controlled stages and
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -131,13 +133,7 @@ class CostCounters:
     modeled_inv_qft_ops: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "controlled_slot_applications": self.controlled_slot_applications,
-            "modeled_orthonorm_ops": self.modeled_orthonorm_ops,
-            "modeled_asym_ops": self.modeled_asym_ops,
-            "modeled_qft_ops": self.modeled_qft_ops,
-            "modeled_inv_qft_ops": self.modeled_inv_qft_ops,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -149,7 +145,7 @@ class StateVector:
     counters: CostCounters = field(default_factory=CostCounters)
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def init_state(layout: QubitLayout) -> StateVector:
@@ -184,7 +180,7 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
     amps = sv.amplitudes
     if abs(amps[0] - 1.0) > 1e-12 or np.max(np.abs(amps[1:])) > 1e-12:
         raise ValidationError("load_asym requires the freshly initialized all-zeros state")
-    view = _grouped_view(sv)
+    view = _split_view(sv)
     view[:] = 0.0
     view[0, :, 0] = vec
     n = sv.layout.n_particles
@@ -200,7 +196,7 @@ def hadamard_layer(sv: StateVector) -> StateVector:
     t = sv.layout.t
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for m in range(t):
-        view = _phase_bit_view(sv, m)
+        view = _split_view(sv, phase_bit=m)
         a = view[..., 0, :]
         b = view[..., 1, :]
         total = a + b
@@ -220,16 +216,9 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     sequentially and each is tallied, making the t*N operation count of a
     full run literal.
     """
-    layout = sv.layout
-    arr = as_matrix(u_m)
-    if m < 0 or m >= layout.t:
-        raise ValidationError(f"stage index {m} outside phase register of {layout.t} qubits")
-    if arr.shape[0] != layout.n_particles:
-        raise ValidationError(
-            f"stage operator is {arr.shape[0]}x{arr.shape[0]}, slots hold {layout.n_particles} labels"
-        )
-    _apply_slotwise(arr, _phase_bit_view(sv, m)[..., 1, :])
-    sv.counters.controlled_slot_applications += layout.n_particles
+    arr = _stage_operator(sv.layout, m, u_m)
+    _apply_slotwise(arr, _split_view(sv, phase_bit=m)[..., 1, :])
+    sv.counters.controlled_slot_applications += sv.layout.n_particles
     _assert_normalized(sv)
     return sv
 
@@ -263,8 +252,7 @@ def qft(sv: StateVector) -> StateVector:
 
 def register_probabilities(sv: StateVector, which: str) -> np.ndarray:
     """Exact Born distribution of one register, marginalizing the others."""
-    grouped = _grouped_view(sv)
-    probs = np.abs(grouped) ** 2
+    probs = np.abs(_split_view(sv)) ** 2
     if which == REG_PHASE:
         return probs.sum(axis=(0, 1))
     if which == REG_SLOTS:
@@ -320,7 +308,7 @@ def ancilla_zero_probability(sv: StateVector, ancilla_index: int) -> float:
         raise ValidationError(
             f"ancilla index {ancilla_index} outside register of {layout.ancilla_count}"
         )
-    split = _ancilla_split_view(sv, ancilla_index)
+    split = _split_view(sv, ancilla_bit=ancilla_index)
     return float(np.sum(np.abs(split[:, 0]) ** 2))
 
 
@@ -333,13 +321,8 @@ def measure_ancilla_postselect(
     u < P(0).  Returns (outcome, collapsed renormalized state, exact Born
     probability of that outcome).
     """
-    layout = sv.layout
-    if not 0 <= ancilla_index < layout.ancilla_count:
-        raise ValidationError(
-            f"ancilla index {ancilla_index} outside register of {layout.ancilla_count}"
-        )
-    split = _ancilla_split_view(sv, ancilla_index)
-    p0 = float(np.sum(np.abs(split[:, 0]) ** 2))
+    p0 = ancilla_zero_probability(sv, ancilla_index)
+    split = _split_view(sv, ancilla_bit=ancilla_index)
     p1 = float(np.sum(np.abs(split[:, 1]) ** 2))
     if p0 + p1 < 1e-12:
         raise ValidationError("ancilla measurement on a numerically zero state")
@@ -372,14 +355,10 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     to 1 + 1e-9, whose stage power may reach (1 + 1e-9)**(2**m).
     """
     layout = sv.layout
-    arr = as_matrix(a_m)
+    arr = _stage_operator(layout, m, a_m)
     n = layout.n_particles
-    if m < 0 or m >= layout.t:
-        raise ValidationError(f"stage index {m} outside phase register of {layout.t} qubits")
     if layout.ancilla_count <= m:
         raise ValidationError(f"layout has {layout.ancilla_count} ancillas; stage {m} needs one")
-    if arr.shape[0] != n:
-        raise ValidationError(f"stage contraction is {arr.shape[0]}x{arr.shape[0]}, slots hold {n} labels")
     w, s, vh = np.linalg.svd(arr)
     if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
         raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
@@ -392,10 +371,8 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     rho_leak_sq = 1.0 - rho * rho
     rho, rho_leak = (1.0, 0.0) if rho_leak_sq < _LEAK_SNAP else (rho, math.sqrt(rho_leak_sq))
 
-    # The ancilla register holds t qubits, so ancilla bit m and phase bit m
-    # split their registers alike: (above m, bit m, below m).
-    hi, lo = 1 << (layout.t - m - 1), 1 << m
-    split = sv.amplitudes.reshape(hi, 2, lo, layout.slot_dim, hi, 2, lo)
+    # (above, ancilla bit m, below, slots, above, phase bit m, below)
+    split = _split_view(sv, phase_bit=m, ancilla_bit=m)
     on, off = split[..., 1, :], split[..., 0, :]
     _apply_slotwise(vh, on[:, 0])
     _apply_slotwise(w.conj().T, on[:, 1])
@@ -412,7 +389,7 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
 def asym_fidelity(sv: StateVector, state: AsymState) -> float:
     """Probability weight of the slot register's antisymmetric component."""
     vec = slot_register_vector(state, sv.layout)
-    overlaps = np.tensordot(vec.conj(), _grouped_view(sv), axes=([0], [1]))
+    overlaps = np.tensordot(vec.conj(), _split_view(sv), axes=([0], [1]))
     return float(np.sum(np.abs(overlaps) ** 2))
 
 
@@ -463,24 +440,32 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m_full * x
 
 
-def _grouped_view(sv: StateVector) -> np.ndarray:
-    """View shaped (ancilla_dim, slot_dim, phase_dim)."""
+def _split_view(sv: StateVector, *, phase_bit: int | None = None, ancilla_bit: int | None = None) -> np.ndarray:
+    """View (ancilla, slot_dim, phase) of the amplitudes.
+
+    A register whose bit is named spans three axes, (above, 2, below) that
+    bit, and one axis of its full dimension otherwise.
+    """
     lay = sv.layout
-    return sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim, lay.phase_dim)
+    return sv.amplitudes.reshape(
+        _register_axes(lay.ancilla_count, ancilla_bit) + (lay.slot_dim,) + _register_axes(lay.t, phase_bit)
+    )
 
 
-def _ancilla_split_view(sv: StateVector, ancilla_index: int) -> np.ndarray:
-    """View (above, 2, below, slot_dim, phase_dim) isolating one ancilla bit."""
-    lay = sv.layout
-    hi = 1 << (lay.ancilla_count - 1 - ancilla_index)
-    lo = 1 << ancilla_index
-    return sv.amplitudes.reshape(hi, 2, lo, lay.slot_dim, lay.phase_dim)
+def _register_axes(qubits: int, bit: int | None) -> tuple[int, ...]:
+    return (1 << qubits,) if bit is None else (1 << (qubits - bit - 1), 2, 1 << bit)
 
 
-def _phase_bit_view(sv: StateVector, m: int) -> np.ndarray:
-    """View (ancilla_dim, slot_dim, 2**(t-m-1), 2, 2**m) isolating phase bit m."""
-    lay = sv.layout
-    return sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim, 1 << (lay.t - m - 1), 2, 1 << m)
+def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
+    """The N x N operator of stage m, after checking the stage index and the shape."""
+    arr = as_matrix(op)
+    if m < 0 or m >= layout.t:
+        raise ValidationError(f"stage index {m} outside phase register of {layout.t} qubits")
+    if arr.shape[0] != layout.n_particles:
+        raise ValidationError(
+            f"stage operator is {arr.shape[0]}x{arr.shape[0]}, slots hold {layout.n_particles} labels"
+        )
+    return arr
 
 
 def _apply_slotwise(u: np.ndarray, block: np.ndarray) -> None:

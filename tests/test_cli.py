@@ -14,6 +14,7 @@ from qdet.cli import (
     EXIT_VALIDATION,
     EXIT_VERIFICATION,
     RunConfig,
+    build_parser,
     dump_json,
     generator_spec,
     main,
@@ -105,6 +106,10 @@ class TestRunConfig:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValidationError):
             RunConfig(mode="verify", shots=0)
+
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["--mode", "qde", "--gen", "g"])
+        assert RunConfig(**vars(args)) == RunConfig(mode="qde", generator="g")
 
 
 class TestRunDispatch:

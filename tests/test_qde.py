@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdet import simulator
 from qdet.antisym import asym_state
-from qdet.errors import ValidationError
+from qdet.errors import StateTooLargeError, ValidationError
 from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary, mat_pow2
 from qdet.qde import (
     contraction_run,
@@ -73,6 +73,11 @@ class TestQdeRun:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             qde_run(0.5 * np.eye(2), t=2, shots=10, seed=0)
+
+    def test_default_qubit_cap_refuses_large_layout(self):
+        # N=8, t=3: 3 + 8*3 = 27 qubits, one past the default cap of 26.
+        with pytest.raises(StateTooLargeError, match="27 qubits"):
+            qde_run(haar_unitary(8, 1), t=3, shots=10, seed=0)
 
     def test_counters(self):
         result = qde_run(haar_unitary(4, 3), t=3, shots=10, seed=0)
@@ -180,6 +185,11 @@ class TestContractionRun:
     def test_rejects_expanding_matrix(self):
         with pytest.raises(ValidationError):
             contraction_run(1.2 * np.eye(2), t=2, shots=10, seed=0)
+
+    def test_default_qubit_cap_refuses_large_layout(self):
+        # N=4, t=10: 10 + 4*2 + 10 ancillas = 28 qubits, past the default cap of 26.
+        with pytest.raises(StateTooLargeError, match="28 qubits"):
+            contraction_run(0.5 * np.eye(4), t=10, shots=10, seed=0)
 
     @pytest.mark.parametrize(
         "a, t",

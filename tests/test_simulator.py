@@ -72,6 +72,21 @@ class TestLayout:
         QubitLayout(t=8, n_particles=8, qubit_cap=32)
 
 
+class TestStateVectorNorm:
+    def test_norm_sq_allocates_no_state_sized_temporary(self):
+        rng = np.random.Generator(np.random.PCG64(16))
+        amps = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
+        sv = StateVector(layout=QubitLayout(t=8, n_particles=4), amplitudes=amps / np.linalg.norm(amps))
+        tracemalloc.start()
+        try:
+            norm = sv.norm_sq()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert peak < 0.01 * sv.amplitudes.nbytes
+
+
 class TestInitState:
     def test_small_layout(self):
         sv = init_state(QubitLayout(t=1, n_particles=2))
@@ -384,6 +399,7 @@ class TestMeasureAncillaPostselect:
         _, _, p_outcome = measure_ancilla_postselect(sv, 0, u=0.0)
         assert p == pytest.approx(0.1)
         assert p_outcome == pytest.approx(p)
+        assert p_outcome == p
 
     def test_rejects_when_no_ancillas(self):
         sv = prepared_state(t=1, n=2)
@@ -436,6 +452,17 @@ class TestControlledBlockStage:
             controlled_block_stage(sv, 0, 1.5 * np.eye(2))
         with pytest.raises(ValidationError, match="slots hold 2 labels"):
             controlled_block_stage(sv, 0, 0.5 * np.eye(8))
+
+    def test_rejects_bad_stage_index(self):
+        sv = prepared_state(t=2, n=2, ancillas=True)
+        for m in (-1, 2):
+            with pytest.raises(ValidationError, match="outside phase register"):
+                controlled_block_stage(sv, m, 0.5 * np.eye(2))
+
+    def test_rejects_layout_without_ancillas(self):
+        sv = prepared_state(t=2, n=2)
+        with pytest.raises(ValidationError, match="needs one"):
+            controlled_block_stage(sv, 0, 0.5 * np.eye(2))
 
     @pytest.mark.parametrize("t", [1, 3, 5])
     @pytest.mark.parametrize("n", [2, 4])

@@ -56,6 +56,7 @@ from .simulator import (
     load_asym,
     measure_ancilla_postselect,
     measure_register,
+    postselect_ancilla_zero,
     qft,
     register_probabilities,
     shot_rng,

@@ -33,14 +33,13 @@ from .simulator import (
     REG_PHASE,
     CostCounters,
     QubitLayout,
-    ancilla_zero_probability,
     controlled_block_stage,
     controlled_power_stage,
     hadamard_layer,
     init_state,
     inverse_qft,
     load_asym,
-    measure_ancilla_postselect,
+    postselect_ancilla_zero,
     register_probabilities,
     sample_distribution,
 )
@@ -215,13 +214,12 @@ def contraction_run(
     for m in range(t):
         controlled_block_stage(sv, m, mat_pow2(arr, m))
         # Rounding can leave the renormalised zero branch a hair above 1.
-        p_zero = min(ancilla_zero_probability(sv, m), 1.0)
+        p_zero = min(postselect_ancilla_zero(sv, m), 1.0)
         if p_zero < 1e-300:
             # The zero branch carries no usable amplitude at this stage;
             # every shot is rejected here at the latest.
             stage_zero_probs.append(0.0)
             break
-        measure_ancilla_postselect(sv, m, 0.0)
         stage_zero_probs.append(p_zero)
     else:
         inverse_qft(sv)

@@ -18,11 +18,19 @@ splits the ancilla axis the same way.  Indexing the 2-axis at 0 or 1 gives
 basic-slicing views of the two halves.  Both controlled stages touch
 the slot register only through N x N matrices applied slot by slot; the
 contraction stage applies its block encoding in factored SVD form, never as
-a dense slot-space matrix.  The Hadamard layer, the controlled stages and
-the ancilla measurement write into the existing amplitude buffer;
-`inverse_qft` and `qft` bind a new one to
-``sv.amplitudes``.  Every gate returns the StateVector, which a run owns
-exclusively.
+a dense slot-space matrix.  Every gate, `inverse_qft` and `qft` included,
+writes into the existing amplitude buffer, and returns the StateVector,
+which a run owns exclusively.
+
+The gate kernels work through the state in blocks of about `_BLOCK_BYTES`
+(`_chunks`), so their scratch buffers are block-sized whatever the state
+size: the Hadamard layer and the phase distribution take blocks of phase
+rows, the slot-wise matmuls and the contraction stage's reflection take
+blocks of whole slot columns.  The blocking changes no arithmetic, so
+amplitudes are bit-exact for any block size.  One limit: a slot-wise block
+holds every slot value, so a layout with one phase column per half and no
+ancilla axis (sign mode, t = 1) is a single block, and its matmuls still
+take two half-state buffers.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -58,6 +66,23 @@ _CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
 _LEAK_SNAP = 1e-11  # block_encode's eigenvalue snap: smaller leaks are rounding noise
 _U64 = (1 << 64) - 1
 _SHOT_CHUNK = 1 << 14  # shots drawn per block: bounds sampling memory for any shot count
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_AMP_BYTES = 16  # complex128
+
+#: Amplitude bytes a gate kernel works on at a time; every scratch buffer of a
+#: kernel is at most this size (the slot-wise matmuls take two) unless a
+#: single slot-wise block is larger (see the module docstring).  Picked by a
+#: sweep of 256 KiB to 16 MiB on the qde-phase (64 MiB state) and contract
+#: (16 MiB state) benchmark workloads on a 2-CPU host with 2 MiB of L2 per
+#: core: 512 KiB had the lowest median run time on both, and 4 MiB or more
+#: made contract slower than unblocked kernels.
+_BLOCK_BYTES = 1 << 19
+
+#: Slot-wise matmuls get column counts that are multiples of this.  BLAS rounds
+#: a matrix's trailing columns past its last full tile differently (OpenBLAS's
+#: x86-64 zgemm tile is 4 columns), so a block with no partial tile rounds every
+#: column as the matmul over the whole half-state does.
+_GEMM_TILE = 16
 
 # Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox bit generator runs it:
 # round multipliers split into 32-bit halves for `_mulhilo`, and Weyl key bumps.
@@ -177,9 +202,17 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
     counters; the amplitudes themselves are assigned directly.
     """
     vec = slot_register_vector(state, sv.layout)
-    amps = sv.amplitudes
-    if abs(amps[0] - 1.0) > 1e-12 or np.max(np.abs(amps[1:])) > 1e-12:
-        raise ValidationError("load_asym requires the freshly initialized all-zeros state")
+    # Fresh: amplitude 0 within 1e-12 of 1 and every other modulus at most 1e-12.
+    rows = _phase_rows(sv)
+    chunks = _chunks(len(rows), rows.shape[1])
+    mags = np.empty(rows[chunks[0]].size)
+    for s in chunks:
+        block = rows[s]
+        mag = np.abs(block, out=mags[: block.size].reshape(block.shape))
+        if s.start == 0:
+            mag[0, 0] = abs(block[0, 0] - 1.0)
+        if mag.max() > 1e-12:
+            raise ValidationError("load_asym requires the freshly initialized all-zeros state")
     view = _split_view(sv)
     view[:] = 0.0
     view[0, :, 0] = vec
@@ -192,17 +225,31 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
 
 
 def hadamard_layer(sv: StateVector) -> StateVector:
-    """Hadamard on every phase-register qubit (the QFT of the |0> state)."""
+    """Hadamard on every phase-register qubit (the QFT of the |0> state).
+
+    Each block of phase rows (`_phase_rows`) takes the butterflies of every
+    bit inside a row before the next block is touched.  When a row is only a
+    piece of the phase register, the bits above the piece follow one at a
+    time, in blocks of pairs.  Every amplitude sees bit 0 first and bit t-1
+    last, with the same sums and products, so the block size does not change
+    the result.
+    """
     t = sv.layout.t
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for m in range(t):
-        view = _split_view(sv, phase_bit=m)
-        a = view[..., 0, :]
-        b = view[..., 1, :]
-        total = a + b
-        np.subtract(a, b, out=b)
-        b *= inv_sqrt2
-        np.multiply(total, inv_sqrt2, out=a)
+    rows = _phase_rows(sv)
+    width = rows.shape[1]
+    in_row = width.bit_length() - 1  # bits whose pairs lie inside a row
+    chunks = _chunks(len(rows), width)
+    scratch = np.empty(rows[chunks[0]].size // 2, dtype=np.complex128)
+    for s in chunks:
+        block = rows[s]
+        for m in range(in_row):
+            pairs = block.reshape(-1, 2, 1 << m)
+            _butterfly(pairs[:, 0], pairs[:, 1], scratch)
+    half = width // 2
+    for m in range(in_row, t):
+        pairs = sv.amplitudes.reshape(-1, 2, (1 << m) // half, half)
+        for i, j in np.ndindex(pairs.shape[0], pairs.shape[2]):
+            _butterfly(pairs[i, 0, j], pairs[i, 1, j], scratch)
     sv.counters.modeled_qft_ops += t
     _assert_normalized(sv)
     return sv
@@ -224,37 +271,57 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
 
 
 def inverse_qft(sv: StateVector) -> StateVector:
-    """Exact inverse Fourier transform on the phase register.
+    """Exact inverse Fourier transform on the phase register, in place.
 
     Convention: the forward QFT maps |j> to 2**(-t/2) sum_k exp(2i pi jk/2**t)|k>,
     so the inverse is the unitary DFT with the negative-sign kernel.
     """
     t = sv.layout.t
     flat = sv.amplitudes.reshape(-1, 1 << t)
-    sv.amplitudes = np.ascontiguousarray(np.fft.fft(flat, axis=1, norm="ortho")).reshape(-1)
+    np.fft.fft(flat, axis=1, norm="ortho", out=flat)
     sv.counters.modeled_inv_qft_ops += t * (t + 1) // 2
     _assert_normalized(sv)
     return sv
 
 
 def qft(sv: StateVector) -> StateVector:
-    """Forward QFT on the phase register; adjoint of `inverse_qft`.
+    """Forward QFT on the phase register, in place; adjoint of `inverse_qft`.
 
     Round-trip helper for tests; not part of the costed pipeline, so no
     counters move.
     """
     t = sv.layout.t
     flat = sv.amplitudes.reshape(-1, 1 << t)
-    sv.amplitudes = np.ascontiguousarray(np.fft.ifft(flat, axis=1, norm="ortho")).reshape(-1)
+    np.fft.ifft(flat, axis=1, norm="ortho", out=flat)
     _assert_normalized(sv)
     return sv
 
 
 def register_probabilities(sv: StateVector, which: str) -> np.ndarray:
-    """Exact Born distribution of one register, marginalizing the others."""
-    probs = np.abs(_split_view(sv)) ** 2
+    """Exact Born distribution of one register, marginalizing the others.
+
+    The phase distribution is accumulated block by block: each block's
+    squared moduli are stacked under the running totals and summed down the
+    rows, so every outcome adds its rows in order, as a sum over the whole
+    state does.
+    """
     if which == REG_PHASE:
-        return probs.sum(axis=(0, 1))
+        rows = _phase_rows(sv)
+        width = rows.shape[1]
+        totals = np.zeros(sv.layout.phase_dim)
+        pieces = totals.reshape(-1, width)
+        chunks = _chunks(len(rows), width)
+        stack = np.empty((len(rows[chunks[0]]) + 1, width))
+        for s in chunks:
+            # A block of several rows only occurs when a row is the whole register.
+            block = rows[s]
+            acc = pieces[s.start % len(pieces)]
+            part = stack[: len(block) + 1]
+            part[0] = acc
+            np.square(np.abs(block, out=part[1:]), out=part[1:])
+            np.sum(part, axis=0, out=acc)
+        return totals
+    probs = np.abs(_split_view(sv)) ** 2
     if which == REG_SLOTS:
         return probs.sum(axis=(0, 2))
     if which == REG_ANCILLA:
@@ -310,6 +377,20 @@ def ancilla_zero_probability(sv: StateVector, ancilla_index: int) -> float:
         )
     split = _split_view(sv, ancilla_bit=ancilla_index)
     return float(np.sum(np.abs(split[:, 0]) ** 2))
+
+
+def postselect_ancilla_zero(sv: StateVector, ancilla_index: int) -> float:
+    """Post-select the given ancilla qubit on 0; return P(0) before the projection.
+
+    The one-branch of the ancilla is zeroed and the state renormalised.  When
+    P(0) < 1e-300 the zero branch has no usable amplitude and the state is
+    left as it was.
+    """
+    p0 = ancilla_zero_probability(sv, ancilla_index)
+    if p0 >= 1e-300:
+        _split_view(sv, ancilla_bit=ancilla_index)[:, 1] = 0.0
+        sv.amplitudes /= math.sqrt(p0)
+    return p0
 
 
 def measure_ancilla_postselect(
@@ -468,37 +549,104 @@ def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
     return arr
 
 
-def _apply_slotwise(u: np.ndarray, block: np.ndarray) -> None:
-    """Apply the N x N ``u`` to every slot of ``block`` (slot axis third from last), in place.
+def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> None:
+    """Apply the N x N ``u`` to every slot of a (..., slots, above, below) view, in place.
 
-    Slot s is base-N digit s of the slot index.  With that index innermost,
-    each matmul over a (rest, N) reshape applies u to the next slot and moves
-    it to the front; after N steps the slot index leads, in order.  One matmul
-    over all of the rest also rounds every amplitude alike: BLAS rounds a
-    matrix's columns past its last full tile differently, and a batched
-    (before, N, after) matmul would have such a tail in every batch.
+    Slot s is base-N digit s of the slot index.  Each block of `_slotwise_cuts`
+    is copied into a scratch buffer with the slot index innermost; each
+    matmul over a (rest, N) reshape then applies u to the next slot and moves
+    it to the front, ping-ponging between two scratch buffers, and after N
+    steps the slot index leads, in order, and the block is written back.
+    A block's matmul is bit-exact with the one over the whole view: each
+    output amplitude is the same N-term sum over the same inputs, and BLAS
+    rounds columns alike except past a matrix's last full tile, which a
+    block's column count, a multiple of `_GEMM_TILE`, never leaves.  (A
+    batched (before, N, after) matmul would have such a tail in every batch.)
     """
     n = u.shape[0]
-    sub = np.ascontiguousarray(np.moveaxis(block, -3, -1))
-    for _ in range(n):
-        sub = u @ sub.reshape(-1, n).T
-    shape = block.shape
-    block[...] = np.moveaxis(sub.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
+    cuts = _slotwise_cuts(view, n)
+    size = view[cuts[0]].size
+    ping, pong = np.empty((2, size), dtype=np.complex128)
+    for cut in cuts:
+        block = view[cut]
+        shape = block.shape
+        src, dst = ping[: block.size], pong[: block.size]
+        moved = np.moveaxis(block, -3, -1)
+        np.copyto(src.reshape(moved.shape), moved)
+        for _ in range(n):
+            np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
+            src, dst = dst, src
+        block[...] = np.moveaxis(src.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
 
 
 def _reflect(x0: np.ndarray, x1: np.ndarray, c, s) -> None:
     """Apply [[c, s], [s, -c]] to the amplitude pair (x0, x1), in place.
 
-    Two temporaries the size of x0; the products and sums are the ones
-    ``c*x0 + s*x1`` and ``s*x0 - c*x1`` form, so the rounding is theirs.
+    Walks the blocks of `_slotwise_cuts` with two block-sized scratch buffers;
+    the products and sums are the ones ``c*x0 + s*x1`` and ``s*x0 - c*x1``
+    form, so the rounding is theirs.
     """
-    b0 = np.multiply(c, x0)
-    tmp = np.multiply(s, x1)
-    b0 += tmp
-    np.multiply(s, x0, out=tmp)
-    np.multiply(c, x1, out=x1)
-    np.subtract(tmp, x1, out=x1)
-    x0[...] = b0
+    cuts = _slotwise_cuts(x0, 1)
+    size = x0[cuts[0]].size
+    sum_buf, tmp_buf = np.empty((2, size), dtype=np.complex128)
+    for cut in cuts:
+        a, b = x0[cut], x1[cut]
+        b0 = sum_buf[: a.size].reshape(a.shape)
+        tmp = tmp_buf[: a.size].reshape(a.shape)
+        np.multiply(c, a, out=b0)
+        np.multiply(s, b, out=tmp)
+        b0 += tmp
+        np.multiply(s, a, out=tmp)
+        np.multiply(c, b, out=b)
+        np.subtract(tmp, b, out=b)
+        a[...] = b0
+
+
+def _butterfly(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
+    """Hadamard on the pair (a, b), in place; ``scratch`` holds a + b."""
+    total = np.add(a, b, out=scratch[: a.size].reshape(a.shape))
+    np.subtract(a, b, out=b)
+    b *= _INV_SQRT2
+    np.multiply(total, _INV_SQRT2, out=a)
+
+
+def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
+    """Slices cutting an axis of ``length`` indices into blocks of about `_BLOCK_BYTES`.
+
+    One index spans ``stride`` amplitudes.  A block takes as many indices as
+    fit, rounded down to a multiple of ``step`` but at least ``step``; the
+    last block may be shorter.  Every blocked kernel iterates through this.
+    """
+    per = max(step, _BLOCK_BYTES // (_AMP_BYTES * stride) // step * step)
+    return [slice(i, i + per) for i in range(0, length, per)]
+
+
+def _phase_rows(sv: StateVector) -> np.ndarray:
+    """The amplitudes as rows of consecutive phase indices.
+
+    A row is the whole phase register or, when that exceeds a block, the
+    largest power-of-two piece of it that fits (at least two amplitudes).
+    """
+    fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
+    return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
+
+
+def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
+    """Index tuples cutting a (..., slots, above, below) view into blocks of whole slot columns.
+
+    The cut runs along the longest axis other than the slot axis, the
+    outermost of equals: a contraction stage's ancilla axes mirror its phase
+    axes, and cutting those outer axes keeps each block's copy in and out to
+    long runs.  A block holds whole slot columns, so the N slot-wise matmuls
+    run on it alone, and its matmul column count (size / n) is a multiple of
+    `_GEMM_TILE`.  With one phase column per half and no ancilla axis to cut,
+    or when the tile rule allows no cut, the view is one block.
+    """
+    lengths = [0 if axis == view.ndim - 3 else length for axis, length in enumerate(view.shape)]
+    axis = lengths.index(max(lengths))
+    stride = view.size // lengths[axis]
+    step = _GEMM_TILE // math.gcd(_GEMM_TILE, stride // n)
+    return [(slice(None),) * axis + (s,) for s in _chunks(lengths[axis], stride, step)]
 
 
 def _assert_normalized(sv: StateVector) -> None:

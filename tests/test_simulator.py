@@ -27,6 +27,7 @@ from qdet.simulator import (
     load_asym,
     measure_ancilla_postselect,
     measure_register,
+    postselect_ancilla_zero,
     qft,
     register_probabilities,
     sample_distribution,
@@ -125,6 +126,28 @@ class TestLoadAsym:
         sv = prepared_state(t=1, n=2)
         with pytest.raises(ValidationError):
             load_asym(sv, asym_state(2))
+
+    @pytest.mark.parametrize("first", [1j, 1.0 + 2e-12, 0.0])
+    def test_requires_unit_first_amplitude(self, first):
+        sv = init_state(QubitLayout(t=1, n_particles=2))
+        sv.amplitudes[0] = first
+        with pytest.raises(ValidationError):
+            load_asym(sv, asym_state(2))
+
+    @pytest.mark.parametrize("index", [1, 100, -1])
+    def test_checks_every_block_by_modulus(self, monkeypatch, index):
+        # 16-amplitude blocks of a 1024-amplitude state: a stray amplitude
+        # fails the freshness check in whichever block it sits, by modulus.
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 16)
+        layout = QubitLayout(t=2, n_particles=4)
+        sv = init_state(layout)
+        sv.amplitudes[index] = 8e-13 * (1 + 1j)
+        with pytest.raises(ValidationError):
+            load_asym(sv, asym_state(4))
+        sv = init_state(layout)
+        sv.amplitudes[index] = 6e-13 * (1 + 1j)
+        sv.amplitudes[0] = 1.0 - 1e-12
+        load_asym(sv, asym_state(4))
 
     def test_rejects_slot_mismatch(self):
         sv = init_state(QubitLayout(t=1, n_particles=2))
@@ -229,6 +252,16 @@ class TestInverseQft:
         inverse_qft(sv)
         assert np.max(np.abs(sv.amplitudes - before)) <= 1e-12
         assert sv.counters.modeled_inv_qft_ops == 3
+
+    def test_transforms_in_place(self, rng):
+        sv = prepared_state(t=3, n=2)
+        raw = rng.standard_normal(sv.amplitudes.shape) + 1j * rng.standard_normal(sv.amplitudes.shape)
+        sv.amplitudes = raw / np.linalg.norm(raw)
+        buffer = sv.amplitudes
+        inverse_qft(sv)
+        assert np.shares_memory(sv.amplitudes, buffer)
+        qft(sv)
+        assert np.shares_memory(sv.amplitudes, buffer)
 
 
 class TestMeasureRegister:
@@ -413,6 +446,65 @@ class TestMeasureAncillaPostselect:
             measure_ancilla_postselect(sv, 0, u=0.0)
 
 
+class TestPostselectAncillaZero:
+    """The contraction pipeline's post-selection: one pass for P(0), then the projection."""
+
+    def test_ancilla_in_zero(self):
+        sv = prepared_state(t=1, n=2, ancillas=True)
+        before = sv.amplitudes.copy()
+        p = postselect_ancilla_zero(sv, 0)
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(sv.amplitudes - before)) <= 1e-12
+
+    def test_balanced_ancilla_has_half_probability(self):
+        sv = prepared_state(t=1, n=2, ancillas=True)
+        lay = sv.layout
+        g = sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim * lay.phase_dim)
+        g[1] = g[0]
+        sv.amplitudes /= np.linalg.norm(sv.amplitudes)
+        buffer = sv.amplitudes
+        p = postselect_ancilla_zero(sv, 0)
+        assert p == pytest.approx(0.5)
+        assert np.shares_memory(sv.amplitudes, buffer)
+        assert not np.any(g[1])
+        assert sv.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+    def test_block_encoded_contraction_zero_probability(self):
+        # As in TestMeasureAncillaPostselect: P(ancilla reads 0) = 0.81^2.
+        sv = prepared_state(t=1, n=2, ancillas=True)
+        g = grouped(sv)
+        g[..., [0, 1]] = g[..., [1, 0]]
+        controlled_block_stage(sv, 0, 0.9 * np.eye(2, dtype=complex))
+        assert postselect_ancilla_zero(sv, 0) == pytest.approx(0.81**2, abs=1e-10)
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_same_bits_and_state_as_measure_ancilla_postselect(self, index):
+        layout = QubitLayout(t=3, n_particles=2, ancilla_count=3)
+        rng = np.random.Generator(np.random.PCG64(91 + index))
+        amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(1 << layout.total_qubits)
+        amps /= np.linalg.norm(amps)
+        sv = StateVector(layout=layout, amplitudes=amps.copy())
+        expected = StateVector(layout=layout, amplitudes=amps.copy())
+        p = postselect_ancilla_zero(sv, index)
+        outcome, _, p_outcome = measure_ancilla_postselect(expected, index, u=0.0)
+        assert outcome == 0
+        assert p == p_outcome == ancilla_zero_probability(StateVector(layout=layout, amplitudes=amps), index)
+        assert np.array_equal(sv.amplitudes, expected.amplitudes)
+
+    def test_empty_zero_branch_leaves_state(self):
+        sv = prepared_state(t=1, n=2, ancillas=True)
+        g = grouped(sv)
+        g[[0, 1]] = g[[1, 0]]  # ancilla to |1>
+        before = sv.amplitudes.copy()
+        assert postselect_ancilla_zero(sv, 0) == 0.0
+        assert np.array_equal(sv.amplitudes, before)
+
+    def test_rejects_when_no_ancillas(self):
+        sv = prepared_state(t=1, n=2)
+        with pytest.raises(ValidationError):
+            postselect_ancilla_zero(sv, 0)
+
+
 class TestControlledBlockStage:
     def test_unitary_input_matches_power_stage(self):
         u = haar_unitary(2, 44)
@@ -435,7 +527,7 @@ class TestControlledBlockStage:
         g = grouped(sv)
         g[..., [0, 1 << m]] = g[..., [1 << m, 0]]  # control qubit m to |1>
         controlled_block_stage(sv, m, mat_pow2(a, m))
-        _, sv, p = measure_ancilla_postselect(sv, m, u=0.0)
+        p = postselect_ancilla_zero(sv, m)
         assert p == pytest.approx((0.81 ** (2**m)) ** 2, abs=1e-10)
 
     def test_zero_matrix_flips_ancilla(self):
@@ -679,3 +771,158 @@ class TestPhaseBitViewGates:
             reference(expected, *args)
             assert np.shares_memory(sv.amplitudes, buffer), gate.__name__
             assert np.array_equal(sv.amplitudes, expected.amplitudes), (gate.__name__, args[:1])
+
+
+def unblocked_slotwise(u, block):
+    """`_apply_slotwise` before blocking: one half-state copy and N half-state matmuls."""
+    n = u.shape[0]
+    sub = np.ascontiguousarray(np.moveaxis(block, -3, -1))
+    for _ in range(n):
+        sub = u @ sub.reshape(-1, n).T
+    shape = block.shape
+    block[...] = np.moveaxis(sub.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
+
+
+def unblocked_transform(fft):
+    """`inverse_qft` (np.fft.fft) or `qft` (np.fft.ifft) binding a new buffer, as before blocking."""
+
+    def reference(sv):
+        flat = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
+        sv.amplitudes = np.ascontiguousarray(fft(flat, axis=1, norm="ortho")).reshape(-1)
+
+    return reference
+
+
+def unblocked_probabilities(sv, which):
+    """`register_probabilities` before blocking: the squared moduli of the whole state at once."""
+    axes = {REG_PHASE: (0, 1), REG_SLOTS: (0, 2), REG_ANCILLA: (1, 2)}[which]
+    return (np.abs(grouped(sv)) ** 2).sum(axis=axes)
+
+
+#: Block sizes of the bit-exact tests, in phase rows: half a row (a row
+#: exceeds a block and is cut into pieces) and three rows (several rows a
+#: block, the last block short, since every layout has a power-of-two row
+#: count).  `test_block_sizes_reach_every_regime` checks that these give
+#: every regime, and that slot-wise blocks cut the view.
+ROWS_PER_BLOCK = (0.5, 3)
+
+
+def block_bytes(layout, rows):
+    return int(rows * 16 * layout.phase_dim)
+
+
+class TestBlockedKernels:
+    """Every blocked kernel equals its unblocked form bit for bit, at any block size."""
+
+    @pytest.mark.parametrize("rows", ROWS_PER_BLOCK)
+    @pytest.mark.parametrize("ancillas", [False, True])
+    @pytest.mark.parametrize("t", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bit_exact_and_in_place(self, monkeypatch, n, t, ancillas, rows):
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+        rng = np.random.Generator(np.random.PCG64(int(2 * rows) + 100 * n + 10 * t + ancillas))
+        u = haar_unitary(n, 300 + t)
+        a = random_contraction(n, 500 + t)
+        cases = [
+            (hadamard_layer, reference_hadamard_layer, ()),
+            (inverse_qft, unblocked_transform(np.fft.fft), ()),
+            (qft, unblocked_transform(np.fft.ifft), ()),
+        ]
+        for m in range(t):
+            cases.append((controlled_power_stage, controlled_power_stage, (m, mat_pow2(u, m))))
+            if ancillas:
+                cases.append((controlled_block_stage, controlled_block_stage, (m, mat_pow2(a, m))))
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows))
+        for gate, reference, args in cases:
+            amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(
+                1 << layout.total_qubits
+            )
+            amps /= np.linalg.norm(amps)
+            sv = StateVector(layout=layout, amplitudes=amps.copy())
+            expected = StateVector(layout=layout, amplitudes=amps.copy())
+            buffer = sv.amplitudes
+            gate(sv, *args)
+            with monkeypatch.context() as unblocked:
+                unblocked.setattr(simulator, "_apply_slotwise", unblocked_slotwise)
+                unblocked.setattr(simulator, "_reflect", reference_reflect)
+                reference(expected, *args)
+            assert np.shares_memory(sv.amplitudes, buffer), gate.__name__
+            assert np.array_equal(sv.amplitudes, expected.amplitudes), (gate.__name__, args[:1])
+        for which in (REG_PHASE, REG_SLOTS, REG_ANCILLA):
+            assert np.array_equal(register_probabilities(sv, which), unblocked_probabilities(sv, which)), which
+
+    @pytest.mark.parametrize("indices", [1, 2, 3])
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_reflect_bit_exact(self, monkeypatch, scalar, indices):
+        # The views controlled_block_stage passes; blocks of 1, 2 or 3 of the
+        # 8 indices of the cut axis (512 amplitudes each), the last one short.
+        rng = np.random.Generator(np.random.PCG64(10 * indices + scalar))
+        t, m, d = 5, 1, 16
+        hi, lo = 1 << (t - m - 1), 1 << m
+        amps = rng.standard_normal(d * 4**t) + 1j * rng.standard_normal(d * 4**t)
+        if scalar:
+            c, s = 0.6, 0.8
+        else:
+            c = rng.uniform(0.0, 1.0, d).reshape(-1, 1, 1)
+            s = np.sqrt(1.0 - c * c)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 512 * indices)
+        got, expected = amps.copy(), amps.copy()
+        for buf, apply in ((got, simulator._reflect), (expected, reference_reflect)):
+            on = buf.reshape(hi, 2, lo, d, hi, 2, lo)[..., 1, :]
+            apply(on[:, 0], on[:, 1], c, s)
+        assert len(simulator._slotwise_cuts(on[:, 0], 1)) == -(-8 // indices)
+        assert np.array_equal(got, expected)
+
+    def test_block_sizes_reach_every_regime(self, monkeypatch):
+        seen = set()
+        for n, t, ancillas, rows_per_block in (
+            (n, t, a, r) for n in (2, 4) for t in (1, 3, 5) for a in (False, True) for r in ROWS_PER_BLOCK
+        ):
+            layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows_per_block))
+            sv = StateVector(layout=layout, amplitudes=np.zeros(1 << layout.total_qubits, dtype=complex))
+            rows = simulator._phase_rows(sv)
+            per = simulator._chunks(len(rows), rows.shape[1])[0].stop
+            if rows.shape[1] < layout.phase_dim:
+                seen.add("a phase row exceeds a block")
+            if 1 < per < len(rows):
+                seen.add("several phase rows a block")
+            if len(rows) % per:
+                seen.add("short last block")
+            for m in range(t):
+                if len(simulator._slotwise_cuts(simulator._split_view(sv, phase_bit=m)[..., 1, :], n)) > 1:
+                    seen.add("slot-wise blocks cut the view")
+        assert len(seen) == 4, seen
+
+
+class TestKernelMemory:
+    """No gate kernel allocates a temporary that scales with the state."""
+
+    @pytest.mark.parametrize("t, ancillas", [(12, False), (6, True)])
+    def test_peak_at_most_a_quarter_of_the_state(self, t, ancillas):
+        # 2**20 amplitudes either way (N = 4): the qde layout cuts its
+        # slot-wise blocks along a phase axis (2**11 columns per half), the
+        # contraction layout (the contract benchmark's) along an ancilla axis.
+        n = 4
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+        sv = init_state(layout)
+        u = haar_unitary(n, 72)
+        a = random_contraction(n, 71)
+        steps = [
+            (load_asym, (asym_state(n),)),
+            (hadamard_layer, ()),
+            (controlled_power_stage, (0, u)),
+            (controlled_power_stage, (t - 1, u)),
+        ]
+        if ancillas:
+            steps += [(controlled_block_stage, (0, a)), (controlled_block_stage, (t - 1, mat_pow2(a, t - 1)))]
+        steps += [(inverse_qft, ()), (register_probabilities, (REG_PHASE,))]
+        peaks = []
+        for gate, args in steps:
+            tracemalloc.start()
+            try:
+                gate(sv, *args)
+                peaks.append((gate.__name__, tracemalloc.get_traced_memory()[1] / sv.amplitudes.nbytes))
+            finally:
+                tracemalloc.stop()
+        assert all(peak <= 0.25 for _, peak in peaks), peaks

@@ -57,7 +57,6 @@ from .simulator import (
     measure_ancilla_postselect,
     measure_register,
     postselect_ancilla_zero,
-    qft,
     register_probabilities,
     shot_rng,
     shot_uniforms,

@@ -182,9 +182,12 @@ def contraction_run(
 ) -> ContractionResult:
     """Contraction-mode pipeline with per-stage ancilla post-selection.
 
-    Each attempted shot walks the per-stage ancilla measurements; a shot is
-    rejected at the first ancilla reading 1 and accepted shots contribute one
-    phase-register sample.  The states along the all-zeros path do not depend
+    The layout has one ancilla qubit, which every stage reuses: stage m
+    entangles it with the slot register, and post-selecting it on 0 leaves
+    it in |0>, ready for stage m + 1.  Each attempted shot walks the
+    per-stage ancilla measurements; a shot is rejected at the first stage
+    whose ancilla reads 1 and accepted shots contribute one phase-register
+    sample.  The states along the all-zeros path do not depend
     on the shot, so the path (and the exact conditioned distribution) is
     computed once.  `sample_distribution` then draws every shot's t + 1
     uniforms in bulk: shot s survives when its draw m is below stage m's
@@ -195,13 +198,13 @@ def contraction_run(
 
     Stage m passes A**(2**m) to `controlled_block_stage`, which applies its
     block encoding on every slot in factored SVD form, so only the qubit cap
-    bounds the particle count.
+    (t + N*log2(N) + 1 qubits) bounds the particle count and the precision.
     """
     arr = as_matrix(a)
     norm = operator_norm(arr)
     if norm > 1.0 + VALIDATION_TOL:
         raise ValidationError(f"not a contraction: operator norm {norm:.12g} > 1")
-    layout = QubitLayout(t=t, n_particles=arr.shape[0], ancilla_count=t, qubit_cap=qubit_cap)
+    layout = QubitLayout(t=t, n_particles=arr.shape[0], ancilla_count=1, qubit_cap=qubit_cap)
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 
@@ -214,7 +217,7 @@ def contraction_run(
     for m in range(t):
         controlled_block_stage(sv, m, mat_pow2(arr, m))
         # Rounding can leave the renormalised zero branch a hair above 1.
-        p_zero = min(postselect_ancilla_zero(sv, m), 1.0)
+        p_zero = min(postselect_ancilla_zero(sv), 1.0)
         if p_zero < 1e-300:
             # The zero branch carries no usable amplitude at this stage;
             # every shot is rejected here at the latest.

@@ -5,22 +5,25 @@ Qubit layout (little-endian: qubit q is bit q of the flat amplitude index):
 * phase register ("reg 1"): qubits [0, t); its integer value is j.
 * slot register ("reg 2"): N slots of n = log2(N) qubits each; slot s
   occupies qubits [t + s*n, t + (s+1)*n) and stores one label in binary.
-* ancilla register: qubits [t + N*n, t + N*n + ancilla_count).
+* ancilla register: none, or the one qubit t + N*n.  Contraction mode reuses
+  it at every stage: each stage entangles it with the slot register and
+  post-selection then leaves it in |0>, the state a fresh ancilla starts in,
+  so t stages need one ancilla, not t.
 
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r + 2**(t + N*n) * ancilla_value.
 
 Every gate and measurement reads the amplitudes through one view,
 `_split_view`: the flat buffer reshaped for free to (ancilla_dim, slot_dim,
-phase_dim).  A gate on phase qubit m names that bit, and the phase axis
-splits as (above m, bit m, below m) = (2**(t-m-1), 2, 2**m); an ancilla bit
-splits the ancilla axis the same way.  Indexing the 2-axis at 0 or 1 gives
-basic-slicing views of the two halves.  Both controlled stages touch
-the slot register only through N x N matrices applied slot by slot; the
-contraction stage applies its block encoding in factored SVD form, never as
-a dense slot-space matrix.  Every gate, `inverse_qft` and `qft` included,
-writes into the existing amplitude buffer, and returns the StateVector,
-which a run owns exclusively.
+phase_dim), whose ancilla axis indexed at 0 or 1 gives the ancilla's two
+halves.  A gate on phase qubit m names that bit, and the phase axis splits
+as (above m, bit m, below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis
+at 0 or 1 gives basic-slicing views of the two halves.  Both controlled
+stages touch the slot register only through N x N matrices applied slot by
+slot; the contraction stage applies its block encoding in factored SVD
+form, never as a dense slot-space matrix.  Every gate, `inverse_qft`
+included, writes into the existing amplitude buffer, and returns the
+StateVector, which a run owns exclusively.
 
 The gate kernels work through the state in blocks of about `_BLOCK_BYTES`
 (`_chunks`), so their scratch buffers are block-sized whatever the state
@@ -28,9 +31,9 @@ size: the Hadamard layer and the phase distribution take blocks of phase
 rows, the slot-wise matmuls and the contraction stage's reflection take
 blocks of whole slot columns.  The blocking changes no arithmetic, so
 amplitudes are bit-exact for any block size.  One limit: a slot-wise block
-holds every slot value, so a layout with one phase column per half and no
-ancilla axis (sign mode, t = 1) is a single block, and its matmuls still
-take two half-state buffers.
+holds every slot value, so at t = 1 (one phase column per half: sign mode,
+or contraction mode at t = 1) a stage's view is a single block, and its
+matmuls take two buffers of the whole view's size.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -63,7 +66,7 @@ DEFAULT_QUBIT_CAP = 26
 
 _NORM_TOL = 1e-10
 _CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
-_LEAK_SNAP = 1e-11  # block_encode's eigenvalue snap: smaller leaks are rounding noise
+_LEAK_SNAP = 1e-11  # a squared leak below this is rounding noise and snaps to 0
 _U64 = (1 << 64) - 1
 _SHOT_CHUNK = 1 << 14  # shots drawn per block: bounds sampling memory for any shot count
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -73,9 +76,9 @@ _AMP_BYTES = 16  # complex128
 #: kernel is at most this size (the slot-wise matmuls take two) unless a
 #: single slot-wise block is larger (see the module docstring).  Picked by a
 #: sweep of 256 KiB to 16 MiB on the qde-phase (64 MiB state) and contract
-#: (16 MiB state) benchmark workloads on a 2-CPU host with 2 MiB of L2 per
-#: core: 512 KiB had the lowest median run time on both, and 4 MiB or more
-#: made contract slower than unblocked kernels.
+#: (then 16 MiB, with one ancilla per stage) benchmark workloads on a 2-CPU
+#: host with 2 MiB of L2 per core: 512 KiB had the lowest median run time on
+#: both, and 4 MiB or more made contract slower than unblocked kernels.
 _BLOCK_BYTES = 1 << 19
 
 #: Slot-wise matmuls get column counts that are multiples of this.  BLAS rounds
@@ -114,10 +117,8 @@ class QubitLayout:
             raise ValidationError(
                 f"slot encoding requires the particle count to be a power of two >= 2, got {n}"
             )
-        if self.ancilla_count not in (0, self.t):
-            raise ValidationError(
-                f"ancilla register must hold 0 or t qubits, got {self.ancilla_count} with t={self.t}"
-            )
+        if self.ancilla_count not in (0, 1):
+            raise ValidationError(f"ancilla register must hold 0 or 1 qubits, got {self.ancilla_count}")
         if self.total_qubits > self.qubit_cap:
             raise StateTooLargeError(
                 f"layout needs {self.total_qubits} qubits "
@@ -284,19 +285,6 @@ def inverse_qft(sv: StateVector) -> StateVector:
     return sv
 
 
-def qft(sv: StateVector) -> StateVector:
-    """Forward QFT on the phase register, in place; adjoint of `inverse_qft`.
-
-    Round-trip helper for tests; not part of the costed pipeline, so no
-    counters move.
-    """
-    t = sv.layout.t
-    flat = sv.amplitudes.reshape(-1, 1 << t)
-    np.fft.ifft(flat, axis=1, norm="ortho", out=flat)
-    _assert_normalized(sv)
-    return sv
-
-
 def register_probabilities(sv: StateVector, which: str) -> np.ndarray:
     """Exact Born distribution of one register, marginalizing the others.
 
@@ -368,50 +356,42 @@ def sample_distribution(
     return {int(k): int(totals[k]) for k in np.flatnonzero(totals)}
 
 
-def ancilla_zero_probability(sv: StateVector, ancilla_index: int) -> float:
-    """Exact Born probability that the given ancilla qubit reads 0."""
-    layout = sv.layout
-    if not 0 <= ancilla_index < layout.ancilla_count:
-        raise ValidationError(
-            f"ancilla index {ancilla_index} outside register of {layout.ancilla_count}"
-        )
-    split = _split_view(sv, ancilla_bit=ancilla_index)
-    return float(np.sum(np.abs(split[:, 0]) ** 2))
+def ancilla_zero_probability(sv: StateVector) -> float:
+    """Exact Born probability that the ancilla qubit reads 0."""
+    return float(np.sum(np.abs(_ancilla_halves(sv)[0]) ** 2))
 
 
-def postselect_ancilla_zero(sv: StateVector, ancilla_index: int) -> float:
-    """Post-select the given ancilla qubit on 0; return P(0) before the projection.
+def postselect_ancilla_zero(sv: StateVector) -> float:
+    """Post-select the ancilla qubit on 0; return P(0) before the projection.
 
     The one-branch of the ancilla is zeroed and the state renormalised.  When
     P(0) < 1e-300 the zero branch has no usable amplitude and the state is
     left as it was.
     """
-    p0 = ancilla_zero_probability(sv, ancilla_index)
+    p0 = ancilla_zero_probability(sv)
     if p0 >= 1e-300:
-        _split_view(sv, ancilla_bit=ancilla_index)[:, 1] = 0.0
+        _ancilla_halves(sv)[1] = 0.0
         sv.amplitudes /= math.sqrt(p0)
     return p0
 
 
-def measure_ancilla_postselect(
-    sv: StateVector, ancilla_index: int, u: float
-) -> tuple[int, StateVector, float]:
-    """Projective mid-circuit measurement of one ancilla qubit.
+def measure_ancilla_postselect(sv: StateVector, u: float) -> tuple[int, StateVector, float]:
+    """Projective mid-circuit measurement of the ancilla qubit.
 
     ``u`` is the caller's uniform draw in [0, 1); the outcome is 0 when
     u < P(0).  Returns (outcome, collapsed renormalized state, exact Born
     probability of that outcome).
     """
-    p0 = ancilla_zero_probability(sv, ancilla_index)
-    split = _split_view(sv, ancilla_bit=ancilla_index)
-    p1 = float(np.sum(np.abs(split[:, 1]) ** 2))
+    p0 = ancilla_zero_probability(sv)
+    split = _ancilla_halves(sv)
+    p1 = float(np.sum(np.abs(split[1]) ** 2))
     if p0 + p1 < 1e-12:
         raise ValidationError("ancilla measurement on a numerically zero state")
     outcome = 0 if u < p0 else 1
     p_outcome = p0 if outcome == 0 else p1
     if p_outcome < 1e-300:
         raise ValidationError("selected measurement branch has numerically zero probability")
-    split[:, 1 - outcome] = 0.0
+    split[1 - outcome] = 0.0
     sv.amplitudes /= math.sqrt(p_outcome)
     return outcome, sv, p_outcome
 
@@ -421,14 +401,15 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
 
     ``a_m`` is the N x N stage contraction A**(2**m).  Conditioned on
     phase-register qubit m = 1, the one-ancilla block encoding of a_m on every
-    slot acts on the slot register and ancilla m.  With a_m = W diag(s) V^dag
+    slot acts on the slot register and the ancilla, which every stage reuses
+    and which must read 0 when the stage begins.  With a_m = W diag(s) V^dag
     it factors as diag(W^N, V^N) . [[S, L], [L, -S]] . diag(V^N^dag, W^N^dag):
     slot-wise V^dag / W^dag on the ancilla-0 / 1 halves, a 2x2 reflection per
     slot basis state r with S_r = prod over slots of s[label] and
     L = sqrt(1 - S**2), then slot-wise W / V.  On the control-0 branch the
     ancilla undergoes the magnitude-matched encoding of rho*I with
     rho = prod(s) = |det a_m|.  The compensation makes the ancilla-0
-    amplitude damping branch-independent, so P(ancilla m reads 0) = rho**2
+    amplitude damping branch-independent, so P(the ancilla reads 0) = rho**2
     exactly and the post-selected phase-register amplitudes keep uniform
     magnitude -- the property the product formula for the all-zeros
     probability and the exact post-selected phase readout both rest on.
@@ -438,8 +419,8 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     layout = sv.layout
     arr = _stage_operator(layout, m, a_m)
     n = layout.n_particles
-    if layout.ancilla_count <= m:
-        raise ValidationError(f"layout has {layout.ancilla_count} ancillas; stage {m} needs one")
+    # (ancilla, slots, above, phase bit m, below)
+    split = _ancilla_halves(sv, phase_bit=m)
     w, s, vh = np.linalg.svd(arr)
     if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
         raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
@@ -452,15 +433,13 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     rho_leak_sq = 1.0 - rho * rho
     rho, rho_leak = (1.0, 0.0) if rho_leak_sq < _LEAK_SNAP else (rho, math.sqrt(rho_leak_sq))
 
-    # (above, ancilla bit m, below, slots, above, phase bit m, below)
-    split = _split_view(sv, phase_bit=m, ancilla_bit=m)
     on, off = split[..., 1, :], split[..., 0, :]
-    _apply_slotwise(vh, on[:, 0])
-    _apply_slotwise(w.conj().T, on[:, 1])
-    _reflect(on[:, 0], on[:, 1], sigma, leak)
-    _apply_slotwise(w, on[:, 0])
-    _apply_slotwise(vh.conj().T, on[:, 1])
-    _reflect(off[:, 0], off[:, 1], rho, rho_leak)
+    _apply_slotwise(vh, on[0])
+    _apply_slotwise(w.conj().T, on[1])
+    _reflect(on[0], on[1], sigma, leak)
+    _apply_slotwise(w, on[0])
+    _apply_slotwise(vh.conj().T, on[1])
+    _reflect(off[0], off[1], rho, rho_leak)
 
     sv.counters.controlled_slot_applications += n
     _assert_normalized(sv)
@@ -521,20 +500,22 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m_full * x
 
 
-def _split_view(sv: StateVector, *, phase_bit: int | None = None, ancilla_bit: int | None = None) -> np.ndarray:
-    """View (ancilla, slot_dim, phase) of the amplitudes.
+def _split_view(sv: StateVector, *, phase_bit: int | None = None) -> np.ndarray:
+    """View (ancilla_dim, slot_dim, phase) of the amplitudes.
 
-    A register whose bit is named spans three axes, (above, 2, below) that
-    bit, and one axis of its full dimension otherwise.
+    With ``phase_bit`` named, the phase axis spans three axes, (above, 2,
+    below) that bit.
     """
     lay = sv.layout
-    return sv.amplitudes.reshape(
-        _register_axes(lay.ancilla_count, ancilla_bit) + (lay.slot_dim,) + _register_axes(lay.t, phase_bit)
-    )
+    phase = (lay.phase_dim,) if phase_bit is None else (1 << (lay.t - phase_bit - 1), 2, 1 << phase_bit)
+    return sv.amplitudes.reshape((lay.ancilla_dim, lay.slot_dim) + phase)
 
 
-def _register_axes(qubits: int, bit: int | None) -> tuple[int, ...]:
-    return (1 << qubits,) if bit is None else (1 << (qubits - bit - 1), 2, 1 << bit)
+def _ancilla_halves(sv: StateVector, phase_bit: int | None = None) -> np.ndarray:
+    """`_split_view` of a layout with the ancilla: axis 0 indexes its 0 and 1 halves."""
+    if not sv.layout.ancilla_count:
+        raise ValidationError("layout has no ancilla; a contraction stage or ancilla measurement needs one")
+    return _split_view(sv, phase_bit=phase_bit)
 
 
 def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
@@ -635,12 +616,14 @@ def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
     """Index tuples cutting a (..., slots, above, below) view into blocks of whole slot columns.
 
     The cut runs along the longest axis other than the slot axis, the
-    outermost of equals: a contraction stage's ancilla axes mirror its phase
-    axes, and cutting those outer axes keeps each block's copy in and out to
-    long runs.  A block holds whole slot columns, so the N slot-wise matmuls
-    run on it alone, and its matmul column count (size / n) is a multiple of
-    `_GEMM_TILE`.  With one phase column per half and no ancilla axis to cut,
-    or when the tile rule allows no cut, the view is one block.
+    outermost of equals.  In a stage view these are the phase axes above
+    and below the stage's bit, plus a leading ancilla axis of length 2 when
+    the power stage runs on a layout with the ancilla (a contraction stage
+    passes each ancilla half on its own).  A block holds whole slot
+    columns, so the N slot-wise matmuls run on it alone, and its matmul
+    column count (size / n) is a multiple of `_GEMM_TILE`.  When no axis but
+    the slot axis is longer than 1, or the tile rule allows no cut, the view
+    is one block.
     """
     lengths = [0 if axis == view.ndim - 3 else length for axis, length in enumerate(view.shape)]
     axis = lengths.index(max(lengths))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qdet import simulator
 from qdet.antisym import asym_state
+from qdet.cli import generator_spec
 from qdet.errors import StateTooLargeError, ValidationError
 from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary, mat_pow2
 from qdet.qde import (
@@ -187,9 +188,15 @@ class TestContractionRun:
             contraction_run(1.2 * np.eye(2), t=2, shots=10, seed=0)
 
     def test_default_qubit_cap_refuses_large_layout(self):
-        # N=4, t=10: 10 + 4*2 + 10 ancillas = 28 qubits, past the default cap of 26.
-        with pytest.raises(StateTooLargeError, match="28 qubits"):
-            contraction_run(0.5 * np.eye(4), t=10, shots=10, seed=0)
+        # N=4, t=18: 18 + 4*2 + 1 ancilla = 27 qubits, past the default cap of 26.
+        with pytest.raises(StateTooLargeError, match="27 qubits"):
+            contraction_run(0.5 * np.eye(4), t=18, shots=10, seed=0)
+
+    def test_one_reused_ancilla_fits_under_the_default_cap(self):
+        # N=4, t=10: 10 + 4*2 + 1 = 19 qubits; one ancilla per stage needed 28.
+        result = contraction_run(0.9999 * np.eye(4), t=10, shots=200, seed=1)
+        assert result.exact_acceptance == pytest.approx(0.9999 ** (4 * 2 * (2**10 - 1)), abs=1e-9)
+        assert result.phase.k_prime == 0
 
     @pytest.mark.parametrize(
         "a, t",
@@ -243,7 +250,7 @@ class TestContractionRun:
 
     def test_four_slot_contraction(self):
         # Non-diagonal input on the larger register: 4 slots of 2 qubits plus
-        # t = 2 ancillas, each stage factored into slot-wise 4x4 applications.
+        # the ancilla, each stage factored into slot-wise 4x4 applications.
         a = 0.97 * haar_unitary(4, 5)
         oracle = det_lu(a)
         result = contraction_run(a, t=2, shots=300, seed=9)
@@ -256,7 +263,7 @@ class TestContractionRun:
 
 def reference_contraction_counts(a, t, shots, seed):
     """The all-zeros path plus the per-shot survival walk `contraction_run` replaced."""
-    layout = QubitLayout(t=t, n_particles=a.shape[0], ancilla_count=t)
+    layout = QubitLayout(t=t, n_particles=a.shape[0], ancilla_count=1)
     sv = simulator.init_state(layout)
     simulator.load_asym(sv, asym_state(layout.n_particles))
     simulator.hadamard_layer(sv)
@@ -264,11 +271,11 @@ def reference_contraction_counts(a, t, shots, seed):
     cumulative = None
     for m in range(t):
         simulator.controlled_block_stage(sv, m, mat_pow2(a, m))
-        p_zero = simulator.ancilla_zero_probability(sv, m)
+        p_zero = simulator.ancilla_zero_probability(sv)
         if p_zero < 1e-300:
             stage_zero_probs.append(0.0)
             break
-        simulator.measure_ancilla_postselect(sv, m, 0.0)
+        simulator.measure_ancilla_postselect(sv, 0.0)
         stage_zero_probs.append(p_zero)
     else:
         simulator.inverse_qft(sv)
@@ -324,6 +331,48 @@ class TestBulkSurvivalWalk:
         result = contraction_run(a, t=2, shots=shots, seed=7)
         assert 0 < result.accepted < shots
         assert (result.accepted, result.phase.histogram) == reference_contraction_counts(a, 2, shots, 7)
+
+
+class TestPhaseWrap:
+    """Determinant phases within half a grid step of 0 or 2*pi read out across the wrap."""
+
+    @given(
+        n=st.sampled_from([2, 4]),
+        t=st.integers(1, 6),
+        eighths=st.integers(-4, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_modal_value_wraps_to_zero(self, n, t, eighths, seed):
+        # diag-phase:N:k:(t+3) has phase 2*pi*k / 2**(t+3): k = eighths mod
+        # 2**(t+3) lies eighths/8 of a grid step from 0, on the 2*pi side when
+        # negative.  -4/8 is the tie between 2**t - 1 and 0; the sampled mode
+        # is kept 1/8 step clear of the other tie, +1/2, where 1 may win.
+        k = eighths % (1 << (t + 3))
+        phi = TWO_PI * k / (1 << (t + 3))
+        result = qde_run(generator_spec(f"diag-phase:{n}:{k}:{t + 3}", seed), t=t, shots=1000, seed=seed)
+        assert result.phase.k_prime in (0, (1 << t) - 1)
+        assert circular_distance(result.phase.phi_hat, phi) <= math.pi / (1 << t) + 1e-12
+
+
+class TestNearSingularContraction:
+    """Contractions with a vanishing singular value run and keep the acceptance law."""
+
+    @given(
+        n=st.sampled_from([2, 4]),
+        t=st.integers(1, 4),
+        smallest=st.one_of(st.just(0.0), st.floats(3.0, 200.0).map(lambda e: 10.0**-e)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_acceptance_matches_product_law(self, n, t, smallest, seed):
+        # W diag(s) V^dag with Haar W, V, the other singular values in [0.5, 1).
+        s = np.random.Generator(np.random.PCG64(seed)).uniform(0.5, 1.0, n)
+        s[-1] = smallest
+        a = (haar_unitary(n, seed) * s) @ haar_unitary(n, seed + 1).conj().T
+        result = contraction_run(a, t=t, shots=200, seed=seed)
+        expected = det_lu(a).magnitude ** (2 * (2**t - 1))
+        assert result.exact_acceptance == pytest.approx(expected, abs=1e-9)
 
 
 class TestMagnitudeEstimate:

@@ -28,7 +28,6 @@ from qdet.simulator import (
     measure_ancilla_postselect,
     measure_register,
     postselect_ancilla_zero,
-    qft,
     register_probabilities,
     sample_distribution,
     shot_rng,
@@ -40,9 +39,17 @@ TWO_PI = 2.0 * math.pi
 
 
 def prepared_state(t, n, ancillas=False):
-    layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+    layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
     sv = init_state(layout)
     load_asym(sv, asym_state(n))
+    return sv
+
+
+def qft(sv):
+    """Forward QFT on the phase register, in place: the adjoint of `inverse_qft`, for round trips."""
+    flat = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
+    np.fft.ifft(flat, axis=1, norm="ortho", out=flat)
+    simulator._assert_normalized(sv)
     return sv
 
 
@@ -56,6 +63,7 @@ class TestLayout:
         lay = QubitLayout(t=2, n_particles=4)
         assert lay.bits_per_slot == 2
         assert lay.total_qubits == 2 + 4 * 2
+        assert QubitLayout(t=2, n_particles=4, ancilla_count=1).total_qubits == 2 + 4 * 2 + 1
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValidationError):
@@ -64,6 +72,9 @@ class TestLayout:
     def test_rejects_partial_ancilla_register(self):
         with pytest.raises(ValidationError):
             QubitLayout(t=3, n_particles=2, ancilla_count=2)
+        # One ancilla serves every stage, so a register of t ancillas is refused too.
+        with pytest.raises(ValidationError):
+            QubitLayout(t=3, n_particles=2, ancilla_count=3)
 
     def test_cap_enforced_with_required_count_in_message(self):
         with pytest.raises(StateTooLargeError, match="32"):
@@ -396,7 +407,7 @@ class TestMeasureAncillaPostselect:
     def test_ancilla_in_zero(self):
         sv = prepared_state(t=1, n=2, ancillas=True)
         before = sv.amplitudes.copy()
-        outcome, sv, p = measure_ancilla_postselect(sv, 0, u=0.5)
+        outcome, sv, p = measure_ancilla_postselect(sv, u=0.5)
         assert outcome == 0
         assert p == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(sv.amplitudes - before)) <= 1e-12
@@ -407,7 +418,7 @@ class TestMeasureAncillaPostselect:
         g = sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim * lay.phase_dim)
         g[1] = g[0]
         sv.amplitudes /= np.linalg.norm(sv.amplitudes)
-        outcome, sv, p = measure_ancilla_postselect(sv, 0, u=0.25)
+        outcome, sv, p = measure_ancilla_postselect(sv, u=0.25)
         assert outcome == 0
         assert p == pytest.approx(0.5)
 
@@ -418,7 +429,7 @@ class TestMeasureAncillaPostselect:
         g = grouped(sv)
         g[..., [0, 1]] = g[..., [1, 0]]  # put the control qubit into |1>
         controlled_block_stage(sv, 0, 0.9 * np.eye(2, dtype=complex))
-        outcome, sv, p = measure_ancilla_postselect(sv, 0, u=0.0)
+        outcome, sv, p = measure_ancilla_postselect(sv, u=0.0)
         assert outcome == 0
         assert p == pytest.approx(0.81**2, abs=1e-10)
 
@@ -428,8 +439,8 @@ class TestMeasureAncillaPostselect:
         g = sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim * lay.phase_dim)
         g[1] = 3.0 * g[0]
         sv.amplitudes /= np.linalg.norm(sv.amplitudes)
-        p = ancilla_zero_probability(sv, 0)
-        _, _, p_outcome = measure_ancilla_postselect(sv, 0, u=0.0)
+        p = ancilla_zero_probability(sv)
+        _, _, p_outcome = measure_ancilla_postselect(sv, u=0.0)
         assert p == pytest.approx(0.1)
         assert p_outcome == pytest.approx(p)
         assert p_outcome == p
@@ -437,13 +448,13 @@ class TestMeasureAncillaPostselect:
     def test_rejects_when_no_ancillas(self):
         sv = prepared_state(t=1, n=2)
         with pytest.raises(ValidationError):
-            measure_ancilla_postselect(sv, 0, u=0.0)
+            measure_ancilla_postselect(sv, u=0.0)
 
     def test_rejects_zero_state(self):
         sv = prepared_state(t=1, n=2, ancillas=True)
         sv.amplitudes = np.zeros_like(sv.amplitudes)
         with pytest.raises(ValidationError):
-            measure_ancilla_postselect(sv, 0, u=0.0)
+            measure_ancilla_postselect(sv, u=0.0)
 
 
 class TestPostselectAncillaZero:
@@ -452,7 +463,7 @@ class TestPostselectAncillaZero:
     def test_ancilla_in_zero(self):
         sv = prepared_state(t=1, n=2, ancillas=True)
         before = sv.amplitudes.copy()
-        p = postselect_ancilla_zero(sv, 0)
+        p = postselect_ancilla_zero(sv)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(sv.amplitudes - before)) <= 1e-12
 
@@ -463,7 +474,7 @@ class TestPostselectAncillaZero:
         g[1] = g[0]
         sv.amplitudes /= np.linalg.norm(sv.amplitudes)
         buffer = sv.amplitudes
-        p = postselect_ancilla_zero(sv, 0)
+        p = postselect_ancilla_zero(sv)
         assert p == pytest.approx(0.5)
         assert np.shares_memory(sv.amplitudes, buffer)
         assert not np.any(g[1])
@@ -475,20 +486,20 @@ class TestPostselectAncillaZero:
         g = grouped(sv)
         g[..., [0, 1]] = g[..., [1, 0]]
         controlled_block_stage(sv, 0, 0.9 * np.eye(2, dtype=complex))
-        assert postselect_ancilla_zero(sv, 0) == pytest.approx(0.81**2, abs=1e-10)
+        assert postselect_ancilla_zero(sv) == pytest.approx(0.81**2, abs=1e-10)
 
-    @pytest.mark.parametrize("index", [0, 2])
-    def test_same_bits_and_state_as_measure_ancilla_postselect(self, index):
-        layout = QubitLayout(t=3, n_particles=2, ancilla_count=3)
-        rng = np.random.Generator(np.random.PCG64(91 + index))
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_same_bits_and_state_as_measure_ancilla_postselect(self, offset):
+        layout = QubitLayout(t=3, n_particles=2, ancilla_count=1)
+        rng = np.random.Generator(np.random.PCG64(91 + offset))
         amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(1 << layout.total_qubits)
         amps /= np.linalg.norm(amps)
         sv = StateVector(layout=layout, amplitudes=amps.copy())
         expected = StateVector(layout=layout, amplitudes=amps.copy())
-        p = postselect_ancilla_zero(sv, index)
-        outcome, _, p_outcome = measure_ancilla_postselect(expected, index, u=0.0)
+        p = postselect_ancilla_zero(sv)
+        outcome, _, p_outcome = measure_ancilla_postselect(expected, u=0.0)
         assert outcome == 0
-        assert p == p_outcome == ancilla_zero_probability(StateVector(layout=layout, amplitudes=amps), index)
+        assert p == p_outcome == ancilla_zero_probability(StateVector(layout=layout, amplitudes=amps))
         assert np.array_equal(sv.amplitudes, expected.amplitudes)
 
     def test_empty_zero_branch_leaves_state(self):
@@ -496,13 +507,13 @@ class TestPostselectAncillaZero:
         g = grouped(sv)
         g[[0, 1]] = g[[1, 0]]  # ancilla to |1>
         before = sv.amplitudes.copy()
-        assert postselect_ancilla_zero(sv, 0) == 0.0
+        assert postselect_ancilla_zero(sv) == 0.0
         assert np.array_equal(sv.amplitudes, before)
 
     def test_rejects_when_no_ancillas(self):
         sv = prepared_state(t=1, n=2)
         with pytest.raises(ValidationError):
-            postselect_ancilla_zero(sv, 0)
+            postselect_ancilla_zero(sv)
 
 
 class TestControlledBlockStage:
@@ -527,7 +538,7 @@ class TestControlledBlockStage:
         g = grouped(sv)
         g[..., [0, 1 << m]] = g[..., [1 << m, 0]]  # control qubit m to |1>
         controlled_block_stage(sv, m, mat_pow2(a, m))
-        p = postselect_ancilla_zero(sv, m)
+        p = postselect_ancilla_zero(sv)
         assert p == pytest.approx((0.81 ** (2**m)) ** 2, abs=1e-10)
 
     def test_zero_matrix_flips_ancilla(self):
@@ -561,7 +572,7 @@ class TestControlledBlockStage:
     def test_matches_dense_block_encoding(self, n, t):
         # The factored stage reorders the arithmetic of the dense encoding, so
         # it is held to 1e-12 against it rather than bit for bit.
-        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t)
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=1)
         rng = np.random.Generator(np.random.PCG64(2000 * n + t))
         a = random_contraction(n, 500 + t)
         for m in range(t):
@@ -655,7 +666,7 @@ class TestReflect:
         rng = np.random.Generator(np.random.PCG64(77 + scalar))
         t, m, d = 3, 1, 16
         hi, lo = 1 << (t - m - 1), 1 << m
-        amps = rng.standard_normal(d * 4**t) + 1j * rng.standard_normal(d * 4**t)
+        amps = rng.standard_normal(2 * d * 2**t) + 1j * rng.standard_normal(2 * d * 2**t)
         if scalar:
             c, s = 0.6, 0.8
         else:
@@ -663,8 +674,8 @@ class TestReflect:
             s = np.sqrt(1.0 - c * c)
         got, expected = amps.copy(), amps.copy()
         for buf, apply in ((got, simulator._reflect), (expected, reference_reflect)):
-            on = buf.reshape(hi, 2, lo, d, hi, 2, lo)[..., 1, :]
-            apply(on[:, 0], on[:, 1], c, s)
+            on = buf.reshape(2, d, hi, 2, lo)[..., 1, :]
+            apply(on[0], on[1], c, s)
         assert np.array_equal(got, expected)
         assert not np.array_equal(got, amps)
 
@@ -672,16 +683,16 @@ class TestReflect:
     def test_at_most_two_branch_sized_temporaries(self, scalar):
         # numpy reports its buffers to tracemalloc; the branches are 4 MiB, so
         # the ufunc iterator's fixed-size buffers stay well under a quarter.
-        t, m, d = 6, 2, 256
+        t, m, d = 11, 2, 256
         hi, lo = 1 << (t - m - 1), 1 << m
         c, s = (0.6, 0.8) if scalar else (np.full((d, 1, 1), 0.6), np.full((d, 1, 1), 0.8))
         peaks = []
         for apply in (simulator._reflect, reference_reflect):
-            on = np.ones(d * 4**t, dtype=np.complex128).reshape(hi, 2, lo, d, hi, 2, lo)[..., 1, :]
+            on = np.ones(2 * d * 2**t, dtype=np.complex128).reshape(2, d, hi, 2, lo)[..., 1, :]
             tracemalloc.start()
             try:
-                apply(on[:, 0], on[:, 1], c, s)
-                peaks.append(tracemalloc.get_traced_memory()[1] / on[:, 0].nbytes)
+                apply(on[0], on[1], c, s)
+                peaks.append(tracemalloc.get_traced_memory()[1] / on[0].nbytes)
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 2.25
@@ -730,19 +741,18 @@ def reference_block_stage(sv, m, v_m):
     leak_sq = max(0.0, 1.0 - rho * rho)
     rho, leak = (1.0, 0.0) if leak_sq < 1e-11 else (rho, math.sqrt(leak_sq))
 
-    split = sv.amplitudes.reshape(1 << (lay.ancilla_count - 1 - m), 2, 1 << m, d, lay.phase_dim)
-    hi, _, lo, _, _ = split.shape
+    split = sv.amplitudes.reshape(2, d, lay.phase_dim)
     on = _phase_indices_with_bit(lay.t, m, 1)
     sub = split[..., on]
     k = sub.shape[-1]
-    joint = sub.transpose(0, 2, 4, 1, 3).reshape(hi, lo, k, 2 * d) @ v_m.T
-    split[..., on] = joint.reshape(hi, lo, k, 2, d).transpose(0, 3, 1, 4, 2)
+    joint = sub.transpose(2, 0, 1).reshape(k, 2 * d) @ v_m.T
+    split[..., on] = joint.reshape(k, 2, d).transpose(1, 2, 0)
     off = _phase_indices_with_bit(lay.t, m, 0)
     sub0 = split[..., off]
-    b0 = rho * sub0[:, 0] + leak * sub0[:, 1]
-    b1 = leak * sub0[:, 0] - rho * sub0[:, 1]
-    sub0[:, 0] = b0
-    sub0[:, 1] = b1
+    b0 = rho * sub0[0] + leak * sub0[1]
+    b1 = leak * sub0[0] - rho * sub0[1]
+    sub0[0] = b0
+    sub0[1] = b1
     split[..., off] = sub0
 
 
@@ -753,7 +763,7 @@ class TestPhaseBitViewGates:
     @pytest.mark.parametrize("t", [1, 3, 5])
     @pytest.mark.parametrize("n", [2, 4])
     def test_bit_exact_and_in_place(self, n, t, ancillas):
-        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
         rng = np.random.Generator(np.random.PCG64(1000 * n + 10 * t + ancillas))
         u = haar_unitary(n, 300 + t)
         cases = [(hadamard_layer, reference_hadamard_layer, ())]
@@ -819,7 +829,7 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("t", [1, 3, 5])
     @pytest.mark.parametrize("n", [2, 4])
     def test_bit_exact_and_in_place(self, monkeypatch, n, t, ancillas, rows):
-        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
         rng = np.random.Generator(np.random.PCG64(int(2 * rows) + 100 * n + 10 * t + ancillas))
         u = haar_unitary(n, 300 + t)
         a = random_contraction(n, 500 + t)
@@ -855,22 +865,22 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("scalar", [True, False])
     def test_reflect_bit_exact(self, monkeypatch, scalar, indices):
         # The views controlled_block_stage passes; blocks of 1, 2 or 3 of the
-        # 8 indices of the cut axis (512 amplitudes each), the last one short.
+        # 8 indices of the cut axis (32 amplitudes each), the last one short.
         rng = np.random.Generator(np.random.PCG64(10 * indices + scalar))
         t, m, d = 5, 1, 16
         hi, lo = 1 << (t - m - 1), 1 << m
-        amps = rng.standard_normal(d * 4**t) + 1j * rng.standard_normal(d * 4**t)
+        amps = rng.standard_normal(2 * d * 2**t) + 1j * rng.standard_normal(2 * d * 2**t)
         if scalar:
             c, s = 0.6, 0.8
         else:
             c = rng.uniform(0.0, 1.0, d).reshape(-1, 1, 1)
             s = np.sqrt(1.0 - c * c)
-        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 512 * indices)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 32 * indices)
         got, expected = amps.copy(), amps.copy()
         for buf, apply in ((got, simulator._reflect), (expected, reference_reflect)):
-            on = buf.reshape(hi, 2, lo, d, hi, 2, lo)[..., 1, :]
-            apply(on[:, 0], on[:, 1], c, s)
-        assert len(simulator._slotwise_cuts(on[:, 0], 1)) == -(-8 // indices)
+            on = buf.reshape(2, d, hi, 2, lo)[..., 1, :]
+            apply(on[0], on[1], c, s)
+        assert len(simulator._slotwise_cuts(on[0], 1)) == -(-8 // indices)
         assert np.array_equal(got, expected)
 
     def test_block_sizes_reach_every_regime(self, monkeypatch):
@@ -878,7 +888,7 @@ class TestBlockedKernels:
         for n, t, ancillas, rows_per_block in (
             (n, t, a, r) for n in (2, 4) for t in (1, 3, 5) for a in (False, True) for r in ROWS_PER_BLOCK
         ):
-            layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+            layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
             monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows_per_block))
             sv = StateVector(layout=layout, amplitudes=np.zeros(1 << layout.total_qubits, dtype=complex))
             rows = simulator._phase_rows(sv)
@@ -898,13 +908,13 @@ class TestBlockedKernels:
 class TestKernelMemory:
     """No gate kernel allocates a temporary that scales with the state."""
 
-    @pytest.mark.parametrize("t, ancillas", [(12, False), (6, True)])
+    @pytest.mark.parametrize("t, ancillas", [(12, False), (11, True)])
     def test_peak_at_most_a_quarter_of_the_state(self, t, ancillas):
-        # 2**20 amplitudes either way (N = 4): the qde layout cuts its
-        # slot-wise blocks along a phase axis (2**11 columns per half), the
-        # contraction layout (the contract benchmark's) along an ancilla axis.
+        # 2**20 amplitudes either way (N = 4): the qde layout has 2**11 phase
+        # columns per half, the contraction layout 2**10 and its one ancilla;
+        # both cut their slot-wise blocks along a phase axis.
         n = 4
-        layout = QubitLayout(t=t, n_particles=n, ancilla_count=t if ancillas else 0)
+        layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
         sv = init_state(layout)
         u = haar_unitary(n, 72)
         a = random_contraction(n, 71)

@@ -182,29 +182,30 @@ def contraction_run(
 ) -> ContractionResult:
     """Contraction-mode pipeline with per-stage ancilla post-selection.
 
-    The layout has one ancilla qubit, which every stage reuses: stage m
-    entangles it with the slot register, and post-selecting it on 0 leaves
-    it in |0>, ready for stage m + 1.  Each attempted shot walks the
-    per-stage ancilla measurements; a shot is rejected at the first stage
-    whose ancilla reads 1 and accepted shots contribute one phase-register
-    sample.  The states along the all-zeros path do not depend
-    on the shot, so the path (and the exact conditioned distribution) is
-    computed once.  `sample_distribution` then draws every shot's t + 1
-    uniforms in bulk: shot s survives when its draw m is below stage m's
-    zero probability for every m, and a survivor reads its phase from draw
-    t.  The draws equal those of substream (seed, s) taken in order, as a
-    literal per-shot rerun would consume them.  When a stage's zero branch
-    has no amplitude, every shot is rejected and nothing is drawn.
+    The layout is `qde_run`'s, with no ancilla qubit: stage m applies only
+    the block of its encoding where its ancilla reads 0, and
+    `postselect_ancilla_zero` reads P(0), the squared norm that branch
+    keeps, then renormalises it.  Each attempted shot walks the per-stage
+    ancilla measurements; a shot is rejected at the first stage whose
+    ancilla reads 1 and accepted shots contribute one phase-register sample.
+    The states along the all-zeros path do not depend on the shot, so the
+    path (and the exact conditioned distribution) is computed once.
+    `sample_distribution` then draws every shot's t + 1 uniforms in bulk:
+    shot s survives when its draw m is below stage m's zero probability for
+    every m, and a survivor reads its phase from draw t.  The draws equal
+    those of substream (seed, s) taken in order, as a literal per-shot rerun
+    would consume them.  When a stage's zero branch has no amplitude, every
+    shot is rejected and nothing is drawn.
 
-    Stage m passes A**(2**m) to `controlled_block_stage`, which applies its
-    block encoding on every slot in factored SVD form, so only the qubit cap
-    (t + N*log2(N) + 1 qubits) bounds the particle count and the precision.
+    Stage m passes A**(2**m) to `controlled_block_stage`, which applies that
+    block on every slot in factored SVD form, so only the qubit cap
+    (t + N*log2(N) qubits) bounds the particle count and the precision.
     """
     arr = as_matrix(a)
     norm = operator_norm(arr)
     if norm > 1.0 + VALIDATION_TOL:
         raise ValidationError(f"not a contraction: operator norm {norm:.12g} > 1")
-    layout = QubitLayout(t=t, n_particles=arr.shape[0], ancilla_count=1, qubit_cap=qubit_cap)
+    layout = QubitLayout(t=t, n_particles=arr.shape[0], qubit_cap=qubit_cap)
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 

@@ -1,39 +1,38 @@
-"""Exact dense state-vector simulator over the phase / slot / ancilla registers.
+"""Exact dense state-vector simulator over the phase / slot registers.
 
 Qubit layout (little-endian: qubit q is bit q of the flat amplitude index):
 
 * phase register ("reg 1"): qubits [0, t); its integer value is j.
 * slot register ("reg 2"): N slots of n = log2(N) qubits each; slot s
   occupies qubits [t + s*n, t + (s+1)*n) and stores one label in binary.
-* ancilla register: none, or the one qubit t + N*n.  Contraction mode reuses
-  it at every stage: each stage entangles it with the slot register and
-  post-selection then leaves it in |0>, the state a fresh ancilla starts in,
-  so t stages need one ancilla, not t.
+* ancilla register: none in the pipeline, since contraction mode keeps only
+  the branch where a stage's ancilla reads 0.  The one qubit t + N*n remains
+  for `measure_ancilla_postselect`, which measures a real ancilla.
 
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r + 2**(t + N*n) * ancilla_value.
 
 Every gate and measurement reads the amplitudes through one view,
 `_split_view`: the flat buffer reshaped for free to (ancilla_dim, slot_dim,
-phase_dim), whose ancilla axis indexed at 0 or 1 gives the ancilla's two
-halves.  A gate on phase qubit m names that bit, and the phase axis splits
-as (above m, bit m, below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis
-at 0 or 1 gives basic-slicing views of the two halves.  Both controlled
+phase_dim), whose ancilla axis has length 1 in the pipeline.  A gate on
+phase qubit m names that bit, and the phase axis splits as (above m, bit m,
+below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at 0 or 1 gives
+basic-slicing views of the two halves.  Both controlled
 stages touch the slot register only through N x N matrices applied slot by
-slot; the contraction stage applies its block encoding in factored SVD
-form, never as a dense slot-space matrix.  Every gate, `inverse_qft`
-included, writes into the existing amplitude buffer, and returns the
-StateVector, which a run owns exclusively.
+slot; the contraction stage applies its block in factored SVD form, never
+as a dense slot-space matrix.  Every gate, `inverse_qft` included, writes
+into the existing amplitude buffer, and returns the StateVector, which a run
+owns exclusively.
 
 The gate kernels work through the state in blocks of about `_BLOCK_BYTES`
 (`_chunks`), so their scratch buffers are block-sized whatever the state
 size: the Hadamard layer and the phase distribution take blocks of phase
-rows, the slot-wise matmuls and the contraction stage's reflection take
-blocks of whole slot columns.  The blocking changes no arithmetic, so
-amplitudes are bit-exact for any block size.  One limit: a slot-wise block
-holds every slot value, so at t = 1 (one phase column per half: sign mode,
-or contraction mode at t = 1) a stage's view is a single block, and its
-matmuls take two buffers of the whole view's size.
+rows, the slot-wise matmuls take blocks of whole slot columns.  The
+blocking changes no arithmetic, so amplitudes are bit-exact for any block
+size.  One limit: a slot-wise block holds every slot value, so at t = 1
+(one phase column per half: sign mode, or contraction mode at t = 1) a
+stage's view is a single block, and its matmuls take two buffers of the
+whole view's size.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -66,7 +65,7 @@ DEFAULT_QUBIT_CAP = 26
 
 _NORM_TOL = 1e-10
 _CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
-_LEAK_SNAP = 1e-11  # a squared leak below this is rounding noise and snaps to 0
+_LEAK_SNAP = 1e-11  # 1 - rho**2 below this is rounding noise: rho snaps to 1
 _U64 = (1 << 64) - 1
 _SHOT_CHUNK = 1 << 14  # shots drawn per block: bounds sampling memory for any shot count
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -357,21 +356,27 @@ def sample_distribution(
 
 
 def ancilla_zero_probability(sv: StateVector) -> float:
-    """Exact Born probability that the ancilla qubit reads 0."""
-    return float(np.sum(np.abs(_ancilla_halves(sv)[0]) ** 2))
+    """Exact Born probability that the ancilla reads 0.
+
+    It is the squared norm of the ancilla-0 half: all of an ancilla-free state.
+    """
+    return float(np.sum(np.abs(_split_view(sv)[0]) ** 2))
 
 
 def postselect_ancilla_zero(sv: StateVector) -> float:
-    """Post-select the ancilla qubit on 0; return P(0) before the projection.
+    """Renormalise the ancilla-0 branch a contraction stage left; return P(0).
 
-    The one-branch of the ancilla is zeroed and the state renormalised.  When
-    P(0) < 1e-300 the zero branch has no usable amplitude and the state is
-    left as it was.
+    The state of an ancilla-free layout is that branch, and P(0) is its
+    squared norm.  A contraction cannot add norm, so P(0) above 1 + 1e-10
+    raises VerificationError.  When P(0) < 1e-300 the branch has no usable
+    amplitude and the state is left as it was.
     """
     p0 = ancilla_zero_probability(sv)
+    if p0 > 1.0 + _NORM_TOL:
+        raise VerificationError(f"the ancilla-0 branch has squared norm {p0:.12g} > 1")
     if p0 >= 1e-300:
-        _ancilla_halves(sv)[1] = 0.0
         sv.amplitudes /= math.sqrt(p0)
+        _assert_normalized(sv)
     return p0
 
 
@@ -397,52 +402,40 @@ def measure_ancilla_postselect(sv: StateVector, u: float) -> tuple[int, StateVec
 
 
 def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVector:
-    """One contraction-mode stage: the block-encoded slot-wise contraction plus its ancilla.
+    """One contraction-mode stage: the ancilla-0 block of a_m's block encoding.
 
-    ``a_m`` is the N x N stage contraction A**(2**m).  Conditioned on
-    phase-register qubit m = 1, the one-ancilla block encoding of a_m on every
-    slot acts on the slot register and the ancilla, which every stage reuses
-    and which must read 0 when the stage begins.  With a_m = W diag(s) V^dag
-    it factors as diag(W^N, V^N) . [[S, L], [L, -S]] . diag(V^N^dag, W^N^dag):
-    slot-wise V^dag / W^dag on the ancilla-0 / 1 halves, a 2x2 reflection per
-    slot basis state r with S_r = prod over slots of s[label] and
-    L = sqrt(1 - S**2), then slot-wise W / V.  On the control-0 branch the
-    ancilla undergoes the magnitude-matched encoding of rho*I with
-    rho = prod(s) = |det a_m|.  The compensation makes the ancilla-0
-    amplitude damping branch-independent, so P(the ancilla reads 0) = rho**2
-    exactly and the post-selected phase-register amplitudes keep uniform
-    magnitude -- the property the product formula for the all-zeros
-    probability and the exact post-selected phase readout both rest on.
-    Singular values are clamped at 1, since the run admits inputs of norm up
-    to 1 + 1e-9, whose stage power may reach (1 + 1e-9)**(2**m).
+    ``a_m`` is the N x N stage contraction A**(2**m).  A run keeps only the
+    shots whose stage ancilla reads 0, so only that block is applied.  On
+    the control-1 branch it is a_m = W diag(s) V^dag on every slot:
+    slot-wise V^dag, then S_r = prod over slots of s[label] per slot basis
+    state r, then slot-wise W.  On the control-0 branch it is
+    rho = prod(s) = |det a_m|, which makes P(the ancilla reads 0) = rho**2
+    exactly and keeps the post-selected phase amplitudes of uniform
+    magnitude, as the product law and the exact phase readout need.  The
+    state left has squared norm P(0).  Singular values are clamped at 1,
+    since the run admits inputs of norm up to 1 + 1e-9.
     """
     layout = sv.layout
     arr = _stage_operator(layout, m, a_m)
     n = layout.n_particles
-    # (ancilla, slots, above, phase bit m, below)
-    split = _ancilla_halves(sv, phase_bit=m)
     w, s, vh = np.linalg.svd(arr)
     if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
         raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
     s = np.minimum(s, 1.0)
     sigma = functools.reduce(np.multiply.outer, [s] * n).reshape(-1, 1, 1)
-    leak_sq = 1.0 - sigma * sigma
-    leak = np.sqrt(leak_sq)
-    leak[leak_sq < _LEAK_SNAP] = 0.0
     rho = float(np.prod(s))
-    rho_leak_sq = 1.0 - rho * rho
-    rho, rho_leak = (1.0, 0.0) if rho_leak_sq < _LEAK_SNAP else (rho, math.sqrt(rho_leak_sq))
+    if 1.0 - rho * rho < _LEAK_SNAP:
+        rho = 1.0
 
-    on, off = split[..., 1, :], split[..., 0, :]
-    _apply_slotwise(vh, on[0])
-    _apply_slotwise(w.conj().T, on[1])
-    _reflect(on[0], on[1], sigma, leak)
-    _apply_slotwise(w, on[0])
-    _apply_slotwise(vh.conj().T, on[1])
-    _reflect(off[0], off[1], rho, rho_leak)
+    # (slots, above, phase bit m, below)
+    view = _split_view(sv, phase_bit=m)[0]
+    on, off = view[..., 1, :], view[..., 0, :]
+    _apply_slotwise(vh, on)
+    on *= sigma
+    _apply_slotwise(w, on)
+    off *= rho
 
     sv.counters.controlled_slot_applications += n
-    _assert_normalized(sv)
     return sv
 
 
@@ -511,11 +504,11 @@ def _split_view(sv: StateVector, *, phase_bit: int | None = None) -> np.ndarray:
     return sv.amplitudes.reshape((lay.ancilla_dim, lay.slot_dim) + phase)
 
 
-def _ancilla_halves(sv: StateVector, phase_bit: int | None = None) -> np.ndarray:
+def _ancilla_halves(sv: StateVector) -> np.ndarray:
     """`_split_view` of a layout with the ancilla: axis 0 indexes its 0 and 1 halves."""
     if not sv.layout.ancilla_count:
-        raise ValidationError("layout has no ancilla; a contraction stage or ancilla measurement needs one")
-    return _split_view(sv, phase_bit=phase_bit)
+        raise ValidationError("layout has no ancilla; an ancilla measurement needs one")
+    return _split_view(sv)
 
 
 def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
@@ -560,29 +553,6 @@ def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> None:
         block[...] = np.moveaxis(src.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
 
 
-def _reflect(x0: np.ndarray, x1: np.ndarray, c, s) -> None:
-    """Apply [[c, s], [s, -c]] to the amplitude pair (x0, x1), in place.
-
-    Walks the blocks of `_slotwise_cuts` with two block-sized scratch buffers;
-    the products and sums are the ones ``c*x0 + s*x1`` and ``s*x0 - c*x1``
-    form, so the rounding is theirs.
-    """
-    cuts = _slotwise_cuts(x0, 1)
-    size = x0[cuts[0]].size
-    sum_buf, tmp_buf = np.empty((2, size), dtype=np.complex128)
-    for cut in cuts:
-        a, b = x0[cut], x1[cut]
-        b0 = sum_buf[: a.size].reshape(a.shape)
-        tmp = tmp_buf[: a.size].reshape(a.shape)
-        np.multiply(c, a, out=b0)
-        np.multiply(s, b, out=tmp)
-        b0 += tmp
-        np.multiply(s, a, out=tmp)
-        np.multiply(c, b, out=b)
-        np.subtract(tmp, b, out=b)
-        a[...] = b0
-
-
 def _butterfly(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
     """Hadamard on the pair (a, b), in place; ``scratch`` holds a + b."""
     total = np.add(a, b, out=scratch[: a.size].reshape(a.shape))
@@ -617,9 +587,8 @@ def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
 
     The cut runs along the longest axis other than the slot axis, the
     outermost of equals.  In a stage view these are the phase axes above
-    and below the stage's bit, plus a leading ancilla axis of length 2 when
-    the power stage runs on a layout with the ancilla (a contraction stage
-    passes each ancilla half on its own).  A block holds whole slot
+    and below the stage's bit, plus a leading ancilla axis when the power
+    stage runs on a layout with the ancilla.  A block holds whole slot
     columns, so the N slot-wise matmuls run on it alone, and its matmul
     column count (size / n) is a multiple of `_GEMM_TILE`.  When no axis but
     the slot axis is longer than 1, or the tile rule allows no cut, the view

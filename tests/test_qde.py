@@ -188,15 +188,22 @@ class TestContractionRun:
             contraction_run(1.2 * np.eye(2), t=2, shots=10, seed=0)
 
     def test_default_qubit_cap_refuses_large_layout(self):
-        # N=4, t=18: 18 + 4*2 + 1 ancilla = 27 qubits, past the default cap of 26.
+        # N=4, t=19: 19 + 4*2 = 27 qubits, past the default cap of 26.
         with pytest.raises(StateTooLargeError, match="27 qubits"):
-            contraction_run(0.5 * np.eye(4), t=18, shots=10, seed=0)
+            contraction_run(0.5 * np.eye(4), t=19, shots=10, seed=0)
 
     def test_one_reused_ancilla_fits_under_the_default_cap(self):
-        # N=4, t=10: 10 + 4*2 + 1 = 19 qubits; one ancilla per stage needed 28.
+        # N=4, t=10: 10 + 4*2 = 18 qubits; one ancilla per stage needed 28.
         result = contraction_run(0.9999 * np.eye(4), t=10, shots=200, seed=1)
         assert result.exact_acceptance == pytest.approx(0.9999 ** (4 * 2 * (2**10 - 1)), abs=1e-9)
         assert result.phase.k_prime == 0
+
+    def test_layout_has_no_ancilla_qubit(self):
+        # N=4, t=10 needs exactly t + N*log2(N) = 18 qubits.
+        result = contraction_run(0.9999 * np.eye(4), t=10, shots=200, seed=1, qubit_cap=18)
+        assert result.phase.k_prime == 0
+        with pytest.raises(StateTooLargeError, match="18 qubits"):
+            contraction_run(0.9999 * np.eye(4), t=10, shots=200, seed=1, qubit_cap=17)
 
     @pytest.mark.parametrize(
         "a, t",
@@ -249,8 +256,8 @@ class TestContractionRun:
         assert r1.phase.histogram == r2.phase.histogram
 
     def test_four_slot_contraction(self):
-        # Non-diagonal input on the larger register: 4 slots of 2 qubits plus
-        # the ancilla, each stage factored into slot-wise 4x4 applications.
+        # Non-diagonal input on the larger register: 4 slots of 2 qubits,
+        # each stage factored into slot-wise 4x4 applications.
         a = 0.97 * haar_unitary(4, 5)
         oracle = det_lu(a)
         result = contraction_run(a, t=2, shots=300, seed=9)
@@ -263,7 +270,7 @@ class TestContractionRun:
 
 def reference_contraction_counts(a, t, shots, seed):
     """The all-zeros path plus the per-shot survival walk `contraction_run` replaced."""
-    layout = QubitLayout(t=t, n_particles=a.shape[0], ancilla_count=1)
+    layout = QubitLayout(t=t, n_particles=a.shape[0])
     sv = simulator.init_state(layout)
     simulator.load_asym(sv, asym_state(layout.n_particles))
     simulator.hadamard_layer(sv)
@@ -275,7 +282,7 @@ def reference_contraction_counts(a, t, shots, seed):
         if p_zero < 1e-300:
             stage_zero_probs.append(0.0)
             break
-        simulator.measure_ancilla_postselect(sv, 0.0)
+        sv.amplitudes /= math.sqrt(p_zero)
         stage_zero_probs.append(p_zero)
     else:
         simulator.inverse_qft(sv)

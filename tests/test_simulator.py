@@ -9,7 +9,7 @@ from conftest import random_contraction
 
 from qdet import simulator
 from qdet.antisym import asym_state
-from qdet.errors import StateTooLargeError, ValidationError
+from qdet.errors import StateTooLargeError, ValidationError, VerificationError
 from qdet.linalg import block_encode, det_lu, haar_unitary, kron_power, mat_pow2
 from qdet.simulator import (
     REG_ANCILLA,
@@ -56,6 +56,23 @@ def qft(sv):
 def grouped(sv):
     lay = sv.layout
     return sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim, lay.phase_dim)
+
+
+def with_ancilla(branch, rest=None):
+    """The one-ancilla state with ``branch``'s amplitudes in its 0-half and ``rest`` in its 1-half."""
+    lay = branch.layout
+    layout = QubitLayout(t=lay.t, n_particles=lay.n_particles, ancilla_count=1)
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    halves = amps.reshape(2, -1)
+    halves[0] = branch.amplitudes
+    if rest is not None:
+        halves[1] = rest
+    return StateVector(layout=layout, amplitudes=amps)
+
+
+def random_amplitudes(rng, size, norm_sq=1.0):
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return amps * math.sqrt(norm_sq) / np.linalg.norm(amps)
 
 
 class TestLayout:
@@ -425,11 +442,13 @@ class TestMeasureAncillaPostselect:
     def test_block_encoded_contraction_zero_probability(self):
         # One application of the encoded 0.9*I slot operator on the
         # antisymmetric state: P(ancilla reads 0) = |det(0.9 I)|^2 = 0.81^2.
-        sv = prepared_state(t=1, n=2, ancillas=True)
-        g = grouped(sv)
+        # The stage leaves the ancilla-0 branch; the 1-half takes the rest.
+        branch = prepared_state(t=1, n=2)
+        g = grouped(branch)
         g[..., [0, 1]] = g[..., [1, 0]]  # put the control qubit into |1>
-        controlled_block_stage(sv, 0, 0.9 * np.eye(2, dtype=complex))
-        outcome, sv, p = measure_ancilla_postselect(sv, u=0.0)
+        rest = math.sqrt(1.0 - 0.81**2) * branch.amplitudes
+        controlled_block_stage(branch, 0, 0.9 * np.eye(2, dtype=complex))
+        outcome, sv, p = measure_ancilla_postselect(with_ancilla(branch, rest), u=0.0)
         assert outcome == 0
         assert p == pytest.approx(0.81**2, abs=1e-10)
 
@@ -458,31 +477,29 @@ class TestMeasureAncillaPostselect:
 
 
 class TestPostselectAncillaZero:
-    """The contraction pipeline's post-selection: one pass for P(0), then the projection."""
+    """The contraction pipeline's post-selection: the state is the ancilla-0 branch, P(0) its squared norm."""
 
     def test_ancilla_in_zero(self):
-        sv = prepared_state(t=1, n=2, ancillas=True)
+        sv = prepared_state(t=1, n=2)
         before = sv.amplitudes.copy()
         p = postselect_ancilla_zero(sv)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(sv.amplitudes - before)) <= 1e-12
 
     def test_balanced_ancilla_has_half_probability(self):
-        sv = prepared_state(t=1, n=2, ancillas=True)
-        lay = sv.layout
-        g = sv.amplitudes.reshape(lay.ancilla_dim, lay.slot_dim * lay.phase_dim)
-        g[1] = g[0]
-        sv.amplitudes /= np.linalg.norm(sv.amplitudes)
+        sv = prepared_state(t=1, n=2)
+        sv.amplitudes *= math.sqrt(0.5)
+        before = sv.amplitudes.copy()
         buffer = sv.amplitudes
         p = postselect_ancilla_zero(sv)
         assert p == pytest.approx(0.5)
         assert np.shares_memory(sv.amplitudes, buffer)
-        assert not np.any(g[1])
+        assert np.allclose(sv.amplitudes, before * math.sqrt(2.0), rtol=0, atol=1e-15)
         assert sv.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_block_encoded_contraction_zero_probability(self):
         # As in TestMeasureAncillaPostselect: P(ancilla reads 0) = 0.81^2.
-        sv = prepared_state(t=1, n=2, ancillas=True)
+        sv = prepared_state(t=1, n=2)
         g = grouped(sv)
         g[..., [0, 1]] = g[..., [1, 0]]
         controlled_block_stage(sv, 0, 0.9 * np.eye(2, dtype=complex))
@@ -490,51 +507,53 @@ class TestPostselectAncillaZero:
 
     @pytest.mark.parametrize("offset", [0, 2])
     def test_same_bits_and_state_as_measure_ancilla_postselect(self, offset):
-        layout = QubitLayout(t=3, n_particles=2, ancilla_count=1)
+        # The branch on an ancilla-free layout against the one-ancilla state
+        # whose 0-half holds it and whose 1-half holds the rest of the norm.
+        layout = QubitLayout(t=3, n_particles=2)
         rng = np.random.Generator(np.random.PCG64(91 + offset))
-        amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(1 << layout.total_qubits)
-        amps /= np.linalg.norm(amps)
-        sv = StateVector(layout=layout, amplitudes=amps.copy())
-        expected = StateVector(layout=layout, amplitudes=amps.copy())
+        size = 1 << layout.total_qubits
+        sv = StateVector(layout=layout, amplitudes=random_amplitudes(rng, size, 0.7))
+        expected = with_ancilla(sv, random_amplitudes(rng, size, 0.3))
+        p0 = ancilla_zero_probability(expected)
         p = postselect_ancilla_zero(sv)
         outcome, _, p_outcome = measure_ancilla_postselect(expected, u=0.0)
         assert outcome == 0
-        assert p == p_outcome == ancilla_zero_probability(StateVector(layout=layout, amplitudes=amps))
-        assert np.array_equal(sv.amplitudes, expected.amplitudes)
+        assert p == p_outcome == p0
+        assert np.array_equal(sv.amplitudes, expected.amplitudes.reshape(2, -1)[0])
 
     def test_empty_zero_branch_leaves_state(self):
-        sv = prepared_state(t=1, n=2, ancillas=True)
-        g = grouped(sv)
-        g[[0, 1]] = g[[1, 0]]  # ancilla to |1>
+        sv = prepared_state(t=1, n=2)
+        sv.amplitudes[:] = 0.0
         before = sv.amplitudes.copy()
         assert postselect_ancilla_zero(sv) == 0.0
         assert np.array_equal(sv.amplitudes, before)
 
-    def test_rejects_when_no_ancillas(self):
-        sv = prepared_state(t=1, n=2)
-        with pytest.raises(ValidationError):
+    def test_rejects_branch_that_gained_norm(self):
+        # A contraction cannot add norm: a branch of squared norm 1.01 is a fault.
+        sv = prepared_state(t=2, n=2)
+        sv.amplitudes *= math.sqrt(1.01)
+        with pytest.raises(VerificationError, match="squared norm"):
             postselect_ancilla_zero(sv)
 
 
 class TestControlledBlockStage:
     def test_unitary_input_matches_power_stage(self):
         u = haar_unitary(2, 44)
-        sv_block = prepared_state(t=2, n=2, ancillas=True)
+        sv_block = prepared_state(t=2, n=2)
         hadamard_layer(sv_block)
         controlled_block_stage(sv_block, 0, u)
 
-        sv_power = prepared_state(t=2, n=2, ancillas=True)
+        sv_power = prepared_state(t=2, n=2)
         hadamard_layer(sv_power)
         controlled_power_stage(sv_power, 0, u)
 
         assert np.max(np.abs(sv_block.amplitudes - sv_power.amplitudes)) <= 1e-9
-        anc_probs = register_probabilities(sv_block, REG_ANCILLA)
-        assert anc_probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert ancilla_zero_probability(sv_block) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_contraction_scales_asym_component(self, m):
         a = 0.9 * np.eye(2, dtype=complex)
-        sv = prepared_state(t=2, n=2, ancillas=True)
+        sv = prepared_state(t=2, n=2)
         g = grouped(sv)
         g[..., [0, 1 << m]] = g[..., [1 << m, 0]]  # control qubit m to |1>
         controlled_block_stage(sv, m, mat_pow2(a, m))
@@ -542,52 +561,44 @@ class TestControlledBlockStage:
         assert p == pytest.approx((0.81 ** (2**m)) ** 2, abs=1e-10)
 
     def test_zero_matrix_flips_ancilla(self):
-        sv = prepared_state(t=1, n=2, ancillas=True)
+        # The block encoding of 0 sends the ancilla to |1>: no ancilla-0 branch is left.
+        sv = prepared_state(t=1, n=2)
         g = grouped(sv)
         g[..., [0, 1]] = g[..., [1, 0]]
         controlled_block_stage(sv, 0, np.zeros((2, 2)))
-        anc_probs = register_probabilities(sv, REG_ANCILLA)
-        assert anc_probs[1] == pytest.approx(1.0, abs=1e-12)
+        assert ancilla_zero_probability(sv) == 0.0
 
     def test_rejects_expanding_or_misshapen_operator(self):
-        sv = prepared_state(t=1, n=2, ancillas=True)
+        sv = prepared_state(t=1, n=2)
         with pytest.raises(ValidationError, match="not a contraction"):
             controlled_block_stage(sv, 0, 1.5 * np.eye(2))
         with pytest.raises(ValidationError, match="slots hold 2 labels"):
             controlled_block_stage(sv, 0, 0.5 * np.eye(8))
 
     def test_rejects_bad_stage_index(self):
-        sv = prepared_state(t=2, n=2, ancillas=True)
+        sv = prepared_state(t=2, n=2)
         for m in (-1, 2):
             with pytest.raises(ValidationError, match="outside phase register"):
                 controlled_block_stage(sv, m, 0.5 * np.eye(2))
 
-    def test_rejects_layout_without_ancillas(self):
-        sv = prepared_state(t=2, n=2)
-        with pytest.raises(ValidationError, match="needs one"):
-            controlled_block_stage(sv, 0, 0.5 * np.eye(2))
-
     @pytest.mark.parametrize("t", [1, 3, 5])
     @pytest.mark.parametrize("n", [2, 4])
     def test_matches_dense_block_encoding(self, n, t):
-        # The factored stage reorders the arithmetic of the dense encoding, so
-        # it is held to 1e-12 against it rather than bit for bit.
-        layout = QubitLayout(t=t, n_particles=n, ancilla_count=1)
+        # The stage leaves the ancilla-0 half of the dense encoding's output
+        # on an input whose ancilla reads 0.  The factored stage reorders the
+        # arithmetic, so it is held to 1e-12 against it rather than bit for bit.
+        layout = QubitLayout(t=t, n_particles=n)
         rng = np.random.Generator(np.random.PCG64(2000 * n + t))
         a = random_contraction(n, 500 + t)
         for m in range(t):
             a_m = mat_pow2(a, m)
-            amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(
-                1 << layout.total_qubits
-            )
-            amps /= np.linalg.norm(amps)
-            sv = StateVector(layout=layout, amplitudes=amps.copy())
-            expected = StateVector(layout=layout, amplitudes=amps.copy())
+            sv = StateVector(layout=layout, amplitudes=random_amplitudes(rng, 1 << layout.total_qubits))
+            expected = with_ancilla(sv)
             buffer = sv.amplitudes
             controlled_block_stage(sv, m, a_m)
             reference_block_stage(expected, m, block_encode(kron_power(a_m, n)))
             assert np.shares_memory(sv.amplitudes, buffer)
-            assert np.max(np.abs(sv.amplitudes - expected.amplitudes)) <= 1e-12, m
+            assert np.max(np.abs(sv.amplitudes - expected.amplitudes.reshape(2, -1)[0])) <= 1e-12, m
 
 
 class TestPipelineInvariants:
@@ -650,53 +661,6 @@ class TestPipelineInvariants:
             assert asym_fidelity(sv, state) >= 1.0 - 1e-9
         inverse_qft(sv)
         assert asym_fidelity(sv, state) >= 1.0 - 1e-9
-
-
-def reference_reflect(x0, x1, c, s):
-    """`_reflect` as the full-expression form, with its quarter-state temporaries."""
-    b0 = c * x0 + s * x1
-    x1[...] = s * x0 - c * x1
-    x0[...] = b0
-
-
-class TestReflect:
-    @pytest.mark.parametrize("scalar", [True, False])
-    def test_bit_exact_with_expression_form(self, scalar):
-        # The views and coefficient shapes controlled_block_stage passes.
-        rng = np.random.Generator(np.random.PCG64(77 + scalar))
-        t, m, d = 3, 1, 16
-        hi, lo = 1 << (t - m - 1), 1 << m
-        amps = rng.standard_normal(2 * d * 2**t) + 1j * rng.standard_normal(2 * d * 2**t)
-        if scalar:
-            c, s = 0.6, 0.8
-        else:
-            c = rng.uniform(0.0, 1.0, d).reshape(-1, 1, 1)
-            s = np.sqrt(1.0 - c * c)
-        got, expected = amps.copy(), amps.copy()
-        for buf, apply in ((got, simulator._reflect), (expected, reference_reflect)):
-            on = buf.reshape(2, d, hi, 2, lo)[..., 1, :]
-            apply(on[0], on[1], c, s)
-        assert np.array_equal(got, expected)
-        assert not np.array_equal(got, amps)
-
-    @pytest.mark.parametrize("scalar", [True, False])
-    def test_at_most_two_branch_sized_temporaries(self, scalar):
-        # numpy reports its buffers to tracemalloc; the branches are 4 MiB, so
-        # the ufunc iterator's fixed-size buffers stay well under a quarter.
-        t, m, d = 11, 2, 256
-        hi, lo = 1 << (t - m - 1), 1 << m
-        c, s = (0.6, 0.8) if scalar else (np.full((d, 1, 1), 0.6), np.full((d, 1, 1), 0.8))
-        peaks = []
-        for apply in (simulator._reflect, reference_reflect):
-            on = np.ones(2 * d * 2**t, dtype=np.complex128).reshape(2, d, hi, 2, lo)[..., 1, :]
-            tracemalloc.start()
-            try:
-                apply(on[0], on[1], c, s)
-                peaks.append(tracemalloc.get_traced_memory()[1] / on[0].nbytes)
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 2.25
-        assert peaks[1] >= 2.75
 
 
 def _phase_indices_with_bit(t, m, value):
@@ -840,7 +804,7 @@ class TestBlockedKernels:
         ]
         for m in range(t):
             cases.append((controlled_power_stage, controlled_power_stage, (m, mat_pow2(u, m))))
-            if ancillas:
+            if not ancillas:
                 cases.append((controlled_block_stage, controlled_block_stage, (m, mat_pow2(a, m))))
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows))
         for gate, reference, args in cases:
@@ -854,34 +818,11 @@ class TestBlockedKernels:
             gate(sv, *args)
             with monkeypatch.context() as unblocked:
                 unblocked.setattr(simulator, "_apply_slotwise", unblocked_slotwise)
-                unblocked.setattr(simulator, "_reflect", reference_reflect)
                 reference(expected, *args)
             assert np.shares_memory(sv.amplitudes, buffer), gate.__name__
             assert np.array_equal(sv.amplitudes, expected.amplitudes), (gate.__name__, args[:1])
         for which in (REG_PHASE, REG_SLOTS, REG_ANCILLA):
             assert np.array_equal(register_probabilities(sv, which), unblocked_probabilities(sv, which)), which
-
-    @pytest.mark.parametrize("indices", [1, 2, 3])
-    @pytest.mark.parametrize("scalar", [True, False])
-    def test_reflect_bit_exact(self, monkeypatch, scalar, indices):
-        # The views controlled_block_stage passes; blocks of 1, 2 or 3 of the
-        # 8 indices of the cut axis (32 amplitudes each), the last one short.
-        rng = np.random.Generator(np.random.PCG64(10 * indices + scalar))
-        t, m, d = 5, 1, 16
-        hi, lo = 1 << (t - m - 1), 1 << m
-        amps = rng.standard_normal(2 * d * 2**t) + 1j * rng.standard_normal(2 * d * 2**t)
-        if scalar:
-            c, s = 0.6, 0.8
-        else:
-            c = rng.uniform(0.0, 1.0, d).reshape(-1, 1, 1)
-            s = np.sqrt(1.0 - c * c)
-        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 32 * indices)
-        got, expected = amps.copy(), amps.copy()
-        for buf, apply in ((got, simulator._reflect), (expected, reference_reflect)):
-            on = buf.reshape(2, d, hi, 2, lo)[..., 1, :]
-            apply(on[0], on[1], c, s)
-        assert len(simulator._slotwise_cuts(on[0], 1)) == -(-8 // indices)
-        assert np.array_equal(got, expected)
 
     def test_block_sizes_reach_every_regime(self, monkeypatch):
         seen = set()
@@ -908,23 +849,26 @@ class TestBlockedKernels:
 class TestKernelMemory:
     """No gate kernel allocates a temporary that scales with the state."""
 
-    @pytest.mark.parametrize("t, ancillas", [(12, False), (11, True)])
-    def test_peak_at_most_a_quarter_of_the_state(self, t, ancillas):
-        # 2**20 amplitudes either way (N = 4): the qde layout has 2**11 phase
-        # columns per half, the contraction layout 2**10 and its one ancilla;
-        # both cut their slot-wise blocks along a phase axis.
+    @pytest.mark.parametrize("t, contraction", [(12, False), (12, True)])
+    def test_peak_at_most_a_quarter_of_the_state(self, t, contraction):
+        # 2**20 amplitudes (N = 4), 2**11 phase columns per half; the slot-wise
+        # blocks are cut along a phase axis.  Post-selection after a
+        # contraction stage is not a gate kernel and runs outside the window:
+        # its P(0) pass takes a float temporary of half the state's bytes.
         n = 4
-        layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
+        layout = QubitLayout(t=t, n_particles=n)
         sv = init_state(layout)
         u = haar_unitary(n, 72)
-        a = random_contraction(n, 71)
+        # Singular values near 1, so that stage t - 1 (A**2048) leaves the
+        # ancilla-0 branch enough norm for the stages after it.
+        a = (haar_unitary(n, 71) * np.linspace(0.9999, 1.0, n)) @ haar_unitary(n, 73).conj().T
         steps = [
             (load_asym, (asym_state(n),)),
             (hadamard_layer, ()),
             (controlled_power_stage, (0, u)),
             (controlled_power_stage, (t - 1, u)),
         ]
-        if ancillas:
+        if contraction:
             steps += [(controlled_block_stage, (0, a)), (controlled_block_stage, (t - 1, mat_pow2(a, t - 1)))]
         steps += [(inverse_qft, ()), (register_probabilities, (REG_PHASE,))]
         peaks = []
@@ -935,4 +879,6 @@ class TestKernelMemory:
                 peaks.append((gate.__name__, tracemalloc.get_traced_memory()[1] / sv.amplitudes.nbytes))
             finally:
                 tracemalloc.stop()
+            if gate is controlled_block_stage:
+                postselect_ancilla_zero(sv)
         assert all(peak <= 0.25 for _, peak in peaks), peaks

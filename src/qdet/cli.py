@@ -53,6 +53,10 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_RESOURCE = 4
 
+#: Relative distance of a contract run's exact acceptance from the product
+#: law |det A|**(2*(2**t - 1)) beyond which the run reports a disagreement.
+_ACCEPTANCE_RTOL = 1e-3
+
 
 @dataclass
 class RunConfig:
@@ -250,6 +254,12 @@ def _run_contract(config: RunConfig) -> RunReport:
     p = min(result.predicted_acceptance, 1.0)
     sigma = math.sqrt(result.attempted * p * (1.0 - p))
     disagreement = abs(result.accepted - result.attempted * p) > 5.0 * sigma
+    # The exact acceptance follows the same law.  Far from it, it and the
+    # exact conditioned distribution are rounding noise: the factored stages
+    # cannot resolve an antisymmetric branch that small.
+    disagreement |= abs(result.exact_acceptance - result.predicted_acceptance) > (
+        _ACCEPTANCE_RTOL * result.predicted_acceptance
+    )
     if not result.no_accepted_shots:
         grid_step = TWO_PI / (1 << config.t)
         disagreement |= _circular_distance(result.phase.phi_hat, oracle.phase) > grid_step + 1e-9

@@ -27,12 +27,17 @@ owns exclusively.
 The gate kernels work through the state in blocks of about `_BLOCK_BYTES`
 (`_chunks`), so their scratch buffers are block-sized whatever the state
 size: the Hadamard layer and the phase distribution take blocks of phase
-rows, the slot-wise matmuls take blocks of whole slot columns.  The
-blocking changes no arithmetic, so amplitudes are bit-exact for any block
-size.  One limit: a slot-wise block holds every slot value, so at t = 1
-(one phase column per half: sign mode, or contraction mode at t = 1) a
-stage's view is a single block, and its matmuls take two buffers of the
-whole view's size.
+rows, the slot-wise matmuls take blocks of whole slot columns.  Both hot
+kernels move data in long contiguous runs: the Hadamard layer runs its
+in-row bits as self-sorting out-of-place passes between a block and a
+scratch buffer, which read and write whole rows, and a slot-wise block keeps
+the runs of consecutive phase indices below the stage's bit whole while
+they fit, is copied into scratch in memory order and is transposed there.
+The blocking and the data movement change no arithmetic, so amplitudes are
+bit-exact for any block size.  One limit: a slot-wise block holds every
+slot value, so at t = 1 (one phase column per half: sign mode, or
+contraction mode at t = 1) a stage's view is a single block, and its
+matmuls take two buffers of the whole view's size.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -46,6 +51,7 @@ grow with the shot count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -227,25 +233,38 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
 def hadamard_layer(sv: StateVector) -> StateVector:
     """Hadamard on every phase-register qubit (the QFT of the |0> state).
 
-    Each block of phase rows (`_phase_rows`) takes the butterflies of every
-    bit inside a row before the next block is touched.  When a row is only a
-    piece of the phase register, the bits above the piece follow one at a
-    time, in blocks of pairs.  Every amplitude sees bit 0 first and bit t-1
-    last, with the same sums and products, so the block size does not change
-    the result.
+    Phase rows (`_phase_rows`) of at most half a block are taken in blocks
+    of half the usual size, and each block takes the butterflies of every
+    bit inside a row before the next block is touched.  These run out of
+    place in self-sorting (Stockham) order: a pass writes the sums of each
+    even/odd pair of a row to its first half and their differences to its
+    second half, then scales the row by 1/sqrt(2).  That pairs index bit 0
+    and rotates it to the top, so pass p pairs bit p and after all in-row
+    bits the rows are back in order.  The passes ping-pong between the block
+    and a scratch buffer of its size, which is copied back when the in-row
+    bit count is odd.  When a row is only a piece of the phase register, the
+    bits above the piece follow one at a time, in place, in blocks of pairs.
+    Every amplitude sees bit 0 first and bit t-1 last, and each output is
+    round(round(a +- b) * 1/sqrt(2)), as in an in-place butterfly, so neither
+    the order nor the block size changes the result.
     """
     t = sv.layout.t
-    rows = _phase_rows(sv)
+    rows = _phase_rows(sv, parts=2)
     width = rows.shape[1]
-    in_row = width.bit_length() - 1  # bits whose pairs lie inside a row
-    chunks = _chunks(len(rows), width)
-    scratch = np.empty(rows[chunks[0]].size // 2, dtype=np.complex128)
-    for s in chunks:
-        block = rows[s]
-        for m in range(in_row):
-            pairs = block.reshape(-1, 2, 1 << m)
-            _butterfly(pairs[:, 0], pairs[:, 1], scratch)
     half = width // 2
+    in_row = width.bit_length() - 1  # bits whose pairs lie inside a row
+    chunks = _chunks(len(rows), 2 * width)
+    scratch = np.empty(rows[chunks[0]].size, dtype=np.complex128)
+    for s in chunks:
+        block = x = rows[s]
+        y = scratch[: x.size].reshape(x.shape)
+        for _ in range(in_row):
+            np.add(x[:, 0::2], x[:, 1::2], out=y[:, :half])
+            np.subtract(x[:, 0::2], x[:, 1::2], out=y[:, half:])
+            y *= _INV_SQRT2
+            x, y = y, x
+        if in_row % 2:
+            block[...] = x
     for m in range(in_row, t):
         pairs = sv.amplitudes.reshape(-1, 2, (1 << m) // half, half)
         for i, j in np.ndindex(pairs.shape[0], pairs.shape[2]):
@@ -527,9 +546,11 @@ def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> None:
     """Apply the N x N ``u`` to every slot of a (..., slots, above, below) view, in place.
 
     Slot s is base-N digit s of the slot index.  Each block of `_slotwise_cuts`
-    is copied into a scratch buffer with the slot index innermost; each
-    matmul over a (rest, N) reshape then applies u to the next slot and moves
-    it to the front, ping-ponging between two scratch buffers, and after N
+    is copied into a scratch buffer in its own memory order, so the copy
+    reads whole runs of the below axis, and then transposed inside that
+    cache-sized scratch into a second buffer with the slot index innermost.
+    Each matmul over a (rest, N) reshape then applies u to the next slot and
+    moves it to the front, ping-ponging between the two buffers, and after N
     steps the slot index leads, in order, and the block is written back.
     A block's matmul is bit-exact with the one over the whole view: each
     output amplitude is the same N-term sum over the same inputs, and BLAS
@@ -545,7 +566,8 @@ def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> None:
         block = view[cut]
         shape = block.shape
         src, dst = ping[: block.size], pong[: block.size]
-        moved = np.moveaxis(block, -3, -1)
+        np.copyto(dst.reshape(shape), block)
+        moved = np.moveaxis(dst.reshape(shape), -3, -1)
         np.copyto(src.reshape(moved.shape), moved)
         for _ in range(n):
             np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
@@ -572,33 +594,53 @@ def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
     return [slice(i, i + per) for i in range(0, length, per)]
 
 
-def _phase_rows(sv: StateVector) -> np.ndarray:
+def _phase_rows(sv: StateVector, parts: int = 1) -> np.ndarray:
     """The amplitudes as rows of consecutive phase indices.
 
-    A row is the whole phase register or, when that exceeds a block, the
-    largest power-of-two piece of it that fits (at least two amplitudes).
+    A row is the whole phase register or, when that exceeds 1/``parts`` of a
+    block, the largest power-of-two piece of it that fits (at least two
+    amplitudes).
     """
-    fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
+    fit = max(2, _BLOCK_BYTES // parts // _AMP_BYTES)
     return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
 
 
 def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
     """Index tuples cutting a (..., slots, above, below) view into blocks of whole slot columns.
 
-    The cut runs along the longest axis other than the slot axis, the
-    outermost of equals.  In a stage view these are the phase axes above
-    and below the stage's bit, plus a leading ancilla axis when the power
-    stage runs on a layout with the ancilla.  A block holds whole slot
-    columns, so the N slot-wise matmuls run on it alone, and its matmul
-    column count (size / n) is a multiple of `_GEMM_TILE`.  When no axis but
-    the slot axis is longer than 1, or the tile rule allows no cut, the view
-    is one block.
+    The axes other than the slot axis are taken outermost first: in a stage
+    view, a leading ancilla axis (length 1 unless the power stage runs on a
+    layout with the ancilla), then the phase axes above and below the
+    stage's bit.  The cut runs along the outermost axis one index of which
+    fits in a block, one index of every axis outside it at a time, so a
+    block keeps whole runs of the below axis while they fit and is cut
+    inside a run only when one run exceeds a block.  A block holds whole
+    slot columns, so the N slot-wise matmuls run on it alone, and its matmul
+    column count (size / n) is a multiple of `_GEMM_TILE`: where one index
+    of the axis outside the cut would hold fewer columns than that, the cut
+    moves out to that axis.  When no cut meets the tile rule, the view is
+    one block.
     """
-    lengths = [0 if axis == view.ndim - 3 else length for axis, length in enumerate(view.shape)]
-    axis = lengths.index(max(lengths))
-    stride = view.size // lengths[axis]
-    step = _GEMM_TILE // math.gcd(_GEMM_TILE, stride // n)
-    return [(slice(None),) * axis + (s,) for s in _chunks(lengths[axis], stride, step)]
+    slot_axis = view.ndim - 3
+    axes = [axis for axis in range(view.ndim) if axis != slot_axis]
+    lengths = [view.shape[axis] for axis in axes]
+    strides = [view.shape[slot_axis] * math.prod(lengths[k + 1 :]) for k in range(len(axes))]
+    steps = [_GEMM_TILE // math.gcd(_GEMM_TILE, stride // n) for stride in strides]
+    fit = _BLOCK_BYTES // _AMP_BYTES
+    k = next((k for k, stride in enumerate(strides) if stride <= fit), len(axes) - 1)
+    while k and lengths[k] < steps[k]:
+        k -= 1
+    cuts = []
+    # Not np.ndindex: the small array it allocates per stage kept about
+    # 0.1 MiB more of the heap resident through a qde run.
+    for outer in itertools.product(*map(range, lengths[:k])):
+        index = [slice(None)] * view.ndim
+        for axis, i in zip(axes, outer):
+            index[axis] = slice(i, i + 1)
+        for s in _chunks(lengths[k], strides[k], steps[k]):
+            index[axes[k]] = s
+            cuts.append(tuple(index))
+    return cuts
 
 
 def _assert_normalized(sv: StateVector) -> None:

@@ -22,6 +22,7 @@ from qdet.cli import (
     run,
 )
 from qdet.errors import MatrixParseError, ValidationError
+from qdet.linalg import haar_unitary
 from qdet.qde import contraction_run
 
 
@@ -160,6 +161,18 @@ class TestRunDispatch:
         report = run(config)
         assert report.disagreement
         assert report.exit_code == EXIT_VERIFICATION
+
+    @pytest.mark.parametrize("smallest, t, flagged", [(1e-3, 3, True), (1e-5, 2, False)])
+    def test_contract_flags_exact_acceptance_off_the_law(self, tmp_path, capsys, smallest, t, flagged):
+        # A = W diag(0.9, smallest) V^dag.  At 1e-3 and t=3 the law gives
+        # 2.3e-43, below what the factored stages resolve, and the exact
+        # acceptance reads 6.6e-39; at 1e-5 and t=2 it stays within 1.4e-6
+        # (relative) of the law's 5.3e-31.  No shot is accepted in either run.
+        a = (haar_unitary(2, 1) * np.array([0.9, smallest])) @ haar_unitary(2, 2).conj().T
+        path = write_matrix(tmp_path, {"n": 2, "rows": [[[z.real, z.imag] for z in row] for row in a]})
+        argv = ["--mode", "contract", "--matrix", path, "--t", str(t), "--shots", "200", "--seed", "1"]
+        assert main(argv) == (EXIT_VERIFICATION if flagged else 0)
+        assert json.loads(capsys.readouterr().out)["disagreement"] is flagged
 
     def test_readme_contract_example_agrees(self, capsys):
         # qdet --mode contract --gen scaled-identity:2:0.9:0 --t 2 --shots 10000 --seed 1

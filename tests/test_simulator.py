@@ -724,7 +724,7 @@ class TestPhaseBitViewGates:
     """The view-based gates reproduce the fancy-index reference bit for bit, in place."""
 
     @pytest.mark.parametrize("ancillas", [False, True])
-    @pytest.mark.parametrize("t", [1, 3, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", [2, 4])
     def test_bit_exact_and_in_place(self, n, t, ancillas):
         layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
@@ -790,7 +790,7 @@ class TestBlockedKernels:
 
     @pytest.mark.parametrize("rows", ROWS_PER_BLOCK)
     @pytest.mark.parametrize("ancillas", [False, True])
-    @pytest.mark.parametrize("t", [1, 3, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", [2, 4])
     def test_bit_exact_and_in_place(self, monkeypatch, n, t, ancillas, rows):
         layout = QubitLayout(t=t, n_particles=n, ancilla_count=1 if ancillas else 0)
@@ -844,6 +844,36 @@ class TestBlockedKernels:
                 if len(simulator._slotwise_cuts(simulator._split_view(sv, phase_bit=m)[..., 1, :], n)) > 1:
                     seen.add("slot-wise blocks cut the view")
         assert len(seen) == 4, seen
+
+    def test_hadamard_bit_exact_at_default_block_size(self):
+        # 2**18 amplitudes (N = 2, 4 MiB): a phase row of 2**16 amplitudes
+        # exceeds a block, so the self-sorting in-row passes and the above-row
+        # butterflies both run.
+        layout = QubitLayout(t=16, n_particles=2)
+        amps = random_amplitudes(np.random.Generator(np.random.PCG64(16)), 1 << layout.total_qubits)
+        sv = StateVector(layout=layout, amplitudes=amps.copy())
+        expected = StateVector(layout=layout, amplitudes=amps)
+        assert simulator._phase_rows(sv, parts=2).shape[1] < layout.phase_dim
+        hadamard_layer(sv)
+        reference_hadamard_layer(expected)
+        assert np.array_equal(sv.amplitudes, expected.amplitudes)
+
+    def test_slotwise_blocks_keep_whole_below_runs(self):
+        # N = 4, t = 12: a block holds 128 columns of the 256 slot values.
+        # Below a stage's bit, a block keeps runs of 2**m consecutive
+        # amplitudes whole, and cuts them into block-wide runs when 2**m is
+        # wider; the blocks tile the view.
+        n = 4
+        layout = QubitLayout(t=12, n_particles=n)
+        sv = StateVector(layout=layout, amplitudes=np.zeros(1 << layout.total_qubits, dtype=complex))
+        columns = simulator._BLOCK_BYTES // 16 // layout.slot_dim
+        for m in range(layout.t):
+            view = simulator._split_view(sv, phase_bit=m)[..., 1, :]
+            covered = np.zeros(view.shape, dtype=np.int8)
+            for cut in simulator._slotwise_cuts(view, n):
+                assert view[cut].shape[-1] == min(1 << m, columns), (m, view[cut].shape)
+                covered[cut] += 1
+            assert np.all(covered == 1), m
 
 
 class TestKernelMemory:

@@ -57,6 +57,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; pay that at import, not in the first inverse_qft
 
 from .antisym import AsymState
 from .errors import StateTooLargeError, ValidationError, VerificationError
@@ -226,7 +227,7 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
     log2n = math.log2(n)
     sv.counters.modeled_orthonorm_ops += max(n, math.ceil(n * math.log2(n / math.e)))
     sv.counters.modeled_asym_ops += math.ceil(n * log2n**2)
-    _assert_normalized(sv)
+    _assert_normalized(sv, "load_asym")
     return sv
 
 
@@ -270,7 +271,7 @@ def hadamard_layer(sv: StateVector) -> StateVector:
         for i, j in np.ndindex(pairs.shape[0], pairs.shape[2]):
             _butterfly(pairs[i, 0, j], pairs[i, 1, j], scratch)
     sv.counters.modeled_qft_ops += t
-    _assert_normalized(sv)
+    _assert_normalized(sv, "hadamard_layer")
     return sv
 
 
@@ -285,7 +286,7 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     arr = _stage_operator(sv.layout, m, u_m)
     _apply_slotwise(arr, _split_view(sv, phase_bit=m)[..., 1, :])
     sv.counters.controlled_slot_applications += sv.layout.n_particles
-    _assert_normalized(sv)
+    _assert_normalized(sv, f"controlled_power_stage m={m}")
     return sv
 
 
@@ -299,7 +300,7 @@ def inverse_qft(sv: StateVector) -> StateVector:
     flat = sv.amplitudes.reshape(-1, 1 << t)
     np.fft.fft(flat, axis=1, norm="ortho", out=flat)
     sv.counters.modeled_inv_qft_ops += t * (t + 1) // 2
-    _assert_normalized(sv)
+    _assert_normalized(sv, "inverse_qft")
     return sv
 
 
@@ -395,7 +396,7 @@ def postselect_ancilla_zero(sv: StateVector) -> float:
         raise VerificationError(f"the ancilla-0 branch has squared norm {p0:.12g} > 1")
     if p0 >= 1e-300:
         sv.amplitudes /= math.sqrt(p0)
-        _assert_normalized(sv)
+        _assert_normalized(sv, "postselect_ancilla_zero")
     return p0
 
 
@@ -643,7 +644,7 @@ def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
     return cuts
 
 
-def _assert_normalized(sv: StateVector) -> None:
+def _assert_normalized(sv: StateVector, gate: str) -> None:
     drift = abs(sv.norm_sq() - 1.0)
     if drift > _NORM_TOL:
-        raise VerificationError(f"state norm drifted by {drift:.3e} after a gate")
+        raise VerificationError(f"state norm drifted by {drift:.3e} after {gate}")

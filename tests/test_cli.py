@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +283,12 @@ class TestMainExitCodes:
             ["--mode", "qde", "--gen", "haar-unitary:4", "--t", "2", "--shots", "10", "--qubit-cap", "8"]
         )
         assert code == EXIT_RESOURCE
+
+
+def test_cli_import_leaves_scipy_out_and_loads_numpy_fft():
+    # Importing scipy.linalg costs about 0.3 s and 28 MiB per CLI process; inverse_qft needs numpy.fft.
+    src = str(Path(qdet.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, qdet, qdet.cli; print('scipy' in sys.modules, 'numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -1,6 +1,7 @@
 """Determinant oracles, Haar sampling, and the block-encoding constructions."""
 
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -52,6 +53,13 @@ class TestDetLu:
 
     def test_singular_matrix_gives_zero(self):
         assert det_lu(np.array([[1.0, 1.0], [1.0, 1.0]])).magnitude == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("a", [np.ones((3, 3)), np.zeros((4, 4))], ids=["ones3", "zeros4"])
+    def test_singular_matrix_is_exactly_zero_and_silent(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = det_lu(a)
+        assert d.magnitude == 0.0
 
 
 class TestDetLeviCivita:
@@ -207,6 +215,13 @@ class TestOracleConsistency:
             lu = det_lu(a).value
             lc = det_levi_civita(a).value
             assert abs(lu - lc) <= 1e-9 * max(1.0, abs(lu))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lu_matches_permutation_sum_to_1e13_relative(self, n):
+        for seed in range(10):
+            a = random_complex(n, 100 * n + seed)
+            lc = det_levi_civita(a).value
+            assert abs(det_lu(a).value - lc) <= 1e-13 * abs(lc)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)

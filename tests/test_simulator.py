@@ -49,7 +49,7 @@ def qft(sv):
     """Forward QFT on the phase register, in place: the adjoint of `inverse_qft`, for round trips."""
     flat = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
     np.fft.ifft(flat, axis=1, norm="ortho", out=flat)
-    simulator._assert_normalized(sv)
+    simulator._assert_normalized(sv, "qft")
     return sv
 
 
@@ -251,6 +251,12 @@ class TestControlledPowerStage:
         sv = prepared_state(t=1, n=2)
         with pytest.raises(ValidationError):
             controlled_power_stage(sv, 0, np.eye(4))
+
+    def test_norm_drift_names_the_stage(self):
+        sv = prepared_state(t=2, n=2)
+        hadamard_layer(sv)
+        with pytest.raises(VerificationError, match=r"after controlled_power_stage m=1$"):
+            controlled_power_stage(sv, 1, 1.001 * np.eye(2))
 
 
 class TestInverseQft:

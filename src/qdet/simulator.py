@@ -24,20 +24,18 @@ as a dense slot-space matrix.  Every gate, `inverse_qft` included, writes
 into the existing amplitude buffer, and returns the StateVector, which a run
 owns exclusively.
 
-The gate kernels work through the state in blocks of about `_BLOCK_BYTES`
-(`_chunks`), so their scratch buffers are block-sized whatever the state
-size: the Hadamard layer and the phase distribution take blocks of phase
-rows, the slot-wise matmuls take blocks of whole slot columns.  Both hot
-kernels move data in long contiguous runs: the Hadamard layer runs its
-in-row bits as self-sorting out-of-place passes between a block and a
-scratch buffer, which read and write whole rows, and a slot-wise block keeps
-the runs of consecutive phase indices below the stage's bit whole while
-they fit, is copied into scratch in memory order and is transposed there.
-The blocking and the data movement change no arithmetic, so amplitudes are
-bit-exact for any block size.  One limit: a slot-wise block holds every
-slot value, so at t = 1 (one phase column per half: sign mode, or
-contraction mode at t = 1) a stage's view is a single block, and its
-matmuls take two buffers of the whole view's size.
+Apart from `hadamard_layer`, which writes one scaled column into every phase
+column, the gate kernels work through the state in blocks of about
+`_BLOCK_BYTES` (`_chunks`), so their scratch buffers are block-sized whatever
+the state size: `load_asym`'s check and the phase distribution take blocks of
+phase rows, the slot-wise matmuls take blocks of whole slot columns.  A
+slot-wise block keeps the runs of consecutive phase indices below the stage's
+bit whole while they fit, and is copied into scratch in memory order and
+transposed there.  The blocking and the data movement change no arithmetic,
+so amplitudes are bit-exact for any block size.  One limit: a slot-wise
+block holds every slot value, so at t = 1 (one phase column per half: sign
+mode, or contraction mode at t = 1) a stage's view is a single block, and
+its matmuls take two buffers of the whole view's size.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -78,8 +76,8 @@ _SHOT_CHUNK = 1 << 14  # shots drawn per block: bounds sampling memory for any s
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _AMP_BYTES = 16  # complex128
 
-#: Amplitude bytes a gate kernel works on at a time; every scratch buffer of a
-#: kernel is at most this size (the slot-wise matmuls take two) unless a
+#: Amplitude bytes a blocked kernel works on at a time; every scratch buffer of
+#: such a kernel is at most this size (the slot-wise matmuls take two) unless a
 #: single slot-wise block is larger (see the module docstring).  Picked by a
 #: sweep of 256 KiB to 16 MiB on the qde-phase (64 MiB state) and contract
 #: (then 16 MiB, with one ancilla per stage) benchmark workloads on a 2-CPU
@@ -202,13 +200,13 @@ def slot_register_vector(state: AsymState, layout: QubitLayout) -> np.ndarray:
 
 
 def load_asym(sv: StateVector, state: AsymState) -> StateVector:
-    """Write the antisymmetric state into the slot register.
+    """Write the antisymmetric state into phase column 0 of the slot register.
 
-    Requires the freshly initialized all-zeros basis state.  The modeled
-    orthonormalization and antisymmetrization costs are booked to the
+    Requires the freshly initialized all-zeros basis state; no other amplitude
+    is written, and the freshness check bounds each of them to 1e-12.  The
+    modeled orthonormalization and antisymmetrization costs are booked to the
     counters; the amplitudes themselves are assigned directly.
     """
-    vec = slot_register_vector(state, sv.layout)
     # Fresh: amplitude 0 within 1e-12 of 1 and every other modulus at most 1e-12.
     rows = _phase_rows(sv)
     chunks = _chunks(len(rows), rows.shape[1])
@@ -220,9 +218,7 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
             mag[0, 0] = abs(block[0, 0] - 1.0)
         if mag.max() > 1e-12:
             raise ValidationError("load_asym requires the freshly initialized all-zeros state")
-    view = _split_view(sv)
-    view[:] = 0.0
-    view[0, :, 0] = vec
+    _split_view(sv)[0, :, 0] = slot_register_vector(state, sv.layout)
     n = sv.layout.n_particles
     log2n = math.log2(n)
     sv.counters.modeled_orthonorm_ops += max(n, math.ceil(n * math.log2(n / math.e)))
@@ -232,45 +228,23 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
 
 
 def hadamard_layer(sv: StateVector) -> StateVector:
-    """Hadamard on every phase-register qubit (the QFT of the |0> state).
+    """Hadamard on every phase qubit of a state whose phase register is |0>.
 
-    Phase rows (`_phase_rows`) of at most half a block are taken in blocks
-    of half the usual size, and each block takes the butterflies of every
-    bit inside a row before the next block is touched.  These run out of
-    place in self-sorting (Stockham) order: a pass writes the sums of each
-    even/odd pair of a row to its first half and their differences to its
-    second half, then scales the row by 1/sqrt(2).  That pairs index bit 0
-    and rotates it to the top, so pass p pairs bit p and after all in-row
-    bits the rows are back in order.  The passes ping-pong between the block
-    and a scratch buffer of its size, which is copied back when the in-row
-    bit count is odd.  When a row is only a piece of the phase register, the
-    bits above the piece follow one at a time, in place, in blocks of pairs.
-    Every amplitude sees bit 0 first and bit t-1 last, and each output is
-    round(round(a +- b) * 1/sqrt(2)), as in an in-place butterfly, so neither
-    the order nor the block size changes the result.
+    Every butterfly then pairs (v, 0), and v +- 0 = v exactly, so each phase
+    column of the result is phase column 0 scaled t times by 1/sqrt(2),
+    rounded after each step: the layer scales a copy of column 0 and writes
+    it into every column.  When column 0's squared norm is more than 1e-10
+    from 1, ValidationError is raised before anything is written.
     """
-    t = sv.layout.t
-    rows = _phase_rows(sv, parts=2)
-    width = rows.shape[1]
-    half = width // 2
-    in_row = width.bit_length() - 1  # bits whose pairs lie inside a row
-    chunks = _chunks(len(rows), 2 * width)
-    scratch = np.empty(rows[chunks[0]].size, dtype=np.complex128)
-    for s in chunks:
-        block = x = rows[s]
-        y = scratch[: x.size].reshape(x.shape)
-        for _ in range(in_row):
-            np.add(x[:, 0::2], x[:, 1::2], out=y[:, :half])
-            np.subtract(x[:, 0::2], x[:, 1::2], out=y[:, half:])
-            y *= _INV_SQRT2
-            x, y = y, x
-        if in_row % 2:
-            block[...] = x
-    for m in range(in_row, t):
-        pairs = sv.amplitudes.reshape(-1, 2, (1 << m) // half, half)
-        for i, j in np.ndindex(pairs.shape[0], pairs.shape[2]):
-            _butterfly(pairs[i, 0, j], pairs[i, 1, j], scratch)
-    sv.counters.modeled_qft_ops += t
+    rows = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
+    column = rows[:, 0].copy()
+    weight = float(np.vdot(column, column).real)
+    if abs(weight - 1.0) > _NORM_TOL:
+        raise ValidationError(f"hadamard_layer: phase register not |0> (column 0 weight {weight:.12g})")
+    for _ in range(sv.layout.t):
+        column *= _INV_SQRT2
+    rows[...] = column[:, None]
+    sv.counters.modeled_qft_ops += sv.layout.t
     _assert_normalized(sv, "hadamard_layer")
     return sv
 
@@ -576,14 +550,6 @@ def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> None:
         block[...] = np.moveaxis(src.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
 
 
-def _butterfly(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
-    """Hadamard on the pair (a, b), in place; ``scratch`` holds a + b."""
-    total = np.add(a, b, out=scratch[: a.size].reshape(a.shape))
-    np.subtract(a, b, out=b)
-    b *= _INV_SQRT2
-    np.multiply(total, _INV_SQRT2, out=a)
-
-
 def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
     """Slices cutting an axis of ``length`` indices into blocks of about `_BLOCK_BYTES`.
 
@@ -595,14 +561,13 @@ def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
     return [slice(i, i + per) for i in range(0, length, per)]
 
 
-def _phase_rows(sv: StateVector, parts: int = 1) -> np.ndarray:
+def _phase_rows(sv: StateVector) -> np.ndarray:
     """The amplitudes as rows of consecutive phase indices.
 
-    A row is the whole phase register or, when that exceeds 1/``parts`` of a
-    block, the largest power-of-two piece of it that fits (at least two
-    amplitudes).
+    A row is the whole phase register or, when that exceeds a block, the
+    largest power-of-two piece of it that fits (at least two amplitudes).
     """
-    fit = max(2, _BLOCK_BYTES // parts // _AMP_BYTES)
+    fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
     return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
 
 

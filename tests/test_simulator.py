@@ -1,5 +1,6 @@
 """Register layout, gates, counters, and measurement behavior of the simulator."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -198,13 +199,27 @@ class TestHadamardLayer:
         assert np.allclose(g[0, 1, :] / g[0, 1, 0] * expected[0], expected, atol=1e-12)
         assert np.allclose(register_probabilities(sv, REG_PHASE), 1.0 / 8.0, atol=1e-12)
 
-    def test_involution(self):
-        sv = prepared_state(t=2, n=2)
+    @pytest.mark.parametrize("ancillas", [False, True])
+    def test_rejects_weight_outside_phase_column_zero(self, ancillas):
+        sv = prepared_state(t=2, n=2, ancillas=ancillas)
+        hadamard_layer(sv)
         before = sv.amplitudes.copy()
+        with pytest.raises(ValidationError, match="hadamard_layer"):
+            hadamard_layer(sv)
+        assert np.array_equal(sv.amplitudes, before)
+        assert sv.counters.modeled_qft_ops == 2
+
+    def test_accepts_column_zero_weight_in_the_ancilla_one_half(self):
+        layout = QubitLayout(t=3, n_particles=2, ancilla_count=1)
+        amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+        rng = np.random.Generator(np.random.PCG64(3))
+        amps.reshape(-1, layout.phase_dim)[:, 0] = random_amplitudes(rng, 2 * layout.slot_dim)
+        sv = StateVector(layout=layout, amplitudes=amps.copy())
+        expected = StateVector(layout=layout, amplitudes=amps)
         hadamard_layer(sv)
-        hadamard_layer(sv)
-        assert np.max(np.abs(sv.amplitudes - before)) <= 1e-12
-        assert sv.counters.modeled_qft_ops == 4
+        reference_hadamard_layer(expected)
+        assert np.array_equal(sv.amplitudes, expected.amplitudes)
+        assert np.count_nonzero(grouped(sv)[1]) == layout.slot_dim * layout.phase_dim
 
 
 class TestControlledPowerStage:
@@ -744,6 +759,8 @@ class TestPhaseBitViewGates:
                 1 << layout.total_qubits
             )
             amps /= np.linalg.norm(amps)
+            if gate is hadamard_layer:  # defined on the |0> phase register load_asym leaves
+                amps = prepared_state(t, n, ancillas).amplitudes
             sv = StateVector(layout=layout, amplitudes=amps.copy())
             expected = StateVector(layout=layout, amplitudes=amps.copy())
             buffer = sv.amplitudes
@@ -818,6 +835,8 @@ class TestBlockedKernels:
                 1 << layout.total_qubits
             )
             amps /= np.linalg.norm(amps)
+            if gate is hadamard_layer:
+                amps = prepared_state(t, n, ancillas).amplitudes
             sv = StateVector(layout=layout, amplitudes=amps.copy())
             expected = StateVector(layout=layout, amplitudes=amps.copy())
             buffer = sv.amplitudes
@@ -852,17 +871,21 @@ class TestBlockedKernels:
         assert len(seen) == 4, seen
 
     def test_hadamard_bit_exact_at_default_block_size(self):
-        # 2**18 amplitudes (N = 2, 4 MiB): a phase row of 2**16 amplitudes
-        # exceeds a block, so the self-sorting in-row passes and the above-row
-        # butterflies both run.
-        layout = QubitLayout(t=16, n_particles=2)
-        amps = random_amplitudes(np.random.Generator(np.random.PCG64(16)), 1 << layout.total_qubits)
-        sv = StateVector(layout=layout, amplitudes=amps.copy())
-        expected = StateVector(layout=layout, amplitudes=amps)
-        assert simulator._phase_rows(sv, parts=2).shape[1] < layout.phase_dim
-        hadamard_layer(sv)
-        reference_hadamard_layer(expected)
-        assert np.array_equal(sv.amplitudes, expected.amplitudes)
+        # From 1 qubit to phase rows longer than a block (t = 17), with and
+        # without the ancilla.  Phase rows transform independently, so the
+        # reference runs on the N! rows load_asym makes nonzero (on the whole
+        # N = 4, t = 14 state it takes seconds); every other row stays zero.
+        sizes = ((2, 1), (2, 3), (2, 17), (4, 1), (4, 3), (4, 14))
+        for (n, t), ancillas in itertools.product(sizes, (False, True)):
+            sv = prepared_state(t, n, ancillas)
+            rows = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
+            nonzero = np.flatnonzero(rows[:, 0])
+            assert len(nonzero) == math.factorial(n)
+            expected = StateVector(layout=sv.layout, amplitudes=rows[nonzero].reshape(-1))
+            hadamard_layer(sv)
+            reference_hadamard_layer(expected)
+            assert np.array_equal(rows[nonzero].reshape(-1), expected.amplitudes), (n, t, ancillas)
+            assert np.count_nonzero(rows) == expected.amplitudes.size, (n, t, ancillas)
 
     def test_slotwise_blocks_keep_whole_below_runs(self):
         # N = 4, t = 12: a block holds 128 columns of the 256 slot values.

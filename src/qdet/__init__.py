@@ -3,7 +3,6 @@
 from .antisym import (
     AsymState,
     SignedPermutation,
-    apply_slotwise,
     asym_state,
     enumerate_permutations,
     verify_det_identity,
@@ -40,14 +39,10 @@ from .qde import (
     sign_run,
 )
 from .simulator import (
-    REG_ANCILLA,
-    REG_PHASE,
-    REG_SLOTS,
     CostCounters,
     QubitLayout,
     StateVector,
     ancilla_zero_probability,
-    asym_fidelity,
     controlled_block_stage,
     controlled_power_stage,
     hadamard_layer,
@@ -56,7 +51,6 @@ from .simulator import (
     load_asym,
     measure_ancilla_postselect,
     measure_register,
-    postselect_ancilla_zero,
     register_probabilities,
     shot_rng,
     shot_uniforms,

@@ -81,32 +81,8 @@ def state_to_tensor(state: AsymState | dict[tuple[int, ...], complex], n: int) -
     return tensor
 
 
-def tensor_to_sparse(tensor: np.ndarray) -> dict[tuple[int, ...], complex]:
-    """Inverse of `state_to_tensor`; drops exactly-zero entries only."""
-    out: dict[tuple[int, ...], complex] = {}
-    for labels in np.ndindex(tensor.shape):
-        amp = tensor[labels]
-        if amp != 0:
-            out[labels] = complex(amp)
-    return out
-
-
-def apply_slotwise(a, state: AsymState) -> dict[tuple[int, ...], complex]:
-    """Apply A to every slot (the A x A x ... x A action) of a sparse state.
-
-    Returns the resulting sparse state, which is generally not normalized and
-    not antisymmetric unless A is applied to the antisymmetric state.
-    """
-    arr = as_matrix(a)
-    n = state.n_particles
-    if arr.shape[0] != n:
-        raise ValidationError(
-            f"slot dimension mismatch: matrix is {arr.shape[0]}x{arr.shape[0]}, state has {n} slots"
-        )
-    return tensor_to_sparse(_apply_slotwise_tensor(arr, state_to_tensor(state, n)))
-
-
 def _apply_slotwise_tensor(arr: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Apply the N x N ``arr`` to every slot (the A x A x ... x A action) of a dense slot tensor."""
     # New label k of slot s picks up sum_l A[k, l] * old amplitude with label l
     # in that slot; tensordot contracts one slot axis at a time.
     n = tensor.ndim

@@ -81,6 +81,8 @@ class RunConfig:
             raise ValidationError(f"mode {self.mode} needs t >= 1, got {self.t}")
         if self.shots < 1:
             raise ValidationError(f"shots must be positive, got {self.shots}")
+        if self.mode == "verify" and self.verify_count < 1:
+            raise ValidationError(f"verify mode needs --verify-count >= 1, got {self.verify_count}")
         if self.mode != "verify" and self.matrix_path is None and self.generator is None:
             raise ValidationError(f"mode {self.mode} needs --matrix or --gen")
 
@@ -141,7 +143,7 @@ def parse_matrix_file(path: str) -> np.ndarray:
         raise MatrixParseError(f'{path}: expected an object with "n" and "rows"')
     n = doc["n"]
     rows = doc["rows"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MatrixParseError(f'{path}: "n" must be a positive integer, got {n!r}')
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixParseError(f'{path}: expected {n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}')

@@ -5,7 +5,8 @@
   orthogonal O with certainty.
 * `contraction_run`: the block-encoded extension to contractions, with
   per-stage ancilla post-selection and magnitude recovery from the
-  acceptance rate.
+  acceptance rate.  Its ancillas are not simulated: each stage applies the
+  block where its ancilla reads 0, and the state is that branch.
 
 Every result carries the exact (non-sampled) distributions alongside the
 sampled histograms, because the verification suite asserts exact
@@ -30,7 +31,6 @@ from .linalg import (
 )
 from .simulator import (
     DEFAULT_QUBIT_CAP,
-    REG_PHASE,
     CostCounters,
     QubitLayout,
     controlled_block_stage,
@@ -39,7 +39,7 @@ from .simulator import (
     init_state,
     inverse_qft,
     load_asym,
-    postselect_ancilla_zero,
+    measure_ancilla_postselect,
     register_probabilities,
     sample_distribution,
 )
@@ -136,7 +136,7 @@ def qde_run(u, t: int, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_
         controlled_power_stage(sv, m, mat_pow2(arr, m))
     inverse_qft(sv)
 
-    exact = register_probabilities(sv, REG_PHASE)
+    exact = register_probabilities(sv)
     counts = sample_distribution(exact, seed, shots)
     return QdeResult(
         phase=PhaseEstimate.from_counts(counts, t),
@@ -182,9 +182,9 @@ def contraction_run(
 ) -> ContractionResult:
     """Contraction-mode pipeline with per-stage ancilla post-selection.
 
-    The layout is `qde_run`'s, with no ancilla qubit: stage m applies only
-    the block of its encoding where its ancilla reads 0, and
-    `postselect_ancilla_zero` reads P(0), the squared norm that branch
+    The layout is `qde_run`'s two registers, phase and slots: stage m
+    applies only the block of its encoding where its ancilla reads 0, and
+    `measure_ancilla_postselect` reads P(0), the squared norm that branch
     keeps, then renormalises it.  Each attempted shot walks the per-stage
     ancilla measurements; a shot is rejected at the first stage whose
     ancilla reads 1 and accepted shots contribute one phase-register sample.
@@ -218,7 +218,7 @@ def contraction_run(
     for m in range(t):
         controlled_block_stage(sv, m, mat_pow2(arr, m))
         # Rounding can leave the renormalised zero branch a hair above 1.
-        p_zero = min(postselect_ancilla_zero(sv), 1.0)
+        p_zero = min(measure_ancilla_postselect(sv), 1.0)
         if p_zero < 1e-300:
             # The zero branch carries no usable amplitude at this stage;
             # every shot is rejected here at the latest.
@@ -227,7 +227,7 @@ def contraction_run(
         stage_zero_probs.append(p_zero)
     else:
         inverse_qft(sv)
-        conditioned = register_probabilities(sv, REG_PHASE)
+        conditioned = register_probabilities(sv)
 
     exact_acceptance = float(np.prod(stage_zero_probs))
     counts = {} if conditioned is None else sample_distribution(conditioned, seed, shots, stage_zero_probs)

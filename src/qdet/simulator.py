@@ -5,19 +5,19 @@ Qubit layout (little-endian: qubit q is bit q of the flat amplitude index):
 * phase register ("reg 1"): qubits [0, t); its integer value is j.
 * slot register ("reg 2"): N slots of n = log2(N) qubits each; slot s
   occupies qubits [t + s*n, t + (s+1)*n) and stores one label in binary.
-* ancilla register: none in the pipeline, since contraction mode keeps only
-  the branch where a stage's ancilla reads 0.  The one qubit t + N*n remains
-  for `measure_ancilla_postselect`, which measures a real ancilla.
+
+There is no ancilla register: contraction mode keeps only the branch where a
+stage's ancilla reads 0, so the state is that branch, and
+`measure_ancilla_postselect` renormalises it.
 
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
-index decomposes as  j + 2**t * r + 2**(t + N*n) * ancilla_value.
+index decomposes as  j + 2**t * r.
 
 Every gate and measurement reads the amplitudes through one view,
-`_split_view`: the flat buffer reshaped for free to (ancilla_dim, slot_dim,
-phase_dim), whose ancilla axis has length 1 in the pipeline.  A gate on
-phase qubit m names that bit, and the phase axis splits as (above m, bit m,
-below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at 0 or 1 gives
-basic-slicing views of the two halves.  Both controlled
+`_split_view`: the flat buffer reshaped for free to (slot_dim, phase_dim).
+A gate on phase qubit m names that bit, and the phase axis splits as
+(above m, bit m, below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at
+0 or 1 gives basic-slicing views of the two halves.  Both controlled
 stages touch the slot register only through N x N matrices applied slot by
 slot; the contraction stage applies its block in factored SVD form, never
 as a dense slot-space matrix.  Every gate, `inverse_qft` included, writes
@@ -61,11 +61,6 @@ from .antisym import AsymState
 from .errors import StateTooLargeError, ValidationError, VerificationError
 from .linalg import as_matrix
 
-#: Register identifiers accepted by `measure_register`.
-REG_PHASE = "phase"
-REG_SLOTS = "slots"
-REG_ANCILLA = "ancilla"
-
 DEFAULT_QUBIT_CAP = 26
 
 _NORM_TOL = 1e-10
@@ -106,11 +101,10 @@ _DOUBLE_SHIFT = np.uint64(11)  # random(): the top 53 bits of a word, times 2**-
 
 @dataclass(frozen=True)
 class QubitLayout:
-    """Partition of the simulated qubits into the three registers."""
+    """Partition of the simulated qubits into the phase and slot registers."""
 
     t: int
     n_particles: int
-    ancilla_count: int = 0
     qubit_cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
@@ -121,12 +115,10 @@ class QubitLayout:
             raise ValidationError(
                 f"slot encoding requires the particle count to be a power of two >= 2, got {n}"
             )
-        if self.ancilla_count not in (0, 1):
-            raise ValidationError(f"ancilla register must hold 0 or 1 qubits, got {self.ancilla_count}")
         if self.total_qubits > self.qubit_cap:
             raise StateTooLargeError(
                 f"layout needs {self.total_qubits} qubits "
-                f"(t={self.t} + {n}*{self.bits_per_slot} slots + {self.ancilla_count} ancillas), "
+                f"(t={self.t} + {n}*{self.bits_per_slot} slots), "
                 f"exceeding the cap of {self.qubit_cap}"
             )
 
@@ -136,7 +128,7 @@ class QubitLayout:
 
     @property
     def total_qubits(self) -> int:
-        return self.t + self.n_particles * self.bits_per_slot + self.ancilla_count
+        return self.t + self.n_particles * self.bits_per_slot
 
     @property
     def slot_dim(self) -> int:
@@ -146,10 +138,6 @@ class QubitLayout:
     @property
     def phase_dim(self) -> int:
         return 1 << self.t
-
-    @property
-    def ancilla_dim(self) -> int:
-        return 1 << self.ancilla_count
 
 
 @dataclass
@@ -218,7 +206,7 @@ def load_asym(sv: StateVector, state: AsymState) -> StateVector:
             mag[0, 0] = abs(block[0, 0] - 1.0)
         if mag.max() > 1e-12:
             raise ValidationError("load_asym requires the freshly initialized all-zeros state")
-    _split_view(sv)[0, :, 0] = slot_register_vector(state, sv.layout)
+    _split_view(sv)[:, 0] = slot_register_vector(state, sv.layout)
     n = sv.layout.n_particles
     log2n = math.log2(n)
     sv.counters.modeled_orthonorm_ops += max(n, math.ceil(n * math.log2(n / math.e)))
@@ -278,40 +266,32 @@ def inverse_qft(sv: StateVector) -> StateVector:
     return sv
 
 
-def register_probabilities(sv: StateVector, which: str) -> np.ndarray:
-    """Exact Born distribution of one register, marginalizing the others.
+def register_probabilities(sv: StateVector) -> np.ndarray:
+    """Exact Born distribution of the phase register, marginalizing the slots.
 
-    The phase distribution is accumulated block by block: each block's
-    squared moduli are stacked under the running totals and summed down the
-    rows, so every outcome adds its rows in order, as a sum over the whole
-    state does.
+    It is accumulated block by block: each block's squared moduli are
+    stacked under the running totals and summed down the rows, so every
+    outcome adds its rows in order, as a sum over the whole state does.
     """
-    if which == REG_PHASE:
-        rows = _phase_rows(sv)
-        width = rows.shape[1]
-        totals = np.zeros(sv.layout.phase_dim)
-        pieces = totals.reshape(-1, width)
-        chunks = _chunks(len(rows), width)
-        stack = np.empty((len(rows[chunks[0]]) + 1, width))
-        for s in chunks:
-            # A block of several rows only occurs when a row is the whole register.
-            block = rows[s]
-            acc = pieces[s.start % len(pieces)]
-            part = stack[: len(block) + 1]
-            part[0] = acc
-            np.square(np.abs(block, out=part[1:]), out=part[1:])
-            np.sum(part, axis=0, out=acc)
-        return totals
-    probs = np.abs(_split_view(sv)) ** 2
-    if which == REG_SLOTS:
-        return probs.sum(axis=(0, 2))
-    if which == REG_ANCILLA:
-        return probs.sum(axis=(1, 2))
-    raise ValidationError(f"unknown register {which!r}; expected phase/slots/ancilla")
+    rows = _phase_rows(sv)
+    width = rows.shape[1]
+    totals = np.zeros(sv.layout.phase_dim)
+    pieces = totals.reshape(-1, width)
+    chunks = _chunks(len(rows), width)
+    stack = np.empty((len(rows[chunks[0]]) + 1, width))
+    for s in chunks:
+        # A block of several rows only occurs when a row is the whole register.
+        block = rows[s]
+        acc = pieces[s.start % len(pieces)]
+        part = stack[: len(block) + 1]
+        part[0] = acc
+        np.square(np.abs(block, out=part[1:]), out=part[1:])
+        np.sum(part, axis=0, out=acc)
+    return totals
 
 
-def measure_register(sv: StateVector, which: str, rng_seed: int, shots: int) -> dict[int, int]:
-    """Sample the register's Born distribution ``shots`` times.
+def measure_register(sv: StateVector, rng_seed: int, shots: int) -> dict[int, int]:
+    """Sample the phase register's Born distribution ``shots`` times.
 
     Non-destructive: every shot resamples the same final state.  Shot s
     draws from substream (rng_seed, s), so results do not depend on
@@ -319,7 +299,7 @@ def measure_register(sv: StateVector, which: str, rng_seed: int, shots: int) -> 
     """
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
-    return sample_distribution(register_probabilities(sv, which), rng_seed, shots)
+    return sample_distribution(register_probabilities(sv), rng_seed, shots)
 
 
 def sample_distribution(
@@ -352,16 +332,16 @@ def sample_distribution(
 def ancilla_zero_probability(sv: StateVector) -> float:
     """Exact Born probability that the ancilla reads 0.
 
-    It is the squared norm of the ancilla-0 half: all of an ancilla-free state.
+    The state is the ancilla-0 branch a contraction stage left, so this is
+    its squared norm.
     """
-    return float(np.sum(np.abs(_split_view(sv)[0]) ** 2))
+    return float(np.sum(np.abs(sv.amplitudes) ** 2))
 
 
-def postselect_ancilla_zero(sv: StateVector) -> float:
+def measure_ancilla_postselect(sv: StateVector) -> float:
     """Renormalise the ancilla-0 branch a contraction stage left; return P(0).
 
-    The state of an ancilla-free layout is that branch, and P(0) is its
-    squared norm.  A contraction cannot add norm, so P(0) above 1 + 1e-10
+    The state is that branch, and P(0) is its squared norm.  A contraction cannot add norm, so P(0) above 1 + 1e-10
     raises VerificationError.  When P(0) < 1e-300 the branch has no usable
     amplitude and the state is left as it was.
     """
@@ -370,29 +350,8 @@ def postselect_ancilla_zero(sv: StateVector) -> float:
         raise VerificationError(f"the ancilla-0 branch has squared norm {p0:.12g} > 1")
     if p0 >= 1e-300:
         sv.amplitudes /= math.sqrt(p0)
-        _assert_normalized(sv, "postselect_ancilla_zero")
+        _assert_normalized(sv, "measure_ancilla_postselect")
     return p0
-
-
-def measure_ancilla_postselect(sv: StateVector, u: float) -> tuple[int, StateVector, float]:
-    """Projective mid-circuit measurement of the ancilla qubit.
-
-    ``u`` is the caller's uniform draw in [0, 1); the outcome is 0 when
-    u < P(0).  Returns (outcome, collapsed renormalized state, exact Born
-    probability of that outcome).
-    """
-    p0 = ancilla_zero_probability(sv)
-    split = _ancilla_halves(sv)
-    p1 = float(np.sum(np.abs(split[1]) ** 2))
-    if p0 + p1 < 1e-12:
-        raise ValidationError("ancilla measurement on a numerically zero state")
-    outcome = 0 if u < p0 else 1
-    p_outcome = p0 if outcome == 0 else p1
-    if p_outcome < 1e-300:
-        raise ValidationError("selected measurement branch has numerically zero probability")
-    split[1 - outcome] = 0.0
-    sv.amplitudes /= math.sqrt(p_outcome)
-    return outcome, sv, p_outcome
 
 
 def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVector:
@@ -422,7 +381,7 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
         rho = 1.0
 
     # (slots, above, phase bit m, below)
-    view = _split_view(sv, phase_bit=m)[0]
+    view = _split_view(sv, phase_bit=m)
     on, off = view[..., 1, :], view[..., 0, :]
     _apply_slotwise(vh, on)
     on *= sigma
@@ -431,13 +390,6 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
 
     sv.counters.controlled_slot_applications += n
     return sv
-
-
-def asym_fidelity(sv: StateVector, state: AsymState) -> float:
-    """Probability weight of the slot register's antisymmetric component."""
-    vec = slot_register_vector(state, sv.layout)
-    overlaps = np.tensordot(vec.conj(), _split_view(sv), axes=([0], [1]))
-    return float(np.sum(np.abs(overlaps) ** 2))
 
 
 def shot_rng(seed: int, shot: int) -> np.random.Generator:
@@ -488,21 +440,14 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_view(sv: StateVector, *, phase_bit: int | None = None) -> np.ndarray:
-    """View (ancilla_dim, slot_dim, phase) of the amplitudes.
+    """View (slot_dim, phase) of the amplitudes.
 
     With ``phase_bit`` named, the phase axis spans three axes, (above, 2,
     below) that bit.
     """
     lay = sv.layout
     phase = (lay.phase_dim,) if phase_bit is None else (1 << (lay.t - phase_bit - 1), 2, 1 << phase_bit)
-    return sv.amplitudes.reshape((lay.ancilla_dim, lay.slot_dim) + phase)
-
-
-def _ancilla_halves(sv: StateVector) -> np.ndarray:
-    """`_split_view` of a layout with the ancilla: axis 0 indexes its 0 and 1 halves."""
-    if not sv.layout.ancilla_count:
-        raise ValidationError("layout has no ancilla; an ancilla measurement needs one")
-    return _split_view(sv)
+    return sv.amplitudes.reshape((lay.slot_dim,) + phase)
 
 
 def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
@@ -575,9 +520,7 @@ def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
     """Index tuples cutting a (..., slots, above, below) view into blocks of whole slot columns.
 
     The axes other than the slot axis are taken outermost first: in a stage
-    view, a leading ancilla axis (length 1 unless the power stage runs on a
-    layout with the ancilla), then the phase axes above and below the
-    stage's bit.  The cut runs along the outermost axis one index of which
+    view, the phase axes above and below the stage's bit.  The cut runs along the outermost axis one index of which
     fits in a block, one index of every axis outside it at a time, so a
     block keeps whole runs of the below axis while they fit and is cut
     inside a run only when one run exceeds a block.  A block holds whole

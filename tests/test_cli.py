@@ -71,6 +71,14 @@ class TestParseMatrixFile:
         with pytest.raises(ValidationError):
             parse_matrix_file(path)
 
+    def test_bool_dimension_rejected(self, tmp_path, capsys):
+        # JSON true is a Python bool, which isinstance(n, int) accepts.
+        path = write_matrix(tmp_path, {"n": True, "rows": [[[1, 0]]]})
+        with pytest.raises(MatrixParseError, match='"n" must be a positive integer'):
+            parse_matrix_file(path)
+        assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
 
 class TestGeneratorSpec:
     def test_diag_phase(self):
@@ -111,6 +119,14 @@ class TestRunConfig:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValidationError):
             RunConfig(mode="verify", shots=0)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_verify_rejects_an_empty_sample(self, count, capsys):
+        # A verify run over no matrices would check nothing and report "passed".
+        with pytest.raises(ValidationError, match="verify-count"):
+            RunConfig(mode="verify", verify_count=count)
+        assert main(["--mode", "verify", "--verify-count", str(count)]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
 
     def test_parser_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["--mode", "qde", "--gen", "g"])

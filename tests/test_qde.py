@@ -19,7 +19,7 @@ from qdet.qde import (
     qde_run,
     sign_run,
 )
-from qdet.simulator import REG_PHASE, QubitLayout, shot_rng
+from qdet.simulator import QubitLayout, shot_rng
 
 from conftest import random_contraction
 
@@ -286,7 +286,7 @@ def reference_contraction_counts(a, t, shots, seed):
         stage_zero_probs.append(p_zero)
     else:
         simulator.inverse_qft(sv)
-        cumulative = np.cumsum(simulator.register_probabilities(sv, REG_PHASE))
+        cumulative = np.cumsum(simulator.register_probabilities(sv))
 
     accepted = 0
     counts = {}

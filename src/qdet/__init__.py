@@ -1,12 +1,6 @@
 """Exact simulation and classical verification of determinant estimation by phase estimation."""
 
-from .antisym import (
-    AsymState,
-    SignedPermutation,
-    asym_state,
-    enumerate_permutations,
-    verify_det_identity,
-)
+from .antisym import asym_state, verify_det_identity
 from .errors import (
     MatrixParseError,
     QdetError,

@@ -47,6 +47,7 @@ GENERATOR_USAGE = (
     "valid generator specs: haar-unitary:N | haar-orthogonal:N | "
     "diag-phase:N:k:t | scaled-identity:N:r:theta"
 )
+_GENERATOR_ARITY = {"haar-unitary": 2, "haar-orthogonal": 2, "diag-phase": 4, "scaled-identity": 4}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -166,23 +167,25 @@ def generator_spec(spec: str, seed: int) -> np.ndarray:
     """Build one of the named deterministic test matrices."""
     parts = spec.split(":")
     kind = parts[0]
+    if _GENERATOR_ARITY.get(kind) != len(parts):
+        raise MatrixParseError(f"unknown generator spec {spec!r}; {GENERATOR_USAGE}")
     try:
-        if kind == "haar-unitary" and len(parts) == 2:
-            return haar_unitary(int(parts[1]), seed)
-        if kind == "haar-orthogonal" and len(parts) == 2:
-            return haar_orthogonal(int(parts[1]), seed)
-        if kind == "diag-phase" and len(parts) == 4:
-            n, k, t = int(parts[1]), int(parts[2]), int(parts[3])
+        n = int(parts[1])
+        if n < 1:
+            raise ValueError(f"N must be positive, got {n}")
+        if kind == "haar-unitary":
+            return haar_unitary(n, seed)
+        if kind == "haar-orthogonal":
+            return haar_orthogonal(n, seed)
+        if kind == "diag-phase":
+            k, t = int(parts[2]), int(parts[3])
             diag = np.ones(n, dtype=np.complex128)
             diag[0] = np.exp(2j * math.pi * k / (1 << t))
             return np.diag(diag)
-        if kind == "scaled-identity" and len(parts) == 4:
-            n = int(parts[1])
-            r, theta = float(parts[2]), float(parts[3])
-            return r * np.exp(1j * theta) * np.eye(n, dtype=np.complex128)
-    except ValueError as exc:
+        r, theta = float(parts[2]), float(parts[3])
+        return r * np.exp(1j * theta) * np.eye(n, dtype=np.complex128)
+    except (ValueError, OverflowError) as exc:
         raise MatrixParseError(f"bad generator spec {spec!r}: {exc}; {GENERATOR_USAGE}") from exc
-    raise MatrixParseError(f"unknown generator spec {spec!r}; {GENERATOR_USAGE}")
 
 
 def load_matrix(config: RunConfig) -> np.ndarray:
@@ -257,8 +260,8 @@ def _run_contract(config: RunConfig) -> RunReport:
     sigma = math.sqrt(result.attempted * p * (1.0 - p))
     disagreement = abs(result.accepted - result.attempted * p) > 5.0 * sigma
     # The exact acceptance follows the same law.  Far from it, it and the
-    # exact conditioned distribution are rounding noise: the factored stages
-    # cannot resolve an antisymmetric branch that small.
+    # exact conditioned distribution are rounding noise: the stages cannot
+    # resolve an antisymmetric branch that small.
     disagreement |= abs(result.exact_acceptance - result.predicted_acceptance) > (
         _ACCEPTANCE_RTOL * result.predicted_acceptance
     )

@@ -198,7 +198,7 @@ def contraction_run(
     shot is rejected and nothing is drawn.
 
     Stage m passes A**(2**m) to `controlled_block_stage`, which applies that
-    block on every slot in factored SVD form, so only the qubit cap
+    N x N block to every slot, so only the qubit cap
     (t + N*log2(N) qubits) bounds the particle count and the precision.
     """
     arr = as_matrix(a)

@@ -18,11 +18,12 @@ Every gate and measurement reads the amplitudes through one view,
 A gate on phase qubit m names that bit, and the phase axis splits as
 (above m, bit m, below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at
 0 or 1 gives basic-slicing views of the two halves.  Both controlled
-stages touch the slot register only through N x N matrices applied slot by
-slot; the contraction stage applies its block in factored SVD form, never
-as a dense slot-space matrix.  Every gate, `inverse_qft` included, writes
-into the existing amplitude buffer, and returns the StateVector, which a run
-owns exclusively.
+stages touch the slot register only through one N x N matrix applied slot
+by slot, never as a dense slot-space matrix: `controlled_power_stage` its
+power of U, `controlled_block_stage` its power of A with the singular
+values clamped at 1.  Every gate, `inverse_qft` included, writes into the
+existing amplitude buffer, and returns the StateVector, which a run owns
+exclusively.
 
 Apart from `hadamard_layer`, which writes one scaled column into every phase
 column, the gate kernels work through the state in blocks of about
@@ -48,7 +49,6 @@ grow with the shot count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -57,7 +57,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import numpy.fft  # numpy loads it lazily; pay that at import, not in the first inverse_qft
 
-from .antisym import AsymState
 from .errors import StateTooLargeError, ValidationError, VerificationError
 from .linalg import as_matrix
 
@@ -173,22 +172,21 @@ def init_state(layout: QubitLayout) -> StateVector:
     return StateVector(layout=layout, amplitudes=amps)
 
 
-def slot_register_vector(state: AsymState, layout: QubitLayout) -> np.ndarray:
-    """Dense slot-register vector (length N**N) for a sparse labeled state."""
+def slot_register_vector(state: np.ndarray, layout: QubitLayout) -> np.ndarray:
+    """Slot-register vector (length N**N) of a dense (N,)*N slot tensor, indexed by r.
+
+    Entry r = sum_s label_s * N**s is ``state[label_0, ..., label_{N-1}]``:
+    the tensor's Fortran-order ravel, a view for the Fortran-ordered
+    `asym_state`.
+    """
     n = layout.n_particles
-    if state.n_particles != n:
-        raise ValidationError(
-            f"state has {state.n_particles} slots but the layout encodes {n}"
-        )
-    vec = np.zeros(layout.slot_dim, dtype=np.complex128)
-    weights = [n**s for s in range(n)]
-    for labels, amp in state.amplitudes.items():
-        vec[sum(l * w for l, w in zip(labels, weights))] = amp
-    return vec
+    if state.shape != (n,) * n:
+        raise ValidationError(f"slot tensor has shape {state.shape}, the layout encodes {n} slots of {n} labels")
+    return state.reshape(-1, order="F")
 
 
-def load_asym(sv: StateVector, state: AsymState) -> StateVector:
-    """Write the antisymmetric state into phase column 0 of the slot register.
+def load_asym(sv: StateVector, state: np.ndarray) -> StateVector:
+    """Write a slot tensor, such as `asym_state`, into phase column 0 of the slot register.
 
     Requires the freshly initialized all-zeros basis state; no other amplitude
     is written, and the freshness check bounds each of them to 1e-12.  The
@@ -335,15 +333,16 @@ def ancilla_zero_probability(sv: StateVector) -> float:
     The state is the ancilla-0 branch a contraction stage left, so this is
     its squared norm.
     """
-    return float(np.sum(np.abs(sv.amplitudes) ** 2))
+    return sv.norm_sq()
 
 
 def measure_ancilla_postselect(sv: StateVector) -> float:
     """Renormalise the ancilla-0 branch a contraction stage left; return P(0).
 
-    The state is that branch, and P(0) is its squared norm.  A contraction cannot add norm, so P(0) above 1 + 1e-10
-    raises VerificationError.  When P(0) < 1e-300 the branch has no usable
-    amplitude and the state is left as it was.
+    The state is that branch, and P(0) is its squared norm.  A contraction
+    cannot add norm, so P(0) above 1 + 1e-10 raises VerificationError.
+    When P(0) < 1e-300 the branch has no usable amplitude and the state is
+    left as it was.
     """
     p0 = ancilla_zero_probability(sv)
     if p0 > 1.0 + _NORM_TOL:
@@ -359,36 +358,30 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
 
     ``a_m`` is the N x N stage contraction A**(2**m).  A run keeps only the
     shots whose stage ancilla reads 0, so only that block is applied.  On
-    the control-1 branch it is a_m = W diag(s) V^dag on every slot:
-    slot-wise V^dag, then S_r = prod over slots of s[label] per slot basis
-    state r, then slot-wise W.  On the control-0 branch it is
-    rho = prod(s) = |det a_m|, which makes P(the ancilla reads 0) = rho**2
-    exactly and keeps the post-selected phase amplitudes of uniform
-    magnitude, as the product law and the exact phase readout need.  The
-    state left has squared norm P(0).  Singular values are clamped at 1,
-    since the run admits inputs of norm up to 1 + 1e-9.
+    the control-1 branch it is a_m, with its singular values clamped at 1
+    (the run admits inputs of norm up to 1 + 1e-9), applied to every slot
+    in one slot-wise pass, as `controlled_power_stage` applies its matrix.
+    On the control-0 branch it is rho = prod(s) = |det a_m| for the clamped
+    singular values s, which makes P(the ancilla reads 0) = rho**2 exactly
+    and keeps the post-selected phase amplitudes of uniform magnitude, as
+    the product law and the exact phase readout need.  The state left has
+    squared norm P(0).
     """
-    layout = sv.layout
-    arr = _stage_operator(layout, m, a_m)
-    n = layout.n_particles
+    arr = _stage_operator(sv.layout, m, a_m)
     w, s, vh = np.linalg.svd(arr)
     if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
         raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
     s = np.minimum(s, 1.0)
-    sigma = functools.reduce(np.multiply.outer, [s] * n).reshape(-1, 1, 1)
     rho = float(np.prod(s))
     if 1.0 - rho * rho < _LEAK_SNAP:
         rho = 1.0
 
     # (slots, above, phase bit m, below)
     view = _split_view(sv, phase_bit=m)
-    on, off = view[..., 1, :], view[..., 0, :]
-    _apply_slotwise(vh, on)
-    on *= sigma
-    _apply_slotwise(w, on)
-    off *= rho
+    _apply_slotwise((w * s) @ vh, view[..., 1, :])
+    view[..., 0, :] *= rho
 
-    sv.counters.controlled_slot_applications += n
+    sv.counters.controlled_slot_applications += sv.layout.n_particles
     return sv
 
 

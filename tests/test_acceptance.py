@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from qdet.antisym import _apply_slotwise_tensor, asym_state, state_to_tensor, verify_det_identity
+from qdet.antisym import _apply_slotwise_tensor, asym_state, verify_det_identity
 from qdet.cli import RunConfig, run
 from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary
 from qdet.qde import contraction_run, phase_from_k, qde_run, sign_run
@@ -54,7 +54,7 @@ def test_criterion_1_determinant_identity():
 def test_criterion_2_eigenstate_property():
     worst = 0.0
     for n in (2, 4):
-        base = state_to_tensor(asym_state(n), n)
+        base = asym_state(n)
         for i in range(20):
             u = haar_unitary(n, 20_000 * n + i)
             det = det_lu(u).value

@@ -1,19 +1,14 @@
 """Permutation signs, the antisymmetric state, and the determinant identity."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdet.antisym import (
-    _apply_slotwise_tensor,
-    asym_state,
-    enumerate_permutations,
-    state_to_tensor,
-    verify_det_identity,
-)
+from qdet.antisym import _apply_slotwise_tensor, asym_state, verify_det_identity
 from qdet.errors import ValidationError
 from qdet.linalg import det_levi_civita, det_lu, haar_unitary
 
@@ -28,96 +23,97 @@ def permutation_matrix(mapping):
     return p
 
 
+def support(state):
+    """The nonzero entries of a dense slot tensor, as {labels: amplitude}."""
+    return {tuple(map(int, labels)): state[labels] for labels in zip(*np.nonzero(state))}
+
+
+def signs(n):
+    """{permutation: sign} read off the dense antisymmetric state."""
+    return {labels: int(np.sign(amp.real)) for labels, amp in support(asym_state(n)).items()}
+
+
 class TestEnumeratePermutations:
+    """The permutations and their signs, as the support of the dense antisymmetric state."""
+
     def test_single_label(self):
-        perms = enumerate_permutations(1)
-        assert len(perms) == 1
-        assert perms[0].mapping == (0,) and perms[0].sign == 1
+        assert np.array_equal(asym_state(1), [1.0])
 
     def test_two_labels(self):
-        got = {(p.mapping, p.sign) for p in enumerate_permutations(2)}
-        assert got == {((0, 1), 1), ((1, 0), -1)}
+        assert signs(2) == {(0, 1): 1, (1, 0): -1}
 
     def test_alternating_group_is_half(self):
-        perms = enumerate_permutations(4)
-        assert len(perms) == 24
-        assert sum(1 for p in perms if p.sign == 1) == 12
+        got = signs(4)
+        assert len(got) == 24
+        assert sum(1 for sign in got.values() if sign == 1) == 12
 
     def test_no_duplicates(self):
-        perms = enumerate_permutations(5)
-        assert len({p.mapping for p in perms}) == math.factorial(5)
+        assert set(signs(5)) == set(permutations(range(5)))
 
     def test_sign_matches_permutation_matrix_determinant(self):
         # Independent oracle: sgn(sigma) equals det of the permutation matrix.
-        for p in enumerate_permutations(4):
-            det = det_lu(permutation_matrix(p.mapping)).value.real
-            assert round(det) == p.sign
+        for mapping, sign in signs(4).items():
+            det = det_lu(permutation_matrix(mapping)).value.real
+            assert round(det) == sign
 
     def test_rejects_large_n(self):
-        with pytest.raises(ValidationError):
-            enumerate_permutations(9)
+        for n in (0, 9):
+            with pytest.raises(ValidationError):
+                asym_state(n)
 
 
 class TestAsymState:
     def test_two_particle_singlet_form(self):
-        s = asym_state(2)
         inv = 1.0 / math.sqrt(2)
-        assert s.amplitudes == pytest.approx({(0, 1): inv, (1, 0): -inv})
+        assert support(asym_state(2)) == pytest.approx({(0, 1): inv, (1, 0): -inv})
 
     def test_four_particle_support_and_modulus(self):
         s = asym_state(4)
-        assert len(s.amplitudes) == 24
+        assert s.shape == (4,) * 4
+        assert np.count_nonzero(s) == 24
         expected = 1.0 / math.sqrt(24)
-        for amp in s.amplitudes.values():
+        for amp in support(s).values():
             assert abs(abs(amp) - expected) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_normalized(self, n):
         s = asym_state(n)
-        assert sum(abs(a) ** 2 for a in s.amplitudes.values()) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(s, s).real == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_non_power_of_two(self):
         # The power-of-two restriction belongs to the qubit encoding, not to
         # the algebraic state; dimension 3 and 5 must work for the identity
         # checks.
-        assert len(asym_state(3).amplitudes) == 6
-        assert len(asym_state(5).amplitudes) == 120
+        assert np.count_nonzero(asym_state(3)) == 6
+        assert np.count_nonzero(asym_state(5)) == 120
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30, deadline=None)
     def test_antisymmetric_under_label_swap(self, n, data):
+        # Swapping the labels of slots i and j negates the amplitude.
         i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(0, n - 1))
         if i == j:
             return
         s = asym_state(n)
-        for labels, amp in s.amplitudes.items():
-            swapped = list(labels)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            assert s.amplitudes[tuple(swapped)] == pytest.approx(-amp)
-
-
-def apply_slotwise(a, state):
-    """The slot-wise action of ``a`` on a sparse state, as a dense slot tensor."""
-    return _apply_slotwise_tensor(a, state_to_tensor(state, state.n_particles))
+        assert np.array_equal(np.swapaxes(s, i, j), -s)
 
 
 class TestApplySlotwise:
     def test_identity_preserves_state(self):
         s = asym_state(3)
-        assert np.array_equal(apply_slotwise(np.eye(3), s), state_to_tensor(s, 3))
+        assert np.array_equal(_apply_slotwise_tensor(np.eye(3), s), s)
 
     def test_diagonal_sign_flip_scales_by_determinant(self):
         s = asym_state(2)
-        out = apply_slotwise(np.diag([1.0, -1.0]), s)
-        assert np.array_equal(out, -state_to_tensor(s, 2))
+        out = _apply_slotwise_tensor(np.diag([1.0, -1.0]), s)
+        assert np.array_equal(out, -s)
 
     def test_random_matrix_scales_by_determinant(self):
         s = asym_state(3)
         a = random_complex(3, 42)
         det = det_levi_civita(a).value
-        expected = det * state_to_tensor(s, 3)
-        assert np.max(np.abs(apply_slotwise(a, s) - expected)) <= 1e-10
+        assert np.max(np.abs(_apply_slotwise_tensor(a, s) - det * s)) <= 1e-10
 
 
 class TestVerifyDetIdentity:
@@ -129,7 +125,7 @@ class TestVerifyDetIdentity:
         assert verify_det_identity(a) <= 1e-10
         assert abs(det_levi_civita(a).value) <= 1e-12
         # det = 0 means the transformed state itself vanishes.
-        assert np.max(np.abs(apply_slotwise(a, asym_state(2)))) <= 1e-12
+        assert np.max(np.abs(_apply_slotwise_tensor(a, asym_state(2)))) <= 1e-12
 
     def test_fifty_random_matrices(self):
         for seed in range(50):
@@ -153,12 +149,11 @@ class TestVerifyDetIdentity:
 class TestEigenstateProperty:
     @pytest.mark.parametrize("n", [2, 4])
     def test_asym_is_determinant_eigenvector(self, n):
-        s = asym_state(n)
-        base = state_to_tensor(s, n)
+        base = asym_state(n)
         for seed in range(20):
             u = haar_unitary(n, 400 + seed)
             det = det_lu(u).value
-            out = apply_slotwise(u, s)
+            out = _apply_slotwise_tensor(u, base)
             assert np.linalg.norm(out - det * base) <= 1e-10
 
     def test_basis_independence(self):
@@ -167,5 +162,5 @@ class TestEigenstateProperty:
         n = 3
         v = haar_unitary(n, 99)
         s = asym_state(n)
-        rebuilt = apply_slotwise(v, s)
-        assert np.max(np.abs(rebuilt - det_lu(v).value * state_to_tensor(s, n))) <= 1e-10
+        rebuilt = _apply_slotwise_tensor(v, s)
+        assert np.max(np.abs(rebuilt - det_lu(v).value * s)) <= 1e-10

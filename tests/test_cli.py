@@ -185,9 +185,9 @@ class TestRunDispatch:
     @pytest.mark.parametrize("smallest, t, flagged", [(1e-3, 3, True), (1e-5, 2, False)])
     def test_contract_flags_exact_acceptance_off_the_law(self, tmp_path, capsys, smallest, t, flagged):
         # A = W diag(0.9, smallest) V^dag.  At 1e-3 and t=3 the law gives
-        # 2.3e-43, below what the factored stages resolve, and the exact
-        # acceptance reads 6.6e-39; at 1e-5 and t=2 it stays within 1.4e-6
-        # (relative) of the law's 5.3e-31.  No shot is accepted in either run.
+        # 2.3e-43, below what the stages resolve, and the exact acceptance
+        # reads 7.3e-39; at 1e-5 and t=2 it stays within 1.7e-5 (relative)
+        # of the law's 5.3e-31.  No shot is accepted in either run.
         a = (haar_unitary(2, 1) * np.array([0.9, smallest])) @ haar_unitary(2, 2).conj().T
         path = write_matrix(tmp_path, {"n": 2, "rows": [[[z.real, z.imag] for z in row] for row in a]})
         argv = ["--mode", "contract", "--matrix", path, "--t", str(t), "--shots", "200", "--seed", "1"]
@@ -282,6 +282,13 @@ class TestMainExitCodes:
 
     def test_validation_error(self, capsys):
         code = main(["--mode", "qde", "--gen", "scaled-identity:2:0.5:0"])
+        assert code == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["diag-phase:0:1:2", "diag-phase:2:1:100000", "scaled-identity:0:1:0"])
+    def test_generator_spec_out_of_range(self, capsys, spec):
+        # As a matrix file's "n": 0 is: no 0 x 0 matrix, and no phase step 2**-t below float range.
+        code = main(["--mode", "oracle", "--gen", spec])
         assert code == EXIT_VALIDATION
         assert "code=validation" in capsys.readouterr().err
 

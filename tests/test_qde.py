@@ -257,7 +257,7 @@ class TestContractionRun:
 
     def test_four_slot_contraction(self):
         # Non-diagonal input on the larger register: 4 slots of 2 qubits,
-        # each stage factored into slot-wise 4x4 applications.
+        # each stage applied as slot-wise 4x4 matmuls.
         a = 0.97 * haar_unitary(4, 5)
         oracle = det_lu(a)
         result = contraction_run(a, t=2, shots=300, seed=9)

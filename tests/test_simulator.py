@@ -186,6 +186,26 @@ class TestLoadAsym:
             load_asym(sv, asym_state(4))
 
 
+class TestSlotRegisterVector:
+    def test_view_in_slot_register_order(self):
+        # Entry r = sum_s label_s * N**s holds the amplitude of those labels;
+        # asym_state's Fortran order makes the vector a view of it.
+        n = 4
+        layout = QubitLayout(t=1, n_particles=n)
+        state = np.asfortranarray(np.arange(n**n, dtype=complex).reshape((n,) * n))
+        vec = slot_register_vector(state, layout)
+        assert np.shares_memory(vec, state)
+        for labels in itertools.product(range(n), repeat=n):
+            assert vec[sum(label * n**s for s, label in enumerate(labels))] == state[labels]
+        asym = asym_state(n)
+        assert np.shares_memory(slot_register_vector(asym, layout), asym)
+
+    @pytest.mark.parametrize("shape", [(256,), (16, 16), (4, 4, 4), (2, 2, 2, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValidationError, match="slot tensor"):
+            slot_register_vector(np.zeros(shape, dtype=complex), QubitLayout(t=1, n_particles=4))
+
+
 class TestHadamardLayer:
     def test_uniform_from_zero_single_qubit(self):
         sv = prepared_state(t=1, n=2)
@@ -536,7 +556,7 @@ class TestPostselectAncillaZero:
         size = 1 << layout.total_qubits
         sv = StateVector(layout=layout, amplitudes=random_amplitudes(rng, size, 0.7))
         raw = with_ancilla(sv, random_amplitudes(rng, size, 0.3))
-        p0 = float(np.sum(np.abs(raw[0]) ** 2))
+        p0 = np.vdot(raw[0], raw[0]).real
         p = measure_ancilla_postselect(sv)
         assert p == p0 == pytest.approx(0.7)
         assert np.array_equal(sv.amplitudes, (raw[0] / math.sqrt(p0)).reshape(-1))
@@ -605,7 +625,7 @@ class TestControlledBlockStage:
     @pytest.mark.parametrize("n", [2, 4])
     def test_matches_dense_block_encoding(self, n, t):
         # The stage leaves the ancilla-0 half of the dense encoding's output
-        # on an input whose ancilla reads 0.  The factored stage reorders the
+        # on an input whose ancilla reads 0.  The slot-wise stage reorders the
         # arithmetic, so it is held to 1e-12 against it rather than bit for bit.
         layout = QubitLayout(t=t, n_particles=n)
         rng = np.random.Generator(np.random.PCG64(2000 * n + t))
@@ -925,8 +945,7 @@ class TestKernelMemory:
     def test_peak_at_most_a_quarter_of_the_state(self, t, contraction):
         # 2**20 amplitudes (N = 4), 2**11 phase columns per half; the slot-wise
         # blocks are cut along a phase axis.  Post-selection after a
-        # contraction stage is not a gate kernel and runs outside the window:
-        # its P(0) pass takes a float temporary of half the state's bytes.
+        # contraction stage reads P(0) with one vdot and scales in place.
         n = 4
         layout = QubitLayout(t=t, n_particles=n)
         sv = init_state(layout)
@@ -941,7 +960,12 @@ class TestKernelMemory:
             (controlled_power_stage, (t - 1, u)),
         ]
         if contraction:
-            steps += [(controlled_block_stage, (0, a)), (controlled_block_stage, (t - 1, mat_pow2(a, t - 1)))]
+            steps += [
+                (controlled_block_stage, (0, a)),
+                (measure_ancilla_postselect, ()),
+                (controlled_block_stage, (t - 1, mat_pow2(a, t - 1))),
+                (measure_ancilla_postselect, ()),
+            ]
         steps += [(inverse_qft, ()), (register_probabilities, ())]
         peaks = []
         for gate, args in steps:
@@ -951,6 +975,4 @@ class TestKernelMemory:
                 peaks.append((gate.__name__, tracemalloc.get_traced_memory()[1] / sv.amplitudes.nbytes))
             finally:
                 tracemalloc.stop()
-            if gate is controlled_block_stage:
-                measure_ancilla_postselect(sv)
         assert all(peak <= 0.25 for _, peak in peaks), peaks

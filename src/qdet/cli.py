@@ -372,7 +372,7 @@ def _phase_payload(phase: PhaseEstimate, exact: np.ndarray | None) -> dict:
         "shots": phase.shots,
         "histogram": {str(k): c for k, c in phase.histogram.items()},
         "frequencies": {str(k): f for k, f in phase.frequencies().items()},
-        "exact_distribution": None if exact is None else [float(p) for p in exact],
+        "exact_distribution": None if exact is None else exact.tolist(),
     }
 
 
@@ -430,6 +430,10 @@ def _write_json(obj, pieces: list[str], depth: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             pieces.append("[]")
+            return
+        if all(type(x) is float for x in obj):
+            # The float branch's bytes, such as a distribution's, written in one join.
+            pieces.append("[\n" + ",\n".join(inner + format(x, ".17g") for x in obj) + "\n" + pad + "]")
             return
         pieces.append("[\n")
         for idx, value in enumerate(obj):

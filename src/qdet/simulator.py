@@ -38,6 +38,16 @@ block holds every slot value, so at t = 1 (one phase column per half: sign
 mode, or contraction mode at t = 1) a stage's view is a single block, and
 its matmuls take two buffers of the whole view's size.
 
+A slot-wise stage deals its blocks round-robin to up to `_MAX_WORKERS`
+threads, the caller and helpers it joins before returning; numpy releases
+the interpreter lock in the copies and matmuls.  The blocks are disjoint and
+each runs the same arithmetic on whichever thread takes it, so amplitudes
+are bit-exact for any worker count.  Helpers run only while OpenBLAS is held
+at one thread (`blas_pinned`): its own threads would oversubscribe the
+cores.  Each block also sums its squared norm before and after, while it is
+in cache, so a power stage checks the state's norm from the value the last
+check kept plus that gain, without a pass over the state.
+
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
 depend on shot evaluation order.  The draws are not generated one shot at a
@@ -49,8 +59,13 @@ grow with the shot count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -78,6 +93,10 @@ _AMP_BYTES = 16  # complex128
 #: host with 2 MiB of L2 per core: 512 KiB had the lowest median run time on
 #: both, and 4 MiB or more made contract slower than unblocked kernels.
 _BLOCK_BYTES = 1 << 19
+
+#: Most threads a slot-wise stage runs on.  Two is what was measured, on a
+#: 2-CPU host; each thread holds two block-sized scratch buffers.
+_MAX_WORKERS = 2
 
 #: Slot-wise matmuls get column counts that are multiples of this.  BLAS rounds
 #: a matrix's trailing columns past its last full tile differently (OpenBLAS's
@@ -160,6 +179,9 @@ class StateVector:
     layout: QubitLayout
     amplitudes: np.ndarray
     counters: CostCounters = field(default_factory=CostCounters)
+    #: Squared norm the last norm check measured; None until a check has run
+    #: or after a gate that changed the norm without one.
+    checked_norm_sq: float | None = None
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -241,12 +263,14 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     ``u_m`` is expected to be the 2**m-th power of the base operator,
     precomputed by repeated squaring.  The N slot applications happen
     sequentially and each is tallied, making the t*N operation count of a
-    full run literal.
+    full run literal.  The norm check adds the squared norm the stage's
+    blocks gained to the value the last check kept, so it takes no pass over
+    the state.
     """
     arr = _stage_operator(sv.layout, m, u_m)
-    _apply_slotwise(arr, _split_view(sv, phase_bit=m)[..., 1, :])
+    gain = _apply_slotwise(arr, _split_view(sv, phase_bit=m)[..., 1, :])
     sv.counters.controlled_slot_applications += sv.layout.n_particles
-    _assert_normalized(sv, f"controlled_power_stage m={m}")
+    _assert_normalized(sv, f"controlled_power_stage m={m}", gain)
     return sv
 
 
@@ -382,6 +406,7 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     view[..., 0, :] *= rho
 
     sv.counters.controlled_slot_applications += sv.layout.n_particles
+    sv.checked_norm_sq = None
     return sv
 
 
@@ -455,37 +480,166 @@ def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
     return arr
 
 
-def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> None:
+def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> float:
     """Apply the N x N ``u`` to every slot of a (..., slots, above, below) view, in place.
 
-    Slot s is base-N digit s of the slot index.  Each block of `_slotwise_cuts`
-    is copied into a scratch buffer in its own memory order, so the copy
-    reads whole runs of the below axis, and then transposed inside that
-    cache-sized scratch into a second buffer with the slot index innermost.
-    Each matmul over a (rest, N) reshape then applies u to the next slot and
-    moves it to the front, ping-ponging between the two buffers, and after N
-    steps the slot index leads, in order, and the block is written back.
-    A block's matmul is bit-exact with the one over the whole view: each
-    output amplitude is the same N-term sum over the same inputs, and BLAS
-    rounds columns alike except past a matrix's last full tile, which a
-    block's column count, a multiple of `_GEMM_TILE`, never leaves.  (A
-    batched (before, N, after) matmul would have such a tail in every batch.)
+    Returns the squared norm this added to the view.  Slot s is base-N digit
+    s of the slot index.  Each block of `_slotwise_cuts` is copied into a
+    scratch buffer in its own memory order, so the copy reads whole runs of
+    the below axis, and then transposed inside that cache-sized scratch into
+    a second buffer with the slot index innermost.  Each matmul over a
+    (rest, N) reshape then applies u to the next slot and moves it to the
+    front, ping-ponging between the two buffers, and after N steps the slot
+    index leads, in order, and the block is written back.  A block's matmul
+    is bit-exact with the one over the whole view: each output amplitude is
+    the same N-term sum over the same inputs, and BLAS rounds columns alike
+    except past a matrix's last full tile, which a block's column count, a
+    multiple of `_GEMM_TILE`, never leaves.  (A batched (before, N, after)
+    matmul would have such a tail in every batch.)
+
+    The blocks are dealt round-robin to `_worker_count` threads, each with
+    its own pair of buffers; the calling thread takes blocks 0, w, 2w, ...
+    Helpers run only once `_pin_blas` has held OpenBLAS at one thread, and
+    are joined before this returns; an exception raised in one is raised
+    here.  Each block's norm gain is read from its scratch copies, and the
+    gains are summed in block order, so the result does not depend on the
+    worker count either.
+    """
+    cuts = _slotwise_cuts(view, u.shape[0])
+    gains = [0.0] * len(cuts)
+    with blas_pinned():
+        workers = _worker_count(len(cuts))
+        if workers > 1 and not _pin_blas():
+            workers = 1
+        # Allocated here, not in the helpers: memory a helper thread frees
+        # stays in its own allocator arena, out of reach of later allocations.
+        scratch = np.empty((workers, 2, view[cuts[0]].size), dtype=np.complex128)
+        errors: list[BaseException] = []
+
+        def helper(first: int) -> None:
+            try:
+                _slotwise_blocks(u, view, cuts, gains, first, workers, scratch[first])
+            except BaseException as exc:  # handed to the caller, which raises it
+                errors.append(exc)
+
+        helpers = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+        for thread in helpers:
+            thread.start()
+        try:
+            _slotwise_blocks(u, view, cuts, gains, 0, workers, scratch[0])
+        finally:
+            for thread in helpers:
+                thread.join()
+    if errors:
+        raise errors[0]
+    return sum(gains)
+
+
+def _slotwise_blocks(
+    u: np.ndarray, view: np.ndarray, cuts: list[tuple], gains: list[float], first: int, step: int, scratch
+) -> None:
+    """`_apply_slotwise` on blocks first, first + step, ... in the two buffers of ``scratch``.
+
+    Block i's norm gain goes to gains[i].
     """
     n = u.shape[0]
-    cuts = _slotwise_cuts(view, n)
-    size = view[cuts[0]].size
-    ping, pong = np.empty((2, size), dtype=np.complex128)
-    for cut in cuts:
-        block = view[cut]
+    ping, pong = scratch
+    for i in range(first, len(cuts), step):
+        block = view[cuts[i]]
         shape = block.shape
         src, dst = ping[: block.size], pong[: block.size]
         np.copyto(dst.reshape(shape), block)
+        before = np.vdot(dst, dst).real
         moved = np.moveaxis(dst.reshape(shape), -3, -1)
         np.copyto(src.reshape(moved.shape), moved)
         for _ in range(n):
             np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
             src, dst = dst, src
+        gains[i] = float(np.vdot(src, src).real - before)
         block[...] = np.moveaxis(src.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
+
+
+def _worker_count(cuts: int) -> int:
+    """Threads for a slot-wise stage of ``cuts`` blocks: one per usable CPU, at most `_MAX_WORKERS`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return 1
+    return min(cpus, cuts, _MAX_WORKERS)
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore: int | None = None  # the thread count `_pin_blas` found, while pinned
+
+
+@contextlib.contextmanager
+def blas_pinned():
+    """Scope in which the slot-wise kernels may hold OpenBLAS at one thread.
+
+    OpenBLAS keeps one thread count for the whole process.  The first
+    slot-wise stage in the scope that runs on more than one thread sets it
+    to 1 (`_pin_blas`), and the outermost scope restores the count found
+    then, on success or error.  Scopes nest: a run's scope spans its stages'
+    own scopes, so the count is set once per run.  A run whose stages all
+    stay on one thread never looks the library up.
+    """
+    global _pin_depth, _pin_restore
+    with _pin_lock:
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0 and _pin_restore is not None:
+                _openblas()[1](_pin_restore)
+                _pin_restore = None
+
+
+def _pin_blas() -> bool:
+    """Hold OpenBLAS at one thread until the outermost `blas_pinned` scope exits.
+
+    False when the library or its thread-count calls could not be found.
+    """
+    global _pin_restore
+    api = _openblas()
+    if api is None:
+        return False
+    with _pin_lock:
+        if _pin_restore is None:
+            _pin_restore = api[0]()
+            api[1](1)
+    return True
+
+
+@functools.cache
+def _openblas() -> tuple | None:
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the process's memory mappings by name.
+    numpy's wheels vendor it with prefixed, suffixed symbols.  Its own
+    thread-local setter is not used: in a pthreads build it sets the
+    process-wide count.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
 def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
@@ -545,7 +699,17 @@ def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
     return cuts
 
 
-def _assert_normalized(sv: StateVector, gate: str) -> None:
-    drift = abs(sv.norm_sq() - 1.0)
+def _assert_normalized(sv: StateVector, gate: str, gain: float | None = None) -> None:
+    """Raise VerificationError unless the squared norm is within 1e-10 of 1; keep it on ``sv``.
+
+    With ``gain``, the squared norm the gate added, the norm is the value
+    the last check kept plus that gain, when a check has kept one;
+    otherwise it is read from the whole state.
+    """
+    if gain is None or sv.checked_norm_sq is None:
+        sv.checked_norm_sq = sv.norm_sq()
+    else:
+        sv.checked_norm_sq += gain
+    drift = abs(sv.checked_norm_sq - 1.0)
     if drift > _NORM_TOL:
         raise VerificationError(f"state norm drifted by {drift:.3e} after {gate}")

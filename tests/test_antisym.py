@@ -99,6 +99,23 @@ class TestAsymState:
         assert np.array_equal(np.swapaxes(s, i, j), -s)
 
 
+def per_permutation_asym_state(n):
+    """`asym_state` one permutation at a time, each sign from its inversion count."""
+    tensor = np.zeros((n,) * n, dtype=np.complex128, order="F")
+    scale = 1.0 / math.sqrt(math.factorial(n))
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        tensor[perm] = (-1) ** inversions * scale
+    return tensor
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_asym_state_equals_per_permutation_form(n):
+    state = asym_state(n)
+    assert np.array_equal(state, per_permutation_asym_state(n))
+    assert state.flags.f_contiguous
+
+
 class TestApplySlotwise:
     def test_identity_preserves_state(self):
         s = asym_state(3)

@@ -272,6 +272,40 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             dump_json({"bad": object()})
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(mode="qde", generator="haar-unitary:2", t=4, shots=300, seed=4),
+            RunConfig(mode="sign", generator="haar-orthogonal:2", shots=30, seed=4),
+            RunConfig(mode="contract", generator="scaled-identity:2:0.9:0.3", t=3, shots=800, seed=4),
+            RunConfig(mode="verify", verify_n=2, verify_count=3, seed=4),
+            RunConfig(mode="oracle", generator="haar-unitary:3", seed=4),
+        ],
+        ids=lambda config: config.mode,
+    )
+    def test_float_lists_written_as_the_element_writer_does(self, config):
+        # numpy floats format as Python floats do, but take the writer's
+        # element-by-element path; the report must have float lists to test.
+        def as_numpy(obj):
+            if isinstance(obj, dict):
+                return {key: as_numpy(value) for key, value in obj.items()}
+            if isinstance(obj, list):
+                return [as_numpy(value) for value in obj]
+            return np.float64(obj) if type(obj) is float else obj
+
+        def float_lists(obj):
+            if isinstance(obj, dict):
+                return sum(float_lists(value) for value in obj.values())
+            if isinstance(obj, list):
+                return (bool(obj) and all(type(x) is float for x in obj)) + sum(map(float_lists, obj))
+            return 0
+
+        report = run(config)
+        fields = ("config", "result", "oracle_determinant", "counters")
+        assert float_lists([getattr(report, name) for name in fields]) > 0
+        element_wise = dataclasses.replace(report, **{name: as_numpy(getattr(report, name)) for name in fields})
+        assert element_wise.to_json() == report.to_json()
+
 
 class TestMainExitCodes:
     def test_success(self, capsys):

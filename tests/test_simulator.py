@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_contraction
 
-from qdet import simulator
+from qdet import qde, simulator
 from qdet.antisym import asym_state
 from qdet.errors import StateTooLargeError, ValidationError, VerificationError
 from qdet.linalg import block_encode, det_lu, haar_unitary, kron_power, mat_pow2
@@ -303,6 +305,20 @@ class TestControlledPowerStage:
         hadamard_layer(sv)
         with pytest.raises(VerificationError, match=r"after controlled_power_stage m=1$"):
             controlled_power_stage(sv, 1, 1.001 * np.eye(2))
+
+
+    def test_norm_check_adds_the_stage_gain_without_a_state_pass(self, monkeypatch):
+        sv = prepared_state(t=3, n=2)
+        hadamard_layer(sv)
+        monkeypatch.setattr(StateVector, "norm_sq", lambda self: pytest.fail("full-state norm pass"))
+        controlled_power_stage(sv, 1, haar_unitary(2, 5))
+        monkeypatch.undo()
+        assert sv.checked_norm_sq == pytest.approx(sv.norm_sq(), abs=1e-15)
+
+    def test_first_check_reads_the_state(self):
+        sv = StateVector(layout=QubitLayout(t=2, n_particles=2), amplitudes=np.full(16, 0.25 + 0j))
+        controlled_power_stage(sv, 0, haar_unitary(2, 6))
+        assert sv.checked_norm_sq == pytest.approx(1.0, abs=1e-15)
 
 
 class TestInverseQft:
@@ -615,6 +631,16 @@ class TestControlledBlockStage:
         with pytest.raises(ValidationError, match="slots hold 2 labels"):
             controlled_block_stage(sv, 0, 0.5 * np.eye(8))
 
+    def test_clears_the_checked_norm(self):
+        # The block stage changes the norm and does not check it, so the next
+        # power stage must read the norm from the state.
+        sv = prepared_state(t=2, n=2)
+        hadamard_layer(sv)
+        controlled_block_stage(sv, 0, 0.5 * np.eye(2))
+        assert sv.checked_norm_sq is None
+        with pytest.raises(VerificationError, match="m=1"):
+            controlled_power_stage(sv, 1, np.eye(2))
+
     def test_rejects_bad_stage_index(self):
         sv = prepared_state(t=2, n=2)
         for m in (-1, 2):
@@ -803,13 +829,40 @@ class TestPhaseBitViewGates:
 
 
 def unblocked_slotwise(u, block):
-    """`_apply_slotwise` before blocking: one half-state copy and N half-state matmuls."""
+    """`_apply_slotwise` before blocking: one half-state copy and N half-state matmuls.
+
+    Returns the squared norm it added, from whole-half sums.
+    """
     n = u.shape[0]
     sub = np.ascontiguousarray(np.moveaxis(block, -3, -1))
+    before = np.vdot(sub, sub).real
     for _ in range(n):
         sub = u @ sub.reshape(-1, n).T
     shape = block.shape
     block[...] = np.moveaxis(sub.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
+    return float(np.vdot(sub, sub).real - before)
+
+
+def with_workers(monkeypatch, workers):
+    """Run slot-wise stages on ``workers`` threads where they have that many blocks, whatever the CPU count."""
+    monkeypatch.setattr(simulator, "_worker_count", lambda cuts: min(cuts, workers))
+
+
+def spy_blocks(monkeypatch):
+    """Record (thread, first block, step, OpenBLAS thread count) for each worker of a slot-wise stage."""
+    calls = []
+    blocks = simulator._slotwise_blocks
+    api = simulator._openblas()
+
+    def spy(u, view, cuts, gains, first, step, scratch):
+        calls.append((threading.current_thread(), first, step, api and api[0]()))
+        blocks(u, view, cuts, gains, first, step, scratch)
+
+    monkeypatch.setattr(simulator, "_slotwise_blocks", spy)
+    return calls
+
+
+needs_openblas = pytest.mark.skipif(simulator._openblas() is None, reason="numpy's BLAS is not OpenBLAS")
 
 
 def unblocked_transform(fft):
@@ -849,7 +902,13 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("ancilla_half", [False, True])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", [2, 4])
-    def test_bit_exact_and_in_place(self, monkeypatch, n, t, ancilla_half, rows):
+    def test_bit_exact_and_in_place(self, n, t, ancilla_half, rows):
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                with_workers(monkeypatch, workers)
+                self.check_bit_exact_and_in_place(monkeypatch, n, t, ancilla_half, rows)
+
+    def check_bit_exact_and_in_place(self, monkeypatch, n, t, ancilla_half, rows):
         layout = QubitLayout(t=t, n_particles=n)
         rng = np.random.Generator(np.random.PCG64(int(2 * rows) + 100 * n + 10 * t + ancilla_half))
         u = haar_unitary(n, 300 + t)
@@ -938,14 +997,143 @@ class TestBlockedKernels:
             assert np.all(covered == 1), m
 
 
+class TestSlotwiseWorkers:
+    """Slot-wise stages on several threads: the same bits and norm gain, errors, OpenBLAS's thread count."""
+
+    def state(self, monkeypatch, seed, n=4, t=6):
+        # Three phase rows a block: a stage of this layout has several blocks.
+        layout = QubitLayout(t=t, n_particles=n)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
+        amps = random_amplitudes(np.random.Generator(np.random.PCG64(seed)), 1 << layout.total_qubits)
+        return StateVector(layout=layout, amplitudes=amps)
+
+    @pytest.mark.parametrize("m", [0, 3, 5])
+    def test_norm_gain_matches_the_unblocked_reference(self, monkeypatch, m):
+        sv = self.state(monkeypatch, 40 + m)
+        start = sv.amplitudes.copy()
+        expected = StateVector(layout=sv.layout, amplitudes=start.copy())
+        u = 1.001 * haar_unitary(4, 41)
+        reference = unblocked_slotwise(u, simulator._split_view(expected, phase_bit=m)[..., 1, :])
+        view = simulator._split_view(sv, phase_bit=m)[..., 1, :]
+        gains = set()
+        for workers in (1, 2, 5):
+            with_workers(monkeypatch, workers)
+            sv.amplitudes[...] = start
+            gains.add(simulator._apply_slotwise(u, view))
+            assert np.array_equal(sv.amplitudes, expected.amplitudes), workers
+        assert len(gains) == 1
+        assert gains.pop() == pytest.approx(reference, rel=1e-12)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Every worker writes its own blocks and gain slots; a lost or crossed
+        # write changes the amplitudes or the gain.
+        sv = self.state(monkeypatch, 50)
+        start = sv.amplitudes.copy()
+        u = haar_unitary(4, 51)
+        view = simulator._split_view(sv, phase_bit=2)[..., 1, :]
+        with_workers(monkeypatch, 1)
+        serial_gain = simulator._apply_slotwise(u, view)
+        serial = sv.amplitudes.copy()
+        with_workers(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sv.amplitudes[...] = start
+                assert simulator._apply_slotwise(u, view) == serial_gain
+                assert np.array_equal(sv.amplitudes, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @needs_openblas
+    def test_helpers_run_with_openblas_at_one_thread(self, monkeypatch):
+        sv = self.state(monkeypatch, 60)
+        with_workers(monkeypatch, 2)
+        calls = spy_blocks(monkeypatch)
+        controlled_power_stage(sv, 1, haar_unitary(4, 61))
+        assert sorted((first, step) for _, first, step, _ in calls) == [(0, 2), (1, 2)]
+        assert {thread is threading.main_thread() for thread, *_ in calls} == {True, False}
+        assert {count for *_, count in calls} == {1}
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        sv = self.state(monkeypatch, 70)
+        with_workers(monkeypatch, 2)
+        monkeypatch.setattr(simulator, "_pin_blas", lambda: True)
+        blocks = simulator._slotwise_blocks
+
+        def failing(u, view, cuts, gains, first, step, scratch):
+            if first:
+                raise RuntimeError("helper failed")
+            blocks(u, view, cuts, gains, first, step, scratch)
+
+        monkeypatch.setattr(simulator, "_slotwise_blocks", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            controlled_power_stage(sv, 2, haar_unitary(4, 71))
+        assert threading.active_count() == threads
+
+    def test_serial_when_openblas_cannot_be_pinned(self, monkeypatch):
+        sv = self.state(monkeypatch, 80)
+        parallel = StateVector(sv.layout, sv.amplitudes.copy())
+        u = haar_unitary(4, 81)
+        with_workers(monkeypatch, 2)
+        monkeypatch.setattr(simulator, "_openblas", lambda: None)
+        calls = spy_blocks(monkeypatch)
+        for m in range(sv.layout.t):
+            controlled_power_stage(sv, m, mat_pow2(u, m))
+        assert {(thread, first, step) for thread, first, step, _ in calls} == {(threading.main_thread(), 0, 1)}
+        monkeypatch.undo()
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(sv.layout, 3))
+        with_workers(monkeypatch, 2)
+        for m in range(sv.layout.t):
+            controlled_power_stage(parallel, m, mat_pow2(u, m))
+        assert np.array_equal(sv.amplitudes, parallel.amplitudes)
+
+    @needs_openblas
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_run_restores_the_openblas_thread_count(self, monkeypatch, fails):
+        # The run sets the count once, to 1, and restores it once, whatever
+        # its number of stages.
+        get, put = simulator._openblas()
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
+        with_workers(monkeypatch, 2)
+        calls = spy_blocks(monkeypatch)
+        sets = []
+
+        def recording_put(count):
+            sets.append(count)
+            put(count)
+
+        monkeypatch.setattr(simulator, "_openblas", lambda: (get, recording_put))
+        if fails:
+            power = qde.mat_pow2
+            monkeypatch.setattr(qde, "mat_pow2", lambda u, m: power(u, m) * (1.001 if m == 3 else 1.0))
+        before = get()
+        put(2)
+        try:
+            if fails:
+                with pytest.raises(VerificationError, match="m=3"):
+                    qde.qde_run(haar_unitary(4, 90), 6, 10, 1)
+            else:
+                qde.qde_run(haar_unitary(4, 90), 6, 10, 1)
+            assert get() == 2
+        finally:
+            put(before)
+        assert calls and {count for *_, count in calls} == {1}
+        assert sets == [1, 2]
+
+
 class TestKernelMemory:
     """No gate kernel allocates a temporary that scales with the state."""
 
     @pytest.mark.parametrize("t, contraction", [(12, False), (12, True)])
-    def test_peak_at_most_a_quarter_of_the_state(self, t, contraction):
+    def test_peak_at_most_a_quarter_of_the_state(self, monkeypatch, t, contraction):
         # 2**20 amplitudes (N = 4), 2**11 phase columns per half; the slot-wise
-        # blocks are cut along a phase axis.  Post-selection after a
-        # contraction stage reads P(0) with one vdot and scales in place.
+        # blocks are cut along a phase axis and dealt to 2 threads, each with
+        # its own scratch.  Post-selection after a contraction stage reads
+        # P(0) with one vdot and scales in place.
+        with_workers(monkeypatch, 2)
         n = 4
         layout = QubitLayout(t=t, n_particles=n)
         sv = init_state(layout)

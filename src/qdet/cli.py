@@ -159,12 +159,19 @@ def parse_matrix_file(path: str) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             ):
                 raise MatrixParseError(f"{path}: row {j}, column {i}: expected a [re, im] number pair")
-            out[j, i] = complex(entry[0], entry[1])
+            try:
+                out[j, i] = complex(entry[0], entry[1])
+            except OverflowError as exc:
+                raise MatrixParseError(f"{path}: row {j}, column {i}: {exc}") from exc
     return as_matrix(out)
 
 
 def generator_spec(spec: str, seed: int) -> np.ndarray:
-    """Build one of the named deterministic test matrices."""
+    """Build one of the named deterministic test matrices.
+
+    The seed is taken modulo 2**64, as the shot substreams take it.
+    """
+    seed &= (1 << 64) - 1
     parts = spec.split(":")
     kind = parts[0]
     if _GENERATOR_ARITY.get(kind) != len(parts):

@@ -33,7 +33,6 @@ from .simulator import (
     DEFAULT_QUBIT_CAP,
     CostCounters,
     QubitLayout,
-    blas_pinned,
     controlled_block_stage,
     controlled_power_stage,
     hadamard_layer,
@@ -130,14 +129,13 @@ def qde_run(u, t: int, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 
-    with blas_pinned():
-        sv = init_state(layout)
-        load_asym(sv, asym_state(layout.n_particles))
-        hadamard_layer(sv)
-        for m in range(t):
-            controlled_power_stage(sv, m, mat_pow2(arr, m))
-        inverse_qft(sv)
-        exact = register_probabilities(sv)
+    sv = init_state(layout)
+    load_asym(sv, asym_state(layout.n_particles))
+    hadamard_layer(sv)
+    for m in range(t):
+        controlled_power_stage(sv, m, mat_pow2(arr, m))
+    inverse_qft(sv)
+    exact = register_probabilities(sv)
     counts = sample_distribution(exact, seed, shots)
     return QdeResult(
         phase=PhaseEstimate.from_counts(counts, t),
@@ -212,23 +210,22 @@ def contraction_run(
 
     stage_zero_probs: list[float] = []
     conditioned: np.ndarray | None = None
-    with blas_pinned():
-        sv = init_state(layout)
-        load_asym(sv, asym_state(layout.n_particles))
-        hadamard_layer(sv)
-        for m in range(t):
-            controlled_block_stage(sv, m, mat_pow2(arr, m))
-            # Rounding can leave the renormalised zero branch a hair above 1.
-            p_zero = min(measure_ancilla_postselect(sv), 1.0)
-            if p_zero < 1e-300:
-                # The zero branch carries no usable amplitude at this stage;
-                # every shot is rejected here at the latest.
-                stage_zero_probs.append(0.0)
-                break
-            stage_zero_probs.append(p_zero)
-        else:
-            inverse_qft(sv)
-            conditioned = register_probabilities(sv)
+    sv = init_state(layout)
+    load_asym(sv, asym_state(layout.n_particles))
+    hadamard_layer(sv)
+    for m in range(t):
+        controlled_block_stage(sv, m, mat_pow2(arr, m))
+        # Rounding can leave the renormalised zero branch a hair above 1.
+        p_zero = min(measure_ancilla_postselect(sv), 1.0)
+        if p_zero < 1e-300:
+            # The zero branch carries no usable amplitude at this stage;
+            # every shot is rejected here at the latest.
+            stage_zero_probs.append(0.0)
+            break
+        stage_zero_probs.append(p_zero)
+    else:
+        inverse_qft(sv)
+        conditioned = register_probabilities(sv)
 
     exact_acceptance = float(np.prod(stage_zero_probs))
     counts = {} if conditioned is None else sample_distribution(conditioned, seed, shots, stage_zero_probs)

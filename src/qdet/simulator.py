@@ -43,10 +43,12 @@ threads, the caller and helpers it joins before returning; numpy releases
 the interpreter lock in the copies and matmuls.  The blocks are disjoint and
 each runs the same arithmetic on whichever thread takes it, so amplitudes
 are bit-exact for any worker count.  Helpers run only while OpenBLAS is held
-at one thread (`blas_pinned`): its own threads would oversubscribe the
-cores.  Each block also sums its squared norm before and after, while it is
-in cache, so a power stage checks the state's norm from the value the last
-check kept plus that gain, without a pass over the state.
+at one thread (`_blas_serial`, for that stage alone): its own threads would
+oversubscribe the cores.  `ancilla_zero_probability` holds it at one thread
+too, so the reported P(0) is the same serial sum on every host.  Each block
+also sums its squared norm before and after, while it is in cache, so a
+power stage checks the state's norm from the value the last check kept plus
+that gain, without a pass over the state.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -62,7 +64,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import os
 import threading
@@ -188,8 +189,14 @@ class StateVector:
 
 
 def init_state(layout: QubitLayout) -> StateVector:
-    """All-zeros computational basis state for the given layout."""
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    """All-zeros computational basis state for the given layout.
+
+    StateTooLargeError is raised when numpy refuses the allocation.
+    """
+    try:
+        amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    except (ValueError, MemoryError) as exc:
+        raise StateTooLargeError(f"cannot allocate the {layout.total_qubits}-qubit state: {exc}") from exc
     amps[0] = 1.0
     return StateVector(layout=layout, amplitudes=amps)
 
@@ -355,9 +362,11 @@ def ancilla_zero_probability(sv: StateVector) -> float:
     """Exact Born probability that the ancilla reads 0.
 
     The state is the ancilla-0 branch a contraction stage left, so this is
-    its squared norm.
+    its squared norm, summed with OpenBLAS at one thread: its threads would
+    split the sum, and its rounding, by the host's CPU count.
     """
-    return sv.norm_sq()
+    with _blas_serial():
+        return sv.norm_sq()
 
 
 def measure_ancilla_postselect(sv: StateVector) -> float:
@@ -481,7 +490,7 @@ def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
 
 
 def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> float:
-    """Apply the N x N ``u`` to every slot of a (..., slots, above, below) view, in place.
+    """Apply the N x N ``u`` to every slot of a (slots, above, below) view, in place.
 
     Returns the squared norm this added to the view.  Slot s is base-N digit
     s of the slot index.  Each block of `_slotwise_cuts` is copied into a
@@ -499,18 +508,18 @@ def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> float:
 
     The blocks are dealt round-robin to `_worker_count` threads, each with
     its own pair of buffers; the calling thread takes blocks 0, w, 2w, ...
-    Helpers run only once `_pin_blas` has held OpenBLAS at one thread, and
-    are joined before this returns; an exception raised in one is raised
-    here.  Each block's norm gain is read from its scratch copies, and the
-    gains are summed in block order, so the result does not depend on the
-    worker count either.
+    Helpers run only inside `_blas_serial`, which holds OpenBLAS at one
+    thread for the stage, and are joined before this returns; an exception
+    raised in one is raised here.  A stage on one thread leaves OpenBLAS's
+    thread count alone.  Each block's norm gain is read from its scratch
+    copies, and the gains are summed in block order, so the result does not
+    depend on the worker count either.
     """
     cuts = _slotwise_cuts(view, u.shape[0])
     gains = [0.0] * len(cuts)
-    with blas_pinned():
-        workers = _worker_count(len(cuts))
-        if workers > 1 and not _pin_blas():
-            workers = 1
+    workers = _worker_count(len(cuts))
+    with _blas_serial() if workers > 1 else contextlib.nullcontext(False) as pinned:
+        workers = workers if pinned else 1
         # Allocated here, not in the helpers: memory a helper thread frees
         # stays in its own allocator arena, out of reach of later allocations.
         scratch = np.empty((workers, 2, view[cuts[0]].size), dtype=np.complex128)
@@ -550,13 +559,13 @@ def _slotwise_blocks(
         src, dst = ping[: block.size], pong[: block.size]
         np.copyto(dst.reshape(shape), block)
         before = np.vdot(dst, dst).real
-        moved = np.moveaxis(dst.reshape(shape), -3, -1)
+        moved = np.moveaxis(dst.reshape(shape), 0, -1)
         np.copyto(src.reshape(moved.shape), moved)
         for _ in range(n):
             np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
             src, dst = dst, src
         gains[i] = float(np.vdot(src, src).real - before)
-        block[...] = np.moveaxis(src.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
+        block[...] = src.reshape(shape)
 
 
 def _worker_count(cuts: int) -> int:
@@ -569,48 +578,28 @@ def _worker_count(cuts: int) -> int:
 
 
 _pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_restore: int | None = None  # the thread count `_pin_blas` found, while pinned
 
 
 @contextlib.contextmanager
-def blas_pinned():
-    """Scope in which the slot-wise kernels may hold OpenBLAS at one thread.
+def _blas_serial():
+    """Hold OpenBLAS at one thread for the scope; yield False when it cannot be found.
 
-    OpenBLAS keeps one thread count for the whole process.  The first
-    slot-wise stage in the scope that runs on more than one thread sets it
-    to 1 (`_pin_blas`), and the outermost scope restores the count found
-    then, on success or error.  Scopes nest: a run's scope spans its stages'
-    own scopes, so the count is set once per run.  A run whose stages all
-    stay on one thread never looks the library up.
+    OpenBLAS keeps one thread count for the whole process.  The scope takes
+    `_pin_lock`, so it does not nest, and restores the count it found on
+    exit, on success or error.
     """
-    global _pin_depth, _pin_restore
-    with _pin_lock:
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0 and _pin_restore is not None:
-                _openblas()[1](_pin_restore)
-                _pin_restore = None
-
-
-def _pin_blas() -> bool:
-    """Hold OpenBLAS at one thread until the outermost `blas_pinned` scope exits.
-
-    False when the library or its thread-count calls could not be found.
-    """
-    global _pin_restore
     api = _openblas()
     if api is None:
-        return False
+        yield False
+        return
+    get, put = api
     with _pin_lock:
-        if _pin_restore is None:
-            _pin_restore = api[0]()
-            api[1](1)
-    return True
+        restore = get()
+        put(1)
+        try:
+            yield True
+        finally:
+            put(restore)
 
 
 @functools.cache
@@ -664,39 +653,22 @@ def _phase_rows(sv: StateVector) -> np.ndarray:
 
 
 def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
-    """Index tuples cutting a (..., slots, above, below) view into blocks of whole slot columns.
+    """Index tuples cutting a (slots, above, below) stage view into blocks of whole slot columns.
 
-    The axes other than the slot axis are taken outermost first: in a stage
-    view, the phase axes above and below the stage's bit.  The cut runs along the outermost axis one index of which
-    fits in a block, one index of every axis outside it at a time, so a
-    block keeps whole runs of the below axis while they fit and is cut
-    inside a run only when one run exceeds a block.  A block holds whole
-    slot columns, so the N slot-wise matmuls run on it alone, and its matmul
-    column count (size / n) is a multiple of `_GEMM_TILE`: where one index
-    of the axis outside the cut would hold fewer columns than that, the cut
-    moves out to that axis.  When no cut meets the tile rule, the view is
-    one block.
+    The cut runs along the above axis while one index of it, a whole run of
+    the below axis, fits in a block; otherwise it runs along the below axis,
+    one above index at a time, so a run is cut only when it exceeds a block.
+    A block holds whole slot columns, so the N slot-wise matmuls run on it
+    alone, and its matmul column count (size / n) is a multiple of
+    `_GEMM_TILE`: when a run holds fewer columns than that, the cut stays on
+    the above axis.  When no cut meets the tile rule, the view is one block.
     """
-    slot_axis = view.ndim - 3
-    axes = [axis for axis in range(view.ndim) if axis != slot_axis]
-    lengths = [view.shape[axis] for axis in axes]
-    strides = [view.shape[slot_axis] * math.prod(lengths[k + 1 :]) for k in range(len(axes))]
-    steps = [_GEMM_TILE // math.gcd(_GEMM_TILE, stride // n) for stride in strides]
-    fit = _BLOCK_BYTES // _AMP_BYTES
-    k = next((k for k, stride in enumerate(strides) if stride <= fit), len(axes) - 1)
-    while k and lengths[k] < steps[k]:
-        k -= 1
-    cuts = []
-    # Not np.ndindex: the small array it allocates per stage kept about
-    # 0.1 MiB more of the heap resident through a qde run.
-    for outer in itertools.product(*map(range, lengths[:k])):
-        index = [slice(None)] * view.ndim
-        for axis, i in zip(axes, outer):
-            index[axis] = slice(i, i + 1)
-        for s in _chunks(lengths[k], strides[k], steps[k]):
-            index[axes[k]] = s
-            cuts.append(tuple(index))
-    return cuts
+    slots, above, below = view.shape
+    run_step = _GEMM_TILE // math.gcd(_GEMM_TILE, slots * below // n)
+    column_step = _GEMM_TILE // math.gcd(_GEMM_TILE, slots // n)
+    if slots * below <= _BLOCK_BYTES // _AMP_BYTES or below < column_step:
+        return [(slice(None), s) for s in _chunks(above, slots * below, run_step)]
+    return [(slice(None), slice(i, i + 1), s) for i in range(above) for s in _chunks(below, slots, column_step)]
 
 
 def _assert_normalized(sv: StateVector, gate: str, gain: float | None = None) -> None:

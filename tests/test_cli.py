@@ -71,6 +71,14 @@ class TestParseMatrixFile:
         with pytest.raises(ValidationError):
             parse_matrix_file(path)
 
+    def test_entry_past_float_range_names_position(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, {"n": 1, "rows": [[[1, 0]]]})
+        Path(path).write_text('{"n": 1, "rows": [[[0, 1' + "0" * 400 + "]]]}")
+        with pytest.raises(MatrixParseError, match="row 0, column 0"):
+            parse_matrix_file(path)
+        assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
     def test_bool_dimension_rejected(self, tmp_path, capsys):
         # JSON true is a Python bool, which isinstance(n, int) accepts.
         path = write_matrix(tmp_path, {"n": True, "rows": [[[1, 0]]]})
@@ -94,6 +102,11 @@ class TestGeneratorSpec:
 
     def test_haar_unitary_deterministic(self):
         assert np.array_equal(generator_spec("haar-unitary:4", 7), generator_spec("haar-unitary:4", 7))
+
+    def test_negative_seed_taken_modulo_2_64(self, capsys):
+        assert np.array_equal(generator_spec("haar-unitary:4", -5), haar_unitary(4, 2**64 - 5))
+        code = main(["--mode", "qde", "--gen", "haar-unitary:4", "--t", "2", "--shots", "10", "--seed", "-5"])
+        assert code == 0
 
     def test_unknown_spec_lists_valid_ones(self):
         with pytest.raises(MatrixParseError, match="haar-unitary"):
@@ -328,6 +341,14 @@ class TestMainExitCodes:
 
     def test_resource_cap(self, capsys):
         code = main(["--mode", "qde", "--gen", "haar-unitary:8", "--t", "8"])
+        assert code == EXIT_RESOURCE
+        assert "code=resource-cap" in capsys.readouterr().err
+
+    def test_state_numpy_refuses_to_allocate(self, capsys):
+        # 70 + 4*2 = 78 qubits: numpy refuses 2**78 amplitudes before allocating any.
+        code = main(
+            ["--mode", "contract", "--gen", "haar-unitary:4", "--t", "70", "--qubit-cap", "100", "--shots", "10"]
+        )
         assert code == EXIT_RESOURCE
         assert "code=resource-cap" in capsys.readouterr().err
 

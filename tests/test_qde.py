@@ -248,6 +248,24 @@ class TestContractionRun:
                 np.abs(contraction.exact_conditioned_distribution - unitary_mode.exact_distribution)
             ) <= 1e-9
 
+    @pytest.mark.skipif(simulator._openblas() is None, reason="numpy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("t", [6, 8, 10])
+    def test_exact_results_do_not_depend_on_openblas_threads(self, t):
+        # The stage zero probabilities are state-wide sums; OpenBLAS's own
+        # threads would split them, and their rounding, by its thread count.
+        get, put = simulator._openblas()
+        before = get()
+        results = []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                results.append(contraction_run(haar_unitary(4, 2), t=t, shots=10, seed=2))
+        finally:
+            put(before)
+        one, two = results
+        assert one.exact_acceptance == two.exact_acceptance
+        assert np.array_equal(one.exact_conditioned_distribution, two.exact_conditioned_distribution)
+
     def test_deterministic_for_fixed_seed(self):
         a = random_contraction(2, 4242)
         r1 = contraction_run(a, t=2, shots=800, seed=77)

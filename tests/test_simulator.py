@@ -132,6 +132,15 @@ class TestInitState:
         sv = init_state(QubitLayout(t=2, n_particles=4))
         assert sv.amplitudes.shape == (2**10,)
 
+    def test_refused_allocation_is_state_too_large(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        layout = QubitLayout(t=2, n_particles=4)
+        monkeypatch.setattr(simulator.np, "zeros", refuse)
+        with pytest.raises(StateTooLargeError, match="10-qubit state"):
+            init_state(layout)
+
 
 class TestLoadAsym:
     def test_two_particle_support(self):
@@ -1056,12 +1065,23 @@ class TestSlotwiseWorkers:
         assert {count for *_, count in calls} == {1}
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # A stand-in OpenBLAS at 3 threads: the stage that raises still
+        # restores the count it set to 1, and its helper ran at 1 thread.
         sv = self.state(monkeypatch, 70)
         with_workers(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "_pin_blas", lambda: True)
+        count = [3]
+        sets = []
+
+        def put(threads):
+            sets.append(threads)
+            count[0] = threads
+
+        monkeypatch.setattr(simulator, "_openblas", lambda: (lambda: count[0], put))
         blocks = simulator._slotwise_blocks
+        seen = []
 
         def failing(u, view, cuts, gains, first, step, scratch):
+            seen.append(count[0])
             if first:
                 raise RuntimeError("helper failed")
             blocks(u, view, cuts, gains, first, step, scratch)
@@ -1071,6 +1091,8 @@ class TestSlotwiseWorkers:
         with pytest.raises(RuntimeError, match="helper failed"):
             controlled_power_stage(sv, 2, haar_unitary(4, 71))
         assert threading.active_count() == threads
+        assert seen == [1, 1]
+        assert sets == [1, 3]
 
     def test_serial_when_openblas_cannot_be_pinned(self, monkeypatch):
         sv = self.state(monkeypatch, 80)
@@ -1092,8 +1114,8 @@ class TestSlotwiseWorkers:
     @needs_openblas
     @pytest.mark.parametrize("fails", [False, True])
     def test_run_restores_the_openblas_thread_count(self, monkeypatch, fails):
-        # The run sets the count once, to 1, and restores it once, whatever
-        # its number of stages.
+        # Each stage on two threads sets the count to 1 and restores it, also
+        # in a run that raises; the run leaves the count as it found it.
         get, put = simulator._openblas()
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
@@ -1121,7 +1143,9 @@ class TestSlotwiseWorkers:
         finally:
             put(before)
         assert calls and {count for *_, count in calls} == {1}
-        assert sets == [1, 2]
+        threaded_stages = sum(first == 1 for _, first, _, _ in calls)
+        assert threaded_stages == (4 if fails else 6)
+        assert sets == [1, 2] * threaded_stages
 
 
 class TestKernelMemory:

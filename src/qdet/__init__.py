@@ -45,6 +45,7 @@ from .simulator import (
     load_asym,
     measure_ancilla_postselect,
     measure_register,
+    prepare_power_stages,
     register_probabilities,
     shot_rng,
     shot_uniforms,

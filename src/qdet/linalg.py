@@ -8,6 +8,7 @@ simulator and the verification suite both consume these as ground truth.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -220,6 +221,19 @@ def mat_pow2(a, m: int) -> np.ndarray:
     for _ in range(m):
         arr = arr @ arr
     return arr
+
+
+def stage_powers(a, t: int) -> Iterator[np.ndarray]:
+    """A ** (2 ** m) for m = 0 .. t-1, each squared from the one before.
+
+    Power m is bit-identical to ``mat_pow2(a, m)``, which squares the same
+    way, from t - 1 squarings in all.
+    """
+    power = as_matrix(a)
+    for m in range(t):
+        if m:
+            power = power @ power
+        yield power
 
 
 def kron_power(a, n: int) -> np.ndarray:

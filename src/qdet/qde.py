@@ -26,20 +26,20 @@ from .linalg import (
     as_matrix,
     det_lu,
     is_unitary,
-    mat_pow2,
     operator_norm,
+    stage_powers,
 )
 from .simulator import (
     DEFAULT_QUBIT_CAP,
     CostCounters,
     QubitLayout,
     controlled_block_stage,
-    controlled_power_stage,
     hadamard_layer,
     init_state,
     inverse_qft,
     load_asym,
     measure_ancilla_postselect,
+    prepare_power_stages,
     register_probabilities,
     sample_distribution,
 )
@@ -129,11 +129,7 @@ def qde_run(u, t: int, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 
-    sv = init_state(layout)
-    load_asym(sv, asym_state(layout.n_particles))
-    hadamard_layer(sv)
-    for m in range(t):
-        controlled_power_stage(sv, m, mat_pow2(arr, m))
+    sv = prepare_power_stages(layout, stage_powers(arr, t))
     inverse_qft(sv)
     exact = register_probabilities(sv)
     counts = sample_distribution(exact, seed, shots)
@@ -213,8 +209,8 @@ def contraction_run(
     sv = init_state(layout)
     load_asym(sv, asym_state(layout.n_particles))
     hadamard_layer(sv)
-    for m in range(t):
-        controlled_block_stage(sv, m, mat_pow2(arr, m))
+    for m, a_m in enumerate(stage_powers(arr, t)):
+        controlled_block_stage(sv, m, a_m)
         # Rounding can leave the renormalised zero branch a hair above 1.
         p_zero = min(measure_ancilla_postselect(sv), 1.0)
         if p_zero < 1e-300:

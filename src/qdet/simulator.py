@@ -13,42 +13,60 @@ stage's ancilla reads 0, so the state is that branch, and
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r.
 
-Every gate and measurement reads the amplitudes through one view,
-`_split_view`: the flat buffer reshaped for free to (slot_dim, phase_dim).
-A gate on phase qubit m names that bit, and the phase axis splits as
-(above m, bit m, below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at
-0 or 1 gives basic-slicing views of the two halves.  Both controlled
-stages touch the slot register only through one N x N matrix applied slot
-by slot, never as a dense slot-space matrix: `controlled_power_stage` its
-power of U, `controlled_block_stage` its power of A with the singular
-values clamped at 1.  Every gate, `inverse_qft` included, writes into the
-existing amplitude buffer, and returns the StateVector, which a run owns
-exclusively.
+A unitary-mode run builds its state and applies its t controlled-power
+stages in one pass, `prepare_power_stages`.  The (slot_dim, phase_dim) rows
+are cut into blocks of every slot value by a power-of-two run of phase
+columns, about `_BLOCK_BYTES` in all.  Each block is built in scratch from
+phase column 0, which holds the slot column scaled t times by 1/sqrt(2) and
+which no stage changes.  Stage m then applies its power of U to the block's
+columns with bit m set: every other run of 2**m columns, or, when 2**m is
+not narrower than the block, the whole block or none of it.  The block is
+written back once, after its last stage.  Every column gets the same N-term
+sums, in stage order, as from `init_state`, `load_asym`, `hadamard_layer`
+and t `controlled_power_stage` calls, so the amplitudes are bit-exact with
+them.  Those gates stay as the per-stage reference; contraction mode, which
+renormalises the state between stages, runs `load_asym`, `hadamard_layer`
+and `controlled_block_stage`.
+
+The per-stage gates read the amplitudes through one view, `_split_view`:
+the flat buffer reshaped for free to (slot_dim, phase_dim).  A gate on phase
+qubit m names that bit, and the phase axis splits as (above m, bit m,
+below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at 0 or 1 gives
+basic-slicing views of the two halves.  Both controlled stages touch the
+slot register only through one N x N matrix applied slot by slot, never as
+a dense slot-space matrix: `controlled_power_stage` its power of U,
+`controlled_block_stage` its power of A with the singular values clamped at
+1.  Every gate, `inverse_qft` included, writes into the existing amplitude
+buffer, and returns the StateVector, which a run owns exclusively.
 
 Apart from `hadamard_layer`, which writes one scaled column into every phase
 column, the gate kernels work through the state in blocks of about
 `_BLOCK_BYTES` (`_chunks`), so their scratch buffers are block-sized whatever
 the state size: `load_asym`'s check and the phase distribution take blocks of
 phase rows, the slot-wise matmuls take blocks of whole slot columns.  A
-slot-wise block keeps the runs of consecutive phase indices below the stage's
-bit whole while they fit, and is copied into scratch in memory order and
-transposed there.  The blocking and the data movement change no arithmetic,
-so amplitudes are bit-exact for any block size.  One limit: a slot-wise
-block holds every slot value, so at t = 1 (one phase column per half: sign
-mode, or contraction mode at t = 1) a stage's view is a single block, and
-its matmuls take two buffers of the whole view's size.
+per-stage slot-wise block keeps the runs of consecutive phase indices below
+the stage's bit whole while they fit, and is copied into scratch in memory
+order and transposed there.  Every slot-wise matmul has a column count that
+is a whole number of `_GEMM_TILE`s, or spans the whole stage view, so the
+blocking and the data movement change no arithmetic, and amplitudes are
+bit-exact for any block size.  One limit: a block holds every slot value, so
+when one phase column exceeds a block (N = 8) a block is one column, and its
+matmuls take two buffers of that column's size.
 
-A slot-wise stage deals its blocks round-robin to up to `_MAX_WORKERS`
-threads, the caller and helpers it joins before returning; numpy releases
-the interpreter lock in the copies and matmuls.  The blocks are disjoint and
-each runs the same arithmetic on whichever thread takes it, so amplitudes
-are bit-exact for any worker count.  Helpers run only while OpenBLAS is held
-at one thread (`_blas_serial`, for that stage alone): its own threads would
-oversubscribe the cores.  `ancilla_zero_probability` holds it at one thread
-too, so the reported P(0) is the same serial sum on every host.  Each block
-also sums its squared norm before and after, while it is in cache, so a
-power stage checks the state's norm from the value the last check kept plus
-that gain, without a pass over the state.
+The blocked kernels deal their blocks round-robin to up to `_MAX_WORKERS`
+threads through one dealer, `_deal`: the caller and helpers it joins before
+returning; numpy releases the interpreter lock in the copies, matmuls and
+FFTs.  The blocks are disjoint and each runs the same arithmetic on
+whichever thread takes it, so amplitudes are bit-exact for any worker
+count.  `inverse_qft` deals the two halves of the slot rows that way, when
+the state exceeds a block.  Slot-wise helpers run only while OpenBLAS is
+held at one thread (`_blas_serial`, for that kernel call alone): its own
+threads would oversubscribe the cores.  `ancilla_zero_probability` holds it
+at one thread too, so the reported P(0) is the same serial sum on every
+host.  Each slot-wise block also sums its squared norm before and after a
+stage, while it is in cache, so the norm checks of the controlled-power
+stages add those gains to the value the last check kept, without a pass
+over the state.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -67,12 +85,13 @@ import functools
 import math
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; pay that at import, not in the first inverse_qft
 
+from .antisym import asym_state
 from .errors import StateTooLargeError, ValidationError, VerificationError
 from .linalg import as_matrix
 
@@ -95,7 +114,7 @@ _AMP_BYTES = 16  # complex128
 #: both, and 4 MiB or more made contract slower than unblocked kernels.
 _BLOCK_BYTES = 1 << 19
 
-#: Most threads a slot-wise stage runs on.  Two is what was measured, on a
+#: Most threads a blocked kernel runs on.  Two is what was measured, on a
 #: 2-CPU host; each thread holds two block-sized scratch buffers.
 _MAX_WORKERS = 2
 
@@ -193,10 +212,7 @@ def init_state(layout: QubitLayout) -> StateVector:
 
     StateTooLargeError is raised when numpy refuses the allocation.
     """
-    try:
-        amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    except (ValueError, MemoryError) as exc:
-        raise StateTooLargeError(f"cannot allocate the {layout.total_qubits}-qubit state: {exc}") from exc
+    amps = _new_amplitudes(layout, np.zeros)
     amps[0] = 1.0
     return StateVector(layout=layout, amplitudes=amps)
 
@@ -220,7 +236,9 @@ def load_asym(sv: StateVector, state: np.ndarray) -> StateVector:
     Requires the freshly initialized all-zeros basis state; no other amplitude
     is written, and the freshness check bounds each of them to 1e-12.  The
     modeled orthonormalization and antisymmetrization costs are booked to the
-    counters; the amplitudes themselves are assigned directly.
+    counters; the amplitudes themselves are assigned directly.  Contraction
+    runs call it; unitary and sign runs build their state in
+    `prepare_power_stages`.
     """
     # Fresh: amplitude 0 within 1e-12 of 1 and every other modulus at most 1e-12.
     rows = _phase_rows(sv)
@@ -234,12 +252,15 @@ def load_asym(sv: StateVector, state: np.ndarray) -> StateVector:
         if mag.max() > 1e-12:
             raise ValidationError("load_asym requires the freshly initialized all-zeros state")
     _split_view(sv)[:, 0] = slot_register_vector(state, sv.layout)
-    n = sv.layout.n_particles
-    log2n = math.log2(n)
-    sv.counters.modeled_orthonorm_ops += max(n, math.ceil(n * math.log2(n / math.e)))
-    sv.counters.modeled_asym_ops += math.ceil(n * log2n**2)
+    _book_asym(sv.counters, sv.layout.n_particles)
     _assert_normalized(sv, "load_asym")
     return sv
+
+
+def _book_asym(counters: CostCounters, n: int) -> None:
+    """Book the modeled orthonormalization and antisymmetrization costs of loading |asym> on n labels."""
+    counters.modeled_orthonorm_ops += max(n, math.ceil(n * math.log2(n / math.e)))
+    counters.modeled_asym_ops += math.ceil(n * math.log2(n) ** 2)
 
 
 def hadamard_layer(sv: StateVector) -> StateVector:
@@ -250,6 +271,8 @@ def hadamard_layer(sv: StateVector) -> StateVector:
     rounded after each step: the layer scales a copy of column 0 and writes
     it into every column.  When column 0's squared norm is more than 1e-10
     from 1, ValidationError is raised before anything is written.
+    Contraction runs call it; unitary and sign runs build their state in
+    `prepare_power_stages`.
     """
     rows = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
     column = rows[:, 0].copy()
@@ -281,15 +304,68 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     return sv
 
 
+def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
+    """|+>^t |asym> with the t controlled-power stages applied, in one blocked pass over a new state.
+
+    ``powers`` gives stage m's operator, U**(2**m); it is read after the
+    state is allocated, so a refused state is reported before a large t
+    squares its powers towards overflow.  Amplitudes and counters equal
+    those of the per-stage gates (see the module docstring).  Each block
+    records every stage's norm gain, and the norms are checked in stage
+    order after the pass, so a drift still names the stage it arose in.
+    """
+    amps = _new_amplitudes(layout, np.empty)
+    ops = [_stage_operator(layout, m, op) for m, op in enumerate(powers)]
+    if len(ops) != layout.t:
+        raise ValidationError(f"{len(ops)} stage operators for a {layout.t}-qubit phase register")
+    n, t = layout.n_particles, layout.t
+    rows = amps.reshape(layout.slot_dim, layout.phase_dim)
+    column = slot_register_vector(asym_state(n), layout)
+    for _ in range(t):
+        column *= _INV_SQRT2
+    rows[:, 0] = column
+    prepared = float(np.vdot(column, column).real) * layout.phase_dim
+    del column  # an N = 8 column is 256 MiB: free it before the scratch is allocated
+
+    width = _block_width(layout)
+    # A block of one column takes the stages whose bits its index has set:
+    # column 0 takes none and is already in place.
+    blocks = range(1 if width == 1 else 0, layout.phase_dim // width)
+    gains = np.zeros((layout.phase_dim // width, t))
+    _deal(
+        lambda first, step, scratch: _power_blocks(ops, rows, width, blocks[first::step], gains, scratch),
+        len(blocks),
+        layout.slot_dim * width,
+    )
+
+    # The norm checks start from the empty state: preparation adds all of it.
+    sv = StateVector(layout=layout, amplitudes=amps, checked_norm_sq=0.0)
+    _book_asym(sv.counters, n)
+    sv.counters.modeled_qft_ops += t
+    sv.counters.controlled_slot_applications += t * n
+    _assert_normalized(sv, "state preparation", prepared)
+    for m, gain in enumerate(gains.sum(axis=0)):
+        _assert_normalized(sv, f"controlled_power_stage m={m}", float(gain))
+    return sv
+
+
 def inverse_qft(sv: StateVector) -> StateVector:
     """Exact inverse Fourier transform on the phase register, in place.
 
     Convention: the forward QFT maps |j> to 2**(-t/2) sum_k exp(2i pi jk/2**t)|k>,
-    so the inverse is the unitary DFT with the negative-sign kernel.
+    so the inverse is the unitary DFT with the negative-sign kernel.  The
+    rows transform independently, so a state larger than a block deals the
+    two halves of its slot rows to `_worker_count` threads; no BLAS is
+    involved.
     """
     t = sv.layout.t
-    flat = sv.amplitudes.reshape(-1, 1 << t)
-    np.fft.fft(flat, axis=1, norm="ortho", out=flat)
+    halves = sv.amplitudes.reshape(2, -1, 1 << t)
+
+    def transform(first: int, step: int, _) -> None:
+        for half in halves[first::step]:
+            np.fft.fft(half, axis=1, norm="ortho", out=half)
+
+    _deal(transform, len(halves) if sv.amplitudes.nbytes > _BLOCK_BYTES else 1, blas=False)
     sv.counters.modeled_inv_qft_ops += t * (t + 1) // 2
     _assert_normalized(sv, "inverse_qft")
     return sv
@@ -495,52 +571,25 @@ def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> float:
     Returns the squared norm this added to the view.  Slot s is base-N digit
     s of the slot index.  Each block of `_slotwise_cuts` is copied into a
     scratch buffer in its own memory order, so the copy reads whole runs of
-    the below axis, and then transposed inside that cache-sized scratch into
-    a second buffer with the slot index innermost.  Each matmul over a
-    (rest, N) reshape then applies u to the next slot and moves it to the
-    front, ping-ponging between the two buffers, and after N steps the slot
-    index leads, in order, and the block is written back.  A block's matmul
-    is bit-exact with the one over the whole view: each output amplitude is
-    the same N-term sum over the same inputs, and BLAS rounds columns alike
-    except past a matrix's last full tile, which a block's column count, a
-    multiple of `_GEMM_TILE`, never leaves.  (A batched (before, N, after)
-    matmul would have such a tail in every batch.)
+    the below axis, and then goes through `_slot_matmuls` inside that
+    cache-sized scratch.  A block's matmul is bit-exact with the one over
+    the whole view: each output amplitude is the same N-term sum over the
+    same inputs, and BLAS rounds columns alike except past a matrix's last
+    full tile, which a block's column count, a multiple of `_GEMM_TILE`,
+    never leaves.  (A batched (before, N, after) matmul would have such a
+    tail in every batch.)
 
-    The blocks are dealt round-robin to `_worker_count` threads, each with
-    its own pair of buffers; the calling thread takes blocks 0, w, 2w, ...
-    Helpers run only inside `_blas_serial`, which holds OpenBLAS at one
-    thread for the stage, and are joined before this returns; an exception
-    raised in one is raised here.  A stage on one thread leaves OpenBLAS's
-    thread count alone.  Each block's norm gain is read from its scratch
-    copies, and the gains are summed in block order, so the result does not
-    depend on the worker count either.
+    The blocks are dealt by `_deal`, so OpenBLAS is held at one thread while
+    they run on several.  The gains are summed in block order, so the result
+    does not depend on the worker count either.
     """
     cuts = _slotwise_cuts(view, u.shape[0])
     gains = [0.0] * len(cuts)
-    workers = _worker_count(len(cuts))
-    with _blas_serial() if workers > 1 else contextlib.nullcontext(False) as pinned:
-        workers = workers if pinned else 1
-        # Allocated here, not in the helpers: memory a helper thread frees
-        # stays in its own allocator arena, out of reach of later allocations.
-        scratch = np.empty((workers, 2, view[cuts[0]].size), dtype=np.complex128)
-        errors: list[BaseException] = []
-
-        def helper(first: int) -> None:
-            try:
-                _slotwise_blocks(u, view, cuts, gains, first, workers, scratch[first])
-            except BaseException as exc:  # handed to the caller, which raises it
-                errors.append(exc)
-
-        helpers = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
-        for thread in helpers:
-            thread.start()
-        try:
-            _slotwise_blocks(u, view, cuts, gains, 0, workers, scratch[0])
-        finally:
-            for thread in helpers:
-                thread.join()
-    if errors:
-        raise errors[0]
+    _deal(
+        lambda first, step, scratch: _slotwise_blocks(u, view, cuts, gains, first, step, scratch),
+        len(cuts),
+        view[cuts[0]].size,
+    )
     return sum(gains)
 
 
@@ -551,30 +600,102 @@ def _slotwise_blocks(
 
     Block i's norm gain goes to gains[i].
     """
-    n = u.shape[0]
     ping, pong = scratch
     for i in range(first, len(cuts), step):
         block = view[cuts[i]]
-        shape = block.shape
-        src, dst = ping[: block.size], pong[: block.size]
-        np.copyto(dst.reshape(shape), block)
-        before = np.vdot(dst, dst).real
-        moved = np.moveaxis(dst.reshape(shape), 0, -1)
-        np.copyto(src.reshape(moved.shape), moved)
-        for _ in range(n):
-            np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
-            src, dst = dst, src
-        gains[i] = float(np.vdot(src, src).real - before)
-        block[...] = src.reshape(shape)
+        copy = pong[: block.size].reshape(block.shape)
+        np.copyto(copy, block)
+        result, gains[i] = _slot_matmuls(u, copy, ping[: block.size], pong[: block.size])
+        block[...] = result.reshape(block.shape)
 
 
-def _worker_count(cuts: int) -> int:
-    """Threads for a slot-wise stage of ``cuts`` blocks: one per usable CPU, at most `_MAX_WORKERS`."""
+def _power_blocks(
+    ops: list[np.ndarray], rows: np.ndarray, width: int, blocks: range, gains: np.ndarray, scratch
+) -> None:
+    """`prepare_power_stages` on ``blocks`` of ``width`` phase columns, in the two buffers of ``scratch``.
+
+    Block c is phase columns c*width to (c+1)*width - 1 of the (slots,
+    phase) ``rows``; its gain from stage m goes to gains[c, m].
+    """
+    slots = rows.shape[0]
+    for c in blocks:
+        block, spare = scratch
+        np.copyto(block.reshape(slots, width), rows[:, :1])
+        for m, u in enumerate(ops):
+            if 1 << m < width:  # bit m varies inside the block: every other run of 2**m columns
+                part = block.reshape(slots, -1, 2, 1 << m)[:, :, 1]
+                result, gains[c, m] = _slot_matmuls(u, part, *np.split(spare, 2))
+                part[...] = result.reshape(part.shape)
+            elif c * width >> m & 1:  # bit m is fixed across the block, and set
+                result, gains[c, m] = _slot_matmuls(u, block.reshape(slots, width), spare, block)
+                block, spare = result, block  # N is even: the result is in spare
+        rows[:, c * width : (c + 1) * width] = block.reshape(slots, width)
+
+
+def _slot_matmuls(u: np.ndarray, part: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, float]:
+    """Apply u to every slot of the (slots, ...) ``part`` through the buffers ``src`` and ``dst``.
+
+    Returns the buffer holding the result, laid out as ``part`` is, and the
+    squared norm the slots gained.  ``part`` is transposed into ``src`` with
+    the slot index innermost, so ``dst`` may hold ``part`` itself.  Each
+    matmul over a (rest, N) reshape then applies u to the next slot and
+    moves it to the front, ping-ponging between the two buffers; after N
+    steps the slot index leads again, in order.
+    """
+    n = u.shape[0]
+    moved = np.moveaxis(part, 0, -1)
+    np.copyto(src.reshape(moved.shape), moved)
+    before = np.vdot(src, src).real
+    for _ in range(n):
+        np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
+        src, dst = dst, src
+    return src, float(np.vdot(src, src).real - before)
+
+
+def _deal(work: Callable[[int, int, np.ndarray], None], blocks: int, scratch: int = 0, *, blas: bool = True) -> None:
+    """Run a blocked kernel's ``work(first, step, buffers)`` on `_worker_count` threads.
+
+    Worker w takes blocks w, w + step, ..., with step the worker count, and
+    its own pair of ``scratch``-amplitude buffers.  The calling thread is
+    worker 0; helper threads take the rest and are joined before this
+    returns, and an exception raised in one is raised here.  With ``blas``,
+    helpers run only inside `_blas_serial`, which holds OpenBLAS at one
+    thread for the call: its own threads would oversubscribe the cores.  A
+    call on one thread leaves OpenBLAS's thread count alone.
+    """
+    workers = _worker_count(blocks)
+    with _blas_serial() if blas and workers > 1 else contextlib.nullcontext(True) as pinned:
+        workers = workers if pinned else 1
+        # Allocated here, not in the helpers: memory a helper thread frees
+        # stays in its own allocator arena, out of reach of later allocations.
+        buffers = np.empty((workers, 2, scratch), dtype=np.complex128)
+        errors: list[BaseException] = []
+
+        def helper(first: int) -> None:
+            try:
+                work(first, workers, buffers[first])
+            except BaseException as exc:  # handed to the caller, which raises it
+                errors.append(exc)
+
+        helpers = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+        for thread in helpers:
+            thread.start()
+        try:
+            work(0, workers, buffers[0])
+        finally:
+            for thread in helpers:
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for a kernel of ``blocks`` blocks: one per usable CPU, at most `_MAX_WORKERS`."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # no affinity call on this platform
         return 1
-    return min(cpus, cuts, _MAX_WORKERS)
+    return min(cpus, blocks, _MAX_WORKERS)
 
 
 _pin_lock = threading.Lock()
@@ -640,6 +761,29 @@ def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
     """
     per = max(step, _BLOCK_BYTES // (_AMP_BYTES * stride) // step * step)
     return [slice(i, i + per) for i in range(0, length, per)]
+
+
+def _block_width(layout: QubitLayout) -> int:
+    """Phase columns in a block of `prepare_power_stages`: a power of two of about `_BLOCK_BYTES`.
+
+    It is doubled until half a block (what a stage whose bit varies inside
+    it takes), or a one-column block's column, is a whole number of
+    `_GEMM_TILE` matmul columns, or until the block is the state, whose
+    matmuls span each stage view whole, as the per-stage gates' do.
+    """
+    fit = max(1, _BLOCK_BYTES // (_AMP_BYTES * layout.slot_dim))
+    width = min(layout.phase_dim, 1 << (fit.bit_length() - 1))
+    while width < layout.phase_dim and max(1, width // 2) * layout.slot_dim // layout.n_particles % _GEMM_TILE:
+        width *= 2
+    return width
+
+
+def _new_amplitudes(layout: QubitLayout, allocate) -> np.ndarray:
+    """The layout's amplitudes from ``allocate`` (np.zeros or np.empty); StateTooLargeError if numpy refuses."""
+    try:
+        return allocate(1 << layout.total_qubits, dtype=np.complex128)
+    except (ValueError, MemoryError) as exc:
+        raise StateTooLargeError(f"cannot allocate the {layout.total_qubits}-qubit state: {exc}") from exc
 
 
 def _phase_rows(sv: StateVector) -> np.ndarray:

@@ -21,6 +21,7 @@ from qdet.linalg import (
     mat_pow2,
     operator_norm,
     psd_sqrt,
+    stage_powers,
 )
 
 from conftest import random_complex, random_contraction
@@ -205,6 +206,16 @@ class TestMatPow2:
         u = haar_unitary(4, 7)
         naive = reduce(np.matmul, [u] * 8)
         assert np.max(np.abs(mat_pow2(u, 3) - naive)) <= 1e-10
+
+
+class TestStagePowers:
+    @pytest.mark.parametrize("t", [1, 2, 9])
+    def test_bit_identical_to_mat_pow2(self, t):
+        u = haar_unitary(4, 30 + t)
+        powers = list(stage_powers(u, t))
+        assert len(powers) == t
+        for m, power in enumerate(powers):
+            assert np.array_equal(power, mat_pow2(u, m)), m
 
 
 class TestOracleConsistency:

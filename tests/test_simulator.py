@@ -13,7 +13,7 @@ from conftest import random_contraction
 from qdet import qde, simulator
 from qdet.antisym import asym_state
 from qdet.errors import StateTooLargeError, ValidationError, VerificationError
-from qdet.linalg import block_encode, det_lu, haar_unitary, kron_power, mat_pow2
+from qdet.linalg import block_encode, det_lu, haar_unitary, kron_power, mat_pow2, stage_powers
 from qdet.simulator import (
     QubitLayout,
     StateVector,
@@ -26,6 +26,7 @@ from qdet.simulator import (
     load_asym,
     measure_ancilla_postselect,
     measure_register,
+    prepare_power_stages,
     register_probabilities,
     sample_distribution,
     shot_rng,
@@ -871,6 +872,20 @@ def spy_blocks(monkeypatch):
     return calls
 
 
+def spy_power_blocks(monkeypatch):
+    """Record (thread, OpenBLAS thread count) for each worker of `prepare_power_stages`."""
+    calls = []
+    blocks = simulator._power_blocks
+    api = simulator._openblas()
+
+    def spy(*args):
+        calls.append((threading.current_thread(), api and api[0]()))
+        blocks(*args)
+
+    monkeypatch.setattr(simulator, "_power_blocks", spy)
+    return calls
+
+
 needs_openblas = pytest.mark.skipif(simulator._openblas() is None, reason="numpy's BLAS is not OpenBLAS")
 
 
@@ -1114,13 +1129,14 @@ class TestSlotwiseWorkers:
     @needs_openblas
     @pytest.mark.parametrize("fails", [False, True])
     def test_run_restores_the_openblas_thread_count(self, monkeypatch, fails):
-        # Each stage on two threads sets the count to 1 and restores it, also
-        # in a run that raises; the run leaves the count as it found it.
+        # A run's one blocked pass on two threads sets the count to 1 and
+        # restores it, also in a run whose stage 3 then fails its norm
+        # check; the run leaves the count as it found it.
         get, put = simulator._openblas()
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
         with_workers(monkeypatch, 2)
-        calls = spy_blocks(monkeypatch)
+        calls = spy_power_blocks(monkeypatch)
         sets = []
 
         def recording_put(count):
@@ -1129,23 +1145,130 @@ class TestSlotwiseWorkers:
 
         monkeypatch.setattr(simulator, "_openblas", lambda: (get, recording_put))
         if fails:
-            power = qde.mat_pow2
-            monkeypatch.setattr(qde, "mat_pow2", lambda u, m: power(u, m) * (1.001 if m == 3 else 1.0))
+            powers = qde.stage_powers
+            monkeypatch.setattr(
+                qde, "stage_powers", lambda u, t: (p * (1.001 if m == 3 else 1.0) for m, p in enumerate(powers(u, t)))
+            )
         before = get()
         put(2)
         try:
             if fails:
-                with pytest.raises(VerificationError, match="m=3"):
+                with pytest.raises(VerificationError, match="m=3$"):
                     qde.qde_run(haar_unitary(4, 90), 6, 10, 1)
             else:
                 qde.qde_run(haar_unitary(4, 90), 6, 10, 1)
             assert get() == 2
         finally:
             put(before)
-        assert calls and {count for *_, count in calls} == {1}
-        threaded_stages = sum(first == 1 for _, first, _, _ in calls)
-        assert threaded_stages == (4 if fails else 6)
-        assert sets == [1, 2] * threaded_stages
+        assert {thread is threading.main_thread() for thread, _ in calls} == {True, False}
+        assert {count for _, count in calls} == {1}
+        assert sets == [1, 2]
+
+
+def per_stage_run(layout, u):
+    """`prepare_power_stages`' reference: the state preparation gates and one controlled-power stage at a time."""
+    sv = prepared_state(layout.t, layout.n_particles)
+    hadamard_layer(sv)
+    for m in range(layout.t):
+        controlled_power_stage(sv, m, mat_pow2(u, m))
+    return sv
+
+
+def power_block_bytes(layout):
+    """Block sizes for `prepare_power_stages`: the default, about 256 blocks, and one phase column a block.
+
+    One column a block takes no stage inside a block (at N = 2 the tile rule
+    widens it to 16 columns); it is tried where it makes at most 512 blocks.
+    """
+    sizes = [simulator._BLOCK_BYTES, max(1 << 14, 16 << layout.total_qubits >> 8)]
+    if layout.t <= 9:
+        sizes.append(16 * layout.slot_dim)
+    return sizes
+
+
+class TestPreparePowerStages:
+    """The one-pass preparation and power stages against the per-stage gates."""
+
+    @pytest.mark.parametrize("n, t", [(2, 1), (2, 3), (2, 9), (2, 14), (2, 17), (4, 1), (4, 3), (4, 9), (4, 14)])
+    def test_bit_exact_with_the_per_stage_gates(self, monkeypatch, n, t):
+        # N = 4, t = 17 is left out: its state is 512 MiB.
+        layout = QubitLayout(t=t, n_particles=n)
+        u = haar_unitary(n, 20 * n + t)
+        expected = per_stage_run(layout, u)
+        widths = set()
+        for block in power_block_bytes(layout):
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", block)
+            widths.add(simulator._block_width(layout))
+            for workers in (1, 2):
+                with_workers(monkeypatch, workers)
+                sv = prepare_power_stages(layout, [mat_pow2(u, m) for m in range(t)])
+                assert np.array_equal(sv.amplitudes, expected.amplitudes), (block, workers)
+                assert sv.counters == expected.counters
+                assert sv.checked_norm_sq == pytest.approx(expected.checked_norm_sq, abs=1e-12)
+        if t >= 9:
+            assert len(widths) == len(power_block_bytes(layout)), widths
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Every worker writes its own blocks and gain rows; a lost or crossed
+        # write changes the amplitudes or the checked norm.
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        powers = list(stage_powers(haar_unitary(4, 85), layout.t))
+        with_workers(monkeypatch, 1)
+        serial = prepare_power_stages(layout, powers)
+        with_workers(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sv = prepare_power_stages(layout, powers)
+                assert np.array_equal(sv.amplitudes, serial.amplitudes)
+                assert sv.checked_norm_sq == serial.checked_norm_sq
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("m", [0, 2, 5])
+    def test_norm_drift_names_the_stage(self, monkeypatch, m):
+        # Four columns a block: stages 0 and 1 take half a block, the rest whole blocks.
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        with_workers(monkeypatch, 2)
+        u = haar_unitary(4, 80)
+        powers = [mat_pow2(u, k) * (1.001 if k == m else 1.0) for k in range(layout.t)]
+        with pytest.raises(VerificationError, match=rf"after controlled_power_stage m={m}$"):
+            prepare_power_stages(layout, powers)
+
+    def test_preparation_drift_is_named(self, monkeypatch):
+        monkeypatch.setattr(simulator, "asym_state", lambda n: 1.001 * asym_state(n))
+        with pytest.raises(VerificationError, match="after state preparation$"):
+            prepare_power_stages(QubitLayout(t=3, n_particles=2), [np.eye(2)] * 3)
+
+    def test_rejects_a_wrong_stage_count_or_shape(self):
+        layout = QubitLayout(t=3, n_particles=2)
+        with pytest.raises(ValidationError, match="2 stage operators"):
+            prepare_power_stages(layout, [np.eye(2)] * 2)
+        with pytest.raises(ValidationError, match="slots hold 2 labels"):
+            prepare_power_stages(layout, [np.eye(4)] * 3)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        with_workers(monkeypatch, 2)
+        blocks = simulator._power_blocks
+        seen = []
+
+        def failing(*args):
+            seen.append(threading.current_thread() is threading.main_thread())
+            if not seen[-1]:
+                raise RuntimeError("helper failed")
+            blocks(*args)
+
+        monkeypatch.setattr(simulator, "_power_blocks", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            prepare_power_stages(layout, [haar_unitary(4, 81)] * layout.t)
+        assert threading.active_count() == threads
+        assert sorted(seen) == [False, True]
 
 
 class TestKernelMemory:
@@ -1188,3 +1311,16 @@ class TestKernelMemory:
             finally:
                 tracemalloc.stop()
         assert all(peak <= 0.25 for _, peak in peaks), peaks
+
+    def test_one_pass_peak_beyond_its_state_at_most_a_quarter_of_it(self, monkeypatch):
+        # The layout of the test above; the pass allocates the state itself.
+        with_workers(monkeypatch, 2)
+        layout = QubitLayout(t=12, n_particles=4)
+        u = haar_unitary(4, 72)
+        tracemalloc.start()
+        try:
+            sv = prepare_power_stages(layout, [mat_pow2(u, m) for m in range(layout.t)])
+            peak = tracemalloc.get_traced_memory()[1] - sv.amplitudes.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * sv.amplitudes.nbytes, peak

@@ -47,7 +47,7 @@ def asym_state(n: int) -> np.ndarray:
     return tensor
 
 
-def _apply_slotwise_tensor(arr: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+def _apply_to_every_slot(arr: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Apply the N x N ``arr`` to every slot (the A x A x ... x A action) of a dense slot tensor."""
     # New label k of slot s picks up sum_l A[k, l] * old amplitude with label l
     # in that slot; tensordot contracts one slot axis at a time.
@@ -68,6 +68,6 @@ def verify_det_identity(a) -> float:
     if n > 6:
         raise ValidationError(f"brute-force identity check limited to n <= 6, got {n}")
     base = asym_state(n)
-    transformed = _apply_slotwise_tensor(arr, base)
+    transformed = _apply_to_every_slot(arr, base)
     det = det_levi_civita(arr).value
     return float(np.max(np.abs(transformed - det * base)))

@@ -186,6 +186,8 @@ def generator_spec(spec: str, seed: int) -> np.ndarray:
             return haar_orthogonal(n, seed)
         if kind == "diag-phase":
             k, t = int(parts[2]), int(parts[3])
+            if not 0 <= t <= 1023:  # checked before 1 << t is built: 2**t must convert to a float
+                raise ValueError(f"t must be in 0..1023, got {t}")
             diag = np.ones(n, dtype=np.complex128)
             diag[0] = np.exp(2j * math.pi * k / (1 << t))
             return np.diag(diag)

@@ -14,44 +14,41 @@ The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r.
 
 A unitary-mode run builds its state and applies its t controlled-power
-stages in one pass, `prepare_power_stages`.  The (slot_dim, phase_dim) rows
-are cut into blocks of every slot value by a power-of-two run of phase
-columns, about `_BLOCK_BYTES` in all.  Each block is built in scratch from
-phase column 0, which holds the slot column scaled t times by 1/sqrt(2) and
-which no stage changes.  Stage m then applies its power of U to the block's
-columns with bit m set: every other run of 2**m columns, or, when 2**m is
-not narrower than the block, the whole block or none of it.  The block is
-written back once, after its last stage.  Every column gets the same N-term
-sums, in stage order, as from `init_state`, `load_asym`, `hadamard_layer`
-and t `controlled_power_stage` calls, so the amplitudes are bit-exact with
-them.  Those gates stay as the per-stage reference; contraction mode, which
+stages in one pass, `prepare_power_stages`; contraction mode, which
 renormalises the state between stages, runs `load_asym`, `hadamard_layer`
-and `controlled_block_stage`.
-
-The per-stage gates read the amplitudes through one view, `_split_view`:
-the flat buffer reshaped for free to (slot_dim, phase_dim).  A gate on phase
-qubit m names that bit, and the phase axis splits as (above m, bit m,
-below m) = (2**(t-m-1), 2, 2**m); indexing the bit axis at 0 or 1 gives
-basic-slicing views of the two halves.  Both controlled stages touch the
+and `controlled_block_stage`, one stage at a time.  Both stages touch the
 slot register only through one N x N matrix applied slot by slot, never as
 a dense slot-space matrix: `controlled_power_stage` its power of U,
 `controlled_block_stage` its power of A with the singular values clamped at
-1.  Every gate, `inverse_qft` included, writes into the existing amplitude
-buffer, and returns the StateVector, which a run owns exclusively.
+1.
+
+Every slot-wise kernel cuts the state one way, `_block_width`: the
+(slot_dim, phase_dim) rows are cut into blocks of every slot value by a
+power-of-two run of phase columns, about `_BLOCK_BYTES` in all.  Stage m
+applies its matrix to a block's columns with bit m set (`_bit_columns`):
+every other run of 2**m columns, or, when 2**m is not narrower than the
+block, the whole block or none of it.  The pass builds each block in scratch
+from phase column 0, which holds the slot column scaled t times by
+1/sqrt(2) and which no stage changes, applies every stage to it in order,
+and writes it back once, after its last stage.  A per-stage gate
+(`_apply_stage`) visits only the blocks with a column whose bit m is set,
+copies those columns into scratch in memory order, and writes them back.
+Every column gets the same N-term sums, in stage order, either way, so the
+pass is bit-exact with `init_state`, `load_asym`, `hadamard_layer` and t
+`controlled_power_stage` calls, which stay as its reference.  Every
+slot-wise matmul has a column count that is a whole number of `_GEMM_TILE`s,
+or spans a whole stage's columns, so the blocking and the data movement
+change no arithmetic, and amplitudes are bit-exact for any block size.  One
+limit: a block holds every slot value, so when one phase column exceeds a
+block (N = 8) a block is one column, and its matmuls take two buffers of
+that column's size.
 
 Apart from `hadamard_layer`, which writes one scaled column into every phase
-column, the gate kernels work through the state in blocks of about
-`_BLOCK_BYTES` (`_chunks`), so their scratch buffers are block-sized whatever
-the state size: `load_asym`'s check and the phase distribution take blocks of
-phase rows, the slot-wise matmuls take blocks of whole slot columns.  A
-per-stage slot-wise block keeps the runs of consecutive phase indices below
-the stage's bit whole while they fit, and is copied into scratch in memory
-order and transposed there.  Every slot-wise matmul has a column count that
-is a whole number of `_GEMM_TILE`s, or spans the whole stage view, so the
-blocking and the data movement change no arithmetic, and amplitudes are
-bit-exact for any block size.  One limit: a block holds every slot value, so
-when one phase column exceeds a block (N = 8) a block is one column, and its
-matmuls take two buffers of that column's size.
+column, the other gate kernels work through the state in blocks of about
+`_BLOCK_BYTES` too: `load_asym`'s check and the phase distribution take
+blocks of phase rows (`_chunks`).  Every gate, `inverse_qft` included,
+writes into the existing amplitude buffer, and returns the StateVector,
+which a run owns exclusively.
 
 The blocked kernels deal their blocks round-robin to up to `_MAX_WORKERS`
 threads through one dealer, `_deal`: the caller and helpers it joins before
@@ -63,10 +60,9 @@ the state exceeds a block.  Slot-wise helpers run only while OpenBLAS is
 held at one thread (`_blas_serial`, for that kernel call alone): its own
 threads would oversubscribe the cores.  `ancilla_zero_probability` holds it
 at one thread too, so the reported P(0) is the same serial sum on every
-host.  Each slot-wise block also sums its squared norm before and after a
-stage, while it is in cache, so the norm checks of the controlled-power
-stages add those gains to the value the last check kept, without a pass
-over the state.
+host.  The pass sums each block's squared norm after every stage it
+applies, while the block is in cache, so its norm checks add those gains to
+the value the last check kept, without a pass over the state.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -251,7 +247,7 @@ def load_asym(sv: StateVector, state: np.ndarray) -> StateVector:
             mag[0, 0] = abs(block[0, 0] - 1.0)
         if mag.max() > 1e-12:
             raise ValidationError("load_asym requires the freshly initialized all-zeros state")
-    _split_view(sv)[:, 0] = slot_register_vector(state, sv.layout)
+    sv.amplitudes.reshape(-1, sv.layout.phase_dim)[:, 0] = slot_register_vector(state, sv.layout)
     _book_asym(sv.counters, sv.layout.n_particles)
     _assert_normalized(sv, "load_asym")
     return sv
@@ -293,14 +289,12 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     ``u_m`` is expected to be the 2**m-th power of the base operator,
     precomputed by repeated squaring.  The N slot applications happen
     sequentially and each is tallied, making the t*N operation count of a
-    full run literal.  The norm check adds the squared norm the stage's
-    blocks gained to the value the last check kept, so it takes no pass over
-    the state.
+    full run literal.  Runs take their stages from `prepare_power_stages`,
+    whose reference this is; its norm check reads the whole state.
     """
-    arr = _stage_operator(sv.layout, m, u_m)
-    gain = _apply_slotwise(arr, _split_view(sv, phase_bit=m)[..., 1, :])
+    _apply_stage(sv, m, _stage_operator(sv.layout, m, u_m))
     sv.counters.controlled_slot_applications += sv.layout.n_particles
-    _assert_normalized(sv, f"controlled_power_stage m={m}", gain)
+    _assert_normalized(sv, f"controlled_power_stage m={m}")
     return sv
 
 
@@ -311,8 +305,9 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     state is allocated, so a refused state is reported before a large t
     squares its powers towards overflow.  Amplitudes and counters equal
     those of the per-stage gates (see the module docstring).  Each block
-    records every stage's norm gain, and the norms are checked in stage
-    order after the pass, so a drift still names the stage it arose in.
+    records the norm every stage it takes adds, and the norms are checked in
+    stage order after the pass, so a drift still names the stage it arose
+    in.
     """
     amps = _new_amplitudes(layout, np.empty)
     ops = [_stage_operator(layout, m, op) for m, op in enumerate(powers)]
@@ -485,10 +480,9 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     if 1.0 - rho * rho < _LEAK_SNAP:
         rho = 1.0
 
-    # (slots, above, phase bit m, below)
-    view = _split_view(sv, phase_bit=m)
-    _apply_slotwise((w * s) @ vh, view[..., 1, :])
-    view[..., 0, :] *= rho
+    _apply_stage(sv, m, (w * s) @ vh)
+    off = _bit_columns(sv.amplitudes.reshape(sv.layout.slot_dim, -1), m, 0)
+    off *= rho
 
     sv.counters.controlled_slot_applications += sv.layout.n_particles
     sv.checked_norm_sq = None
@@ -542,17 +536,6 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m_full * x
 
 
-def _split_view(sv: StateVector, *, phase_bit: int | None = None) -> np.ndarray:
-    """View (slot_dim, phase) of the amplitudes.
-
-    With ``phase_bit`` named, the phase axis spans three axes, (above, 2,
-    below) that bit.
-    """
-    lay = sv.layout
-    phase = (lay.phase_dim,) if phase_bit is None else (1 << (lay.t - phase_bit - 1), 2, 1 << phase_bit)
-    return sv.amplitudes.reshape((lay.slot_dim,) + phase)
-
-
 def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
     """The N x N operator of stage m, after checking the stage index and the shape."""
     arr = as_matrix(op)
@@ -565,48 +548,36 @@ def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
     return arr
 
 
-def _apply_slotwise(u: np.ndarray, view: np.ndarray) -> float:
-    """Apply the N x N ``u`` to every slot of a (slots, above, below) view, in place.
+def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
+    """Apply the N x N ``u`` to every slot of the phase columns with bit m set, in place.
 
-    Returns the squared norm this added to the view.  Slot s is base-N digit
-    s of the slot index.  Each block of `_slotwise_cuts` is copied into a
-    scratch buffer in its own memory order, so the copy reads whole runs of
-    the below axis, and then goes through `_slot_matmuls` inside that
-    cache-sized scratch.  A block's matmul is bit-exact with the one over
-    the whole view: each output amplitude is the same N-term sum over the
-    same inputs, and BLAS rounds columns alike except past a matrix's last
-    full tile, which a block's column count, a multiple of `_GEMM_TILE`,
-    never leaves.  (A batched (before, N, after) matmul would have such a
-    tail in every batch.)
-
-    The blocks are dealt by `_deal`, so OpenBLAS is held at one thread while
-    they run on several.  The gains are summed in block order, so the result
-    does not depend on the worker count either.
+    Slot s is base-N digit s of the slot index.  The state is cut into the
+    blocks of `_block_width`, and only the blocks with a column whose bit m
+    is set are visited.  Those columns are copied into scratch in memory
+    order, go through `_slot_matmuls` inside that cache-sized scratch, and
+    are written back; the blocks are dealt by `_deal`.  The matmuls are
+    bit-exact with those over all the stage's columns at once: each output
+    amplitude is the same N-term sum over the same inputs, and BLAS rounds
+    columns alike except past a matrix's last full tile, which a block's
+    column count, a multiple of `_GEMM_TILE`, never leaves.
     """
-    cuts = _slotwise_cuts(view, u.shape[0])
-    gains = [0.0] * len(cuts)
-    _deal(
-        lambda first, step, scratch: _slotwise_blocks(u, view, cuts, gains, first, step, scratch),
-        len(cuts),
-        view[cuts[0]].size,
-    )
-    return sum(gains)
+    lay = sv.layout
+    width = _block_width(lay)
+    rows = sv.amplitudes.reshape(lay.slot_dim, lay.phase_dim)
+    inside = 1 << m < width  # bit m varies inside a block: every block holds columns with it set
+    blocks = [c for c in range(lay.phase_dim // width) if inside or c * width >> m & 1]
 
+    def work(first: int, step: int, scratch: np.ndarray) -> None:
+        ping, pong = scratch
+        for c in blocks[first::step]:
+            part = rows[:, c * width : (c + 1) * width]
+            if inside:
+                part = _bit_columns(part, m)
+            copy = pong.reshape(part.shape)
+            np.copyto(copy, part)
+            part[...] = _slot_matmuls(u, copy, ping, pong).reshape(part.shape)
 
-def _slotwise_blocks(
-    u: np.ndarray, view: np.ndarray, cuts: list[tuple], gains: list[float], first: int, step: int, scratch
-) -> None:
-    """`_apply_slotwise` on blocks first, first + step, ... in the two buffers of ``scratch``.
-
-    Block i's norm gain goes to gains[i].
-    """
-    ping, pong = scratch
-    for i in range(first, len(cuts), step):
-        block = view[cuts[i]]
-        copy = pong[: block.size].reshape(block.shape)
-        np.copyto(copy, block)
-        result, gains[i] = _slot_matmuls(u, copy, ping[: block.size], pong[: block.size])
-        block[...] = result.reshape(block.shape)
+    _deal(work, len(blocks), lay.slot_dim * (width // 2 if inside else width))
 
 
 def _power_blocks(
@@ -615,41 +586,49 @@ def _power_blocks(
     """`prepare_power_stages` on ``blocks`` of ``width`` phase columns, in the two buffers of ``scratch``.
 
     Block c is phase columns c*width to (c+1)*width - 1 of the (slots,
-    phase) ``rows``; its gain from stage m goes to gains[c, m].
+    phase) ``rows``; the squared norm stage m adds to it goes to gains[c, m].
     """
     slots = rows.shape[0]
     for c in blocks:
         block, spare = scratch
         np.copyto(block.reshape(slots, width), rows[:, :1])
+        norm = np.vdot(block, block).real
         for m, u in enumerate(ops):
             if 1 << m < width:  # bit m varies inside the block: every other run of 2**m columns
-                part = block.reshape(slots, -1, 2, 1 << m)[:, :, 1]
-                result, gains[c, m] = _slot_matmuls(u, part, *np.split(spare, 2))
-                part[...] = result.reshape(part.shape)
+                part = _bit_columns(block.reshape(slots, width), m)
+                part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
             elif c * width >> m & 1:  # bit m is fixed across the block, and set
-                result, gains[c, m] = _slot_matmuls(u, block.reshape(slots, width), spare, block)
-                block, spare = result, block  # N is even: the result is in spare
+                # N is even: the result is in spare
+                block, spare = _slot_matmuls(u, block.reshape(slots, width), spare, block), block
+            else:
+                continue
+            before, norm = norm, np.vdot(block, block).real
+            gains[c, m] = norm - before
         rows[:, c * width : (c + 1) * width] = block.reshape(slots, width)
 
 
-def _slot_matmuls(u: np.ndarray, part: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, float]:
+def _bit_columns(block: np.ndarray, m: int, bit: int = 1) -> np.ndarray:
+    """The columns of the (slots, columns) ``block`` whose bit m is ``bit``, as a (slots, runs, 2**m) view."""
+    return block.reshape(block.shape[0], -1, 2, 1 << m)[:, :, bit]
+
+
+def _slot_matmuls(u: np.ndarray, part: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Apply u to every slot of the (slots, ...) ``part`` through the buffers ``src`` and ``dst``.
 
-    Returns the buffer holding the result, laid out as ``part`` is, and the
-    squared norm the slots gained.  ``part`` is transposed into ``src`` with
-    the slot index innermost, so ``dst`` may hold ``part`` itself.  Each
-    matmul over a (rest, N) reshape then applies u to the next slot and
-    moves it to the front, ping-ponging between the two buffers; after N
-    steps the slot index leads again, in order.
+    Returns the buffer holding the result, laid out as ``part`` is.
+    ``part`` is transposed into ``src`` with the slot index innermost, so
+    ``dst`` may hold ``part`` itself.  Each matmul over a (rest, N) reshape
+    then applies u to the next slot and moves it to the front, ping-ponging
+    between the two buffers; after N steps the slot index leads again, in
+    order.
     """
     n = u.shape[0]
     moved = np.moveaxis(part, 0, -1)
     np.copyto(src.reshape(moved.shape), moved)
-    before = np.vdot(src, src).real
     for _ in range(n):
         np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
         src, dst = dst, src
-    return src, float(np.vdot(src, src).real - before)
+    return src
 
 
 def _deal(work: Callable[[int, int, np.ndarray], None], blocks: int, scratch: int = 0, *, blas: bool = True) -> None:
@@ -752,24 +731,24 @@ def _openblas() -> tuple | None:
     return None
 
 
-def _chunks(length: int, stride: int, step: int = 1) -> list[slice]:
+def _chunks(length: int, stride: int) -> list[slice]:
     """Slices cutting an axis of ``length`` indices into blocks of about `_BLOCK_BYTES`.
 
     One index spans ``stride`` amplitudes.  A block takes as many indices as
-    fit, rounded down to a multiple of ``step`` but at least ``step``; the
-    last block may be shorter.  Every blocked kernel iterates through this.
+    fit, but at least one; the last block may be shorter.  The phase-row
+    kernels iterate through this.
     """
-    per = max(step, _BLOCK_BYTES // (_AMP_BYTES * stride) // step * step)
+    per = max(1, _BLOCK_BYTES // (_AMP_BYTES * stride))
     return [slice(i, i + per) for i in range(0, length, per)]
 
 
 def _block_width(layout: QubitLayout) -> int:
-    """Phase columns in a block of `prepare_power_stages`: a power of two of about `_BLOCK_BYTES`.
+    """Phase columns in a block of every slot-wise kernel: a power of two of about `_BLOCK_BYTES`.
 
     It is doubled until half a block (what a stage whose bit varies inside
     it takes), or a one-column block's column, is a whole number of
     `_GEMM_TILE` matmul columns, or until the block is the state, whose
-    matmuls span each stage view whole, as the per-stage gates' do.
+    matmuls span each stage's columns whole.
     """
     fit = max(1, _BLOCK_BYTES // (_AMP_BYTES * layout.slot_dim))
     width = min(layout.phase_dim, 1 << (fit.bit_length() - 1))
@@ -794,25 +773,6 @@ def _phase_rows(sv: StateVector) -> np.ndarray:
     """
     fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
     return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
-
-
-def _slotwise_cuts(view: np.ndarray, n: int) -> list[tuple]:
-    """Index tuples cutting a (slots, above, below) stage view into blocks of whole slot columns.
-
-    The cut runs along the above axis while one index of it, a whole run of
-    the below axis, fits in a block; otherwise it runs along the below axis,
-    one above index at a time, so a run is cut only when it exceeds a block.
-    A block holds whole slot columns, so the N slot-wise matmuls run on it
-    alone, and its matmul column count (size / n) is a multiple of
-    `_GEMM_TILE`: when a run holds fewer columns than that, the cut stays on
-    the above axis.  When no cut meets the tile rule, the view is one block.
-    """
-    slots, above, below = view.shape
-    run_step = _GEMM_TILE // math.gcd(_GEMM_TILE, slots * below // n)
-    column_step = _GEMM_TILE // math.gcd(_GEMM_TILE, slots // n)
-    if slots * below <= _BLOCK_BYTES // _AMP_BYTES or below < column_step:
-        return [(slice(None), s) for s in _chunks(above, slots * below, run_step)]
-    return [(slice(None), slice(i, i + 1), s) for i in range(above) for s in _chunks(below, slots, column_step)]
 
 
 def _assert_normalized(sv: StateVector, gate: str, gain: float | None = None) -> None:

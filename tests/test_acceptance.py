@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from qdet.antisym import _apply_slotwise_tensor, asym_state, verify_det_identity
+from qdet.antisym import _apply_to_every_slot, asym_state, verify_det_identity
 from qdet.cli import RunConfig, run
 from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary
 from qdet.qde import contraction_run, phase_from_k, qde_run, sign_run
@@ -58,7 +58,7 @@ def test_criterion_2_eigenstate_property():
         for i in range(20):
             u = haar_unitary(n, 20_000 * n + i)
             det = det_lu(u).value
-            out = _apply_slotwise_tensor(u, base)
+            out = _apply_to_every_slot(u, base)
             worst = max(worst, float(np.linalg.norm(out - det * base)))
     report(
         2,

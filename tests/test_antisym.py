@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdet.antisym import _apply_slotwise_tensor, asym_state, verify_det_identity
+from qdet.antisym import _apply_to_every_slot, asym_state, verify_det_identity
 from qdet.errors import ValidationError
 from qdet.linalg import det_levi_civita, det_lu, haar_unitary
 
@@ -119,18 +119,18 @@ def test_asym_state_equals_per_permutation_form(n):
 class TestApplySlotwise:
     def test_identity_preserves_state(self):
         s = asym_state(3)
-        assert np.array_equal(_apply_slotwise_tensor(np.eye(3), s), s)
+        assert np.array_equal(_apply_to_every_slot(np.eye(3), s), s)
 
     def test_diagonal_sign_flip_scales_by_determinant(self):
         s = asym_state(2)
-        out = _apply_slotwise_tensor(np.diag([1.0, -1.0]), s)
+        out = _apply_to_every_slot(np.diag([1.0, -1.0]), s)
         assert np.array_equal(out, -s)
 
     def test_random_matrix_scales_by_determinant(self):
         s = asym_state(3)
         a = random_complex(3, 42)
         det = det_levi_civita(a).value
-        assert np.max(np.abs(_apply_slotwise_tensor(a, s) - det * s)) <= 1e-10
+        assert np.max(np.abs(_apply_to_every_slot(a, s) - det * s)) <= 1e-10
 
 
 class TestVerifyDetIdentity:
@@ -142,7 +142,7 @@ class TestVerifyDetIdentity:
         assert verify_det_identity(a) <= 1e-10
         assert abs(det_levi_civita(a).value) <= 1e-12
         # det = 0 means the transformed state itself vanishes.
-        assert np.max(np.abs(_apply_slotwise_tensor(a, asym_state(2)))) <= 1e-12
+        assert np.max(np.abs(_apply_to_every_slot(a, asym_state(2)))) <= 1e-12
 
     def test_fifty_random_matrices(self):
         for seed in range(50):
@@ -170,7 +170,7 @@ class TestEigenstateProperty:
         for seed in range(20):
             u = haar_unitary(n, 400 + seed)
             det = det_lu(u).value
-            out = _apply_slotwise_tensor(u, base)
+            out = _apply_to_every_slot(u, base)
             assert np.linalg.norm(out - det * base) <= 1e-10
 
     def test_basis_independence(self):
@@ -179,5 +179,5 @@ class TestEigenstateProperty:
         n = 3
         v = haar_unitary(n, 99)
         s = asym_state(n)
-        rebuilt = _apply_slotwise_tensor(v, s)
+        rebuilt = _apply_to_every_slot(v, s)
         assert np.max(np.abs(rebuilt - det_lu(v).value * s)) <= 1e-10

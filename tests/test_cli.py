@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,22 @@ class TestGeneratorSpec:
     def test_malformed_arguments(self):
         with pytest.raises(MatrixParseError):
             generator_spec("diag-phase:two:1:2", seed=0)
+
+    @pytest.mark.parametrize("t", [-1, 1024, 100_000_000_000])
+    def test_diag_phase_exponent_out_of_range_allocates_nothing(self, t):
+        # 1 << 100000000000 would take about 12.5 GB: the range check comes first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixParseError, match=rf"bad generator spec .*t must be in 0\.\.1023, got {t}"):
+                generator_spec(f"diag-phase:2:1:{t}", seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_diag_phase_largest_exponent(self):
+        m = generator_spec("diag-phase:2:1:1023", seed=0)
+        assert m[0, 0] == np.exp(2j * math.pi / (1 << 1023))
 
 
 class TestRunConfig:

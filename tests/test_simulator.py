@@ -317,13 +317,12 @@ class TestControlledPowerStage:
             controlled_power_stage(sv, 1, 1.001 * np.eye(2))
 
 
-    def test_norm_check_adds_the_stage_gain_without_a_state_pass(self, monkeypatch):
+    def test_norm_check_reads_the_state(self):
+        # The gate is the one pass's reference: its check is a whole-state sum, also after a kept check.
         sv = prepared_state(t=3, n=2)
         hadamard_layer(sv)
-        monkeypatch.setattr(StateVector, "norm_sq", lambda self: pytest.fail("full-state norm pass"))
         controlled_power_stage(sv, 1, haar_unitary(2, 5))
-        monkeypatch.undo()
-        assert sv.checked_norm_sq == pytest.approx(sv.norm_sq(), abs=1e-15)
+        assert sv.checked_norm_sq == sv.norm_sq()
 
     def test_first_check_reads_the_state(self):
         sv = StateVector(layout=QubitLayout(t=2, n_particles=2), amplitudes=np.full(16, 0.25 + 0j))
@@ -838,19 +837,9 @@ class TestPhaseBitViewGates:
                 assert np.array_equal(raw[1], rest), gate.__name__
 
 
-def unblocked_slotwise(u, block):
-    """`_apply_slotwise` before blocking: one half-state copy and N half-state matmuls.
-
-    Returns the squared norm it added, from whole-half sums.
-    """
-    n = u.shape[0]
-    sub = np.ascontiguousarray(np.moveaxis(block, -3, -1))
-    before = np.vdot(sub, sub).real
-    for _ in range(n):
-        sub = u @ sub.reshape(-1, n).T
-    shape = block.shape
-    block[...] = np.moveaxis(sub.reshape((shape[-3],) + shape[:-3] + shape[-2:]), 0, -3)
-    return float(np.vdot(sub, sub).real - before)
+def one_block(monkeypatch, sv):
+    """Make the state one slot-wise block: a stage's matmuls then span all of its columns at once."""
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", sv.amplitudes.nbytes)
 
 
 def with_workers(monkeypatch, workers):
@@ -858,17 +847,25 @@ def with_workers(monkeypatch, workers):
     monkeypatch.setattr(simulator, "_worker_count", lambda cuts: min(cuts, workers))
 
 
+def wrap_workers(monkeypatch, wrapper):
+    """Deal ``wrapper(work)`` in place of each blocked kernel's ``work``."""
+    deal = simulator._deal
+    monkeypatch.setattr(simulator, "_deal", lambda work, *args, **kwargs: deal(wrapper(work), *args, **kwargs))
+
+
 def spy_blocks(monkeypatch):
     """Record (thread, first block, step, OpenBLAS thread count) for each worker of a slot-wise stage."""
     calls = []
-    blocks = simulator._slotwise_blocks
     api = simulator._openblas()
 
-    def spy(u, view, cuts, gains, first, step, scratch):
-        calls.append((threading.current_thread(), first, step, api and api[0]()))
-        blocks(u, view, cuts, gains, first, step, scratch)
+    def wrapper(work):
+        def spy(first, step, scratch):
+            calls.append((threading.current_thread(), first, step, api and api[0]()))
+            work(first, step, scratch)
 
-    monkeypatch.setattr(simulator, "_slotwise_blocks", spy)
+        return spy
+
+    wrap_workers(monkeypatch, wrapper)
     return calls
 
 
@@ -908,7 +905,7 @@ def unblocked_probabilities(sv):
 #: exceeds a block and is cut into pieces) and three rows (several rows a
 #: block, the last block short, since every layout has a power-of-two row
 #: count).  `test_block_sizes_reach_every_regime` checks that these give
-#: every regime, and that slot-wise blocks cut the view.
+#: every regime, and that slot-wise blocks cut the state.
 ROWS_PER_BLOCK = (0.5, 3)
 
 
@@ -960,7 +957,7 @@ class TestBlockedKernels:
             buffer = sv.amplitudes
             gate(sv, *args)
             with monkeypatch.context() as unblocked:
-                unblocked.setattr(simulator, "_apply_slotwise", unblocked_slotwise)
+                one_block(unblocked, expected)
                 reference(expected, *args)
             assert np.shares_memory(sv.amplitudes, buffer), gate.__name__
             assert np.array_equal(sv.amplitudes, expected.amplitudes), (gate.__name__, args[:1])
@@ -982,9 +979,8 @@ class TestBlockedKernels:
                 seen.add("several phase rows a block")
             if len(rows) % per:
                 seen.add("short last block")
-            for m in range(t):
-                if len(simulator._slotwise_cuts(simulator._split_view(sv, phase_bit=m)[..., 1, :], n)) > 1:
-                    seen.add("slot-wise blocks cut the view")
+            if simulator._block_width(layout) < layout.phase_dim:
+                seen.add("slot-wise blocks cut the state")
         assert len(seen) == 4, seen
 
     def test_hadamard_bit_exact_at_default_block_size(self):
@@ -1003,22 +999,25 @@ class TestBlockedKernels:
             assert np.array_equal(rows[nonzero].reshape(-1), expected.amplitudes), (n, t)
             assert np.count_nonzero(rows) == expected.amplitudes.size, (n, t)
 
-    def test_slotwise_blocks_keep_whole_below_runs(self):
-        # N = 4, t = 12: a block holds 128 columns of the 256 slot values.
-        # Below a stage's bit, a block keeps runs of 2**m consecutive
-        # amplitudes whole, and cuts them into block-wide runs when 2**m is
-        # wider; the blocks tile the view.
-        n = 4
-        layout = QubitLayout(t=12, n_particles=n)
-        sv = StateVector(layout=layout, amplitudes=np.zeros(1 << layout.total_qubits, dtype=complex))
-        columns = simulator._BLOCK_BYTES // 16 // layout.slot_dim
-        for m in range(layout.t):
-            view = simulator._split_view(sv, phase_bit=m)[..., 1, :]
-            covered = np.zeros(view.shape, dtype=np.int8)
-            for cut in simulator._slotwise_cuts(view, n):
-                assert view[cut].shape[-1] == min(1 << m, columns), (m, view[cut].shape)
-                covered[cut] += 1
-            assert np.all(covered == 1), m
+    @pytest.mark.parametrize("gate", [controlled_power_stage, controlled_block_stage])
+    def test_stage_visits_only_blocks_with_its_bit_set(self, monkeypatch, gate):
+        # N = 4, t = 12 at the default block size: 32 blocks of 128 phase
+        # columns.  Stage 0 takes half of every block, runs of one column;
+        # stage 11 takes the whole of the 16 blocks past phase column 2048.
+        layout = QubitLayout(t=12, n_particles=4)
+        assert simulator._block_width(layout) == 128
+        matmuls = simulator._slot_matmuls
+        for m, blocks, shape in [(0, 32, (256, 64, 1)), (11, 16, (256, 128))]:
+            sv = StateVector(layout, random_amplitudes(np.random.Generator(np.random.PCG64(m)), 1 << 20))
+            parts = []
+
+            def spy(u, part, src, dst):
+                parts.append(part.shape)
+                return matmuls(u, part, src, dst)
+
+            monkeypatch.setattr(simulator, "_slot_matmuls", spy)
+            gate(sv, m, haar_unitary(4, 30 + m))
+            assert parts == [shape] * blocks, (m, len(parts))
 
 
 class TestSlotwiseWorkers:
@@ -1033,30 +1032,30 @@ class TestSlotwiseWorkers:
 
     @pytest.mark.parametrize("m", [0, 3, 5])
     def test_norm_gain_matches_the_unblocked_reference(self, monkeypatch, m):
+        # The state is cut into 64 one-column blocks; the reference is one block.
         sv = self.state(monkeypatch, 40 + m)
         start = sv.amplitudes.copy()
         expected = StateVector(layout=sv.layout, amplitudes=start.copy())
         u = 1.001 * haar_unitary(4, 41)
-        reference = unblocked_slotwise(u, simulator._split_view(expected, phase_bit=m)[..., 1, :])
-        view = simulator._split_view(sv, phase_bit=m)[..., 1, :]
-        gains = set()
+        with monkeypatch.context() as unblocked:
+            one_block(unblocked, expected)
+            simulator._apply_stage(expected, m, u)
+        gain = expected.norm_sq() - 1.0
+        assert gain > 1e-4
         for workers in (1, 2, 5):
             with_workers(monkeypatch, workers)
             sv.amplitudes[...] = start
-            gains.add(simulator._apply_slotwise(u, view))
+            simulator._apply_stage(sv, m, u)
             assert np.array_equal(sv.amplitudes, expected.amplitudes), workers
-        assert len(gains) == 1
-        assert gains.pop() == pytest.approx(reference, rel=1e-12)
+            assert sv.norm_sq() - 1.0 == gain
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # Every worker writes its own blocks and gain slots; a lost or crossed
-        # write changes the amplitudes or the gain.
+        # Every worker writes its own blocks; a lost or crossed write changes the amplitudes.
         sv = self.state(monkeypatch, 50)
         start = sv.amplitudes.copy()
         u = haar_unitary(4, 51)
-        view = simulator._split_view(sv, phase_bit=2)[..., 1, :]
         with_workers(monkeypatch, 1)
-        serial_gain = simulator._apply_slotwise(u, view)
+        simulator._apply_stage(sv, 2, u)
         serial = sv.amplitudes.copy()
         with_workers(monkeypatch, 6)
         interval = sys.getswitchinterval()
@@ -1064,7 +1063,7 @@ class TestSlotwiseWorkers:
         try:
             for _ in range(5):
                 sv.amplitudes[...] = start
-                assert simulator._apply_slotwise(u, view) == serial_gain
+                simulator._apply_stage(sv, 2, u)
                 assert np.array_equal(sv.amplitudes, serial)
         finally:
             sys.setswitchinterval(interval)
@@ -1092,16 +1091,18 @@ class TestSlotwiseWorkers:
             count[0] = threads
 
         monkeypatch.setattr(simulator, "_openblas", lambda: (lambda: count[0], put))
-        blocks = simulator._slotwise_blocks
         seen = []
 
-        def failing(u, view, cuts, gains, first, step, scratch):
-            seen.append(count[0])
-            if first:
-                raise RuntimeError("helper failed")
-            blocks(u, view, cuts, gains, first, step, scratch)
+        def wrapper(work):
+            def failing(first, step, scratch):
+                seen.append(count[0])
+                if first:
+                    raise RuntimeError("helper failed")
+                work(first, step, scratch)
 
-        monkeypatch.setattr(simulator, "_slotwise_blocks", failing)
+            return failing
+
+        wrap_workers(monkeypatch, wrapper)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
             controlled_power_stage(sv, 2, haar_unitary(4, 71))
@@ -1242,6 +1243,15 @@ class TestPreparePowerStages:
         monkeypatch.setattr(simulator, "asym_state", lambda n: 1.001 * asym_state(n))
         with pytest.raises(VerificationError, match="after state preparation$"):
             prepare_power_stages(QubitLayout(t=3, n_particles=2), [np.eye(2)] * 3)
+
+    def test_norm_checks_take_no_state_pass(self, monkeypatch):
+        # Each block sums its norm after every stage it takes, so the checks add gains.
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        monkeypatch.setattr(StateVector, "norm_sq", lambda self: pytest.fail("full-state norm pass"))
+        sv = prepare_power_stages(layout, list(stage_powers(haar_unitary(4, 86), layout.t)))
+        monkeypatch.undo()
+        assert sv.checked_norm_sq == pytest.approx(sv.norm_sq(), abs=1e-13)
 
     def test_rejects_a_wrong_stage_count_or_shape(self):
         layout = QubitLayout(t=3, n_particles=2)

@@ -18,6 +18,9 @@ from .linalg import as_matrix, det_levi_civita
 #: N! enumeration bound for the antisymmetric state.
 MAX_PARTICLES = 8
 
+#: Largest n for the brute-force determinant identity check.
+VERIFY_MAX_DIM = 6
+
 
 def asym_state(n: int) -> np.ndarray:
     """The normalized antisymmetric state on labels {0, ..., N-1}, as a dense (N,)*N tensor.
@@ -65,8 +68,8 @@ def verify_det_identity(a) -> float:
     """
     arr = as_matrix(a)
     n = arr.shape[0]
-    if n > 6:
-        raise ValidationError(f"brute-force identity check limited to n <= 6, got {n}")
+    if n > VERIFY_MAX_DIM:
+        raise ValidationError(f"brute-force identity check limited to n <= {VERIFY_MAX_DIM}, got {n}")
     base = asym_state(n)
     transformed = _apply_to_every_slot(arr, base)
     det = det_levi_civita(arr).value

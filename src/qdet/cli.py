@@ -15,11 +15,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .antisym import verify_det_identity
+from .antisym import VERIFY_MAX_DIM, verify_det_identity
 from .errors import (
     MatrixParseError,
     QdetError,
@@ -28,6 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import (
+    DEFAULT_DIM_BOUND,
     LEVI_CIVITA_MAX_DIM,
     TWO_PI,
     DetValue,
@@ -84,22 +85,15 @@ class RunConfig:
             raise ValidationError(f"shots must be positive, got {self.shots}")
         if self.mode == "verify" and self.verify_count < 1:
             raise ValidationError(f"verify mode needs --verify-count >= 1, got {self.verify_count}")
+        if self.mode == "verify" and not 1 <= self.verify_n <= VERIFY_MAX_DIM:
+            raise ValidationError(f"verify mode needs --verify-n in 1..{VERIFY_MAX_DIM}, got {self.verify_n}")
         if self.mode != "verify" and self.matrix_path is None and self.generator is None:
             raise ValidationError(f"mode {self.mode} needs --matrix or --gen")
 
     def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "matrix": self.matrix_path,
-            "gen": self.generator,
-            "t": self.t,
-            "shots": self.shots,
-            "seed": self.seed,
-            "qubit_cap": self.qubit_cap,
-            "verify_tolerance": self.verify_tolerance,
-            "verify_n": self.verify_n,
-            "verify_count": self.verify_count,
-        }
+        """The config as the report shows it, in field order, without the output path."""
+        names = {"matrix_path": "matrix", "generator": "gen"}
+        return {names.get(k, k): v for k, v in asdict(self).items() if k != "output_path"}
 
 
 @dataclass
@@ -180,6 +174,8 @@ def generator_spec(spec: str, seed: int) -> np.ndarray:
         n = int(parts[1])
         if n < 1:
             raise ValueError(f"N must be positive, got {n}")
+        if n > DEFAULT_DIM_BOUND:  # det_lu refuses it anyway; refused here before it is built
+            raise ValueError(f"N must be at most {DEFAULT_DIM_BOUND}, got {n}")
         if kind == "haar-unitary":
             return haar_unitary(n, seed)
         if kind == "haar-orthogonal":
@@ -204,18 +200,26 @@ def load_matrix(config: RunConfig) -> np.ndarray:
 
 
 def run(config: RunConfig) -> RunReport:
-    """Dispatch one configured run and assemble its self-checking report."""
+    """Run one configured mode and assemble its self-checking report.
+
+    A matrix mode loads its matrix, takes the LU oracle, then runs, so a
+    matrix the oracle refuses is refused before any state is built.
+    """
     start = time.perf_counter()
-    if config.mode == "qde":
-        report = _run_qde(config)
-    elif config.mode == "sign":
-        report = _run_sign(config)
-    elif config.mode == "contract":
-        report = _run_contract(config)
-    elif config.mode == "verify":
+    if config.mode == "verify":
         report = _run_verify(config)
     else:
-        report = _run_oracle(config)
+        matrix = load_matrix(config)
+        oracle = det_lu(matrix)
+        result, counters, disagreement = _MATRIX_MODES[config.mode](config, matrix, oracle)
+        report = RunReport(
+            config=config.echo(),
+            mode=config.mode,
+            result=result,
+            oracle_determinant=_det_payload(oracle),
+            counters=counters,
+            disagreement=disagreement,
+        )
     report.wall_time_ms = (time.perf_counter() - start) * 1e3
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
@@ -223,45 +227,25 @@ def run(config: RunConfig) -> RunReport:
     return report
 
 
-def _run_qde(config: RunConfig) -> RunReport:
-    matrix = load_matrix(config)
-    oracle = det_lu(matrix)
+def _run_qde(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
     result = qde_run(matrix, config.t, config.shots, config.seed, qubit_cap=config.qubit_cap)
-    grid_step = TWO_PI / (1 << config.t)
-    disagreement = _circular_distance(result.phase.phi_hat, oracle.phase) > grid_step + 1e-9
-    return RunReport(
-        config=config.echo(),
-        mode="qde",
-        result=_phase_payload(result.phase, exact=result.exact_distribution),
-        oracle_determinant=_det_payload(oracle),
-        counters=result.counters.as_dict(),
-        disagreement=disagreement,
-    )
+    payload = _phase_payload(result.phase, exact=result.exact_distribution)
+    return payload, result.counters.as_dict(), _phase_disagrees(result.phase, oracle)
 
 
-def _run_sign(config: RunConfig) -> RunReport:
-    matrix = load_matrix(config)
-    oracle = det_lu(matrix)
+def _run_sign(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
     result = sign_run(matrix, config.shots, config.seed, qubit_cap=config.qubit_cap)
+    payload = {
+        "sign": result.sign,
+        "shots": result.shots,
+        "unanimous": result.unanimous,
+        "majority_probability": result.majority_probability,
+    }
     oracle_sign = 1 if oracle.value.real >= 0 else -1
-    return RunReport(
-        config=config.echo(),
-        mode="sign",
-        result={
-            "sign": result.sign,
-            "shots": result.shots,
-            "unanimous": result.unanimous,
-            "majority_probability": result.majority_probability,
-        },
-        oracle_determinant=_det_payload(oracle),
-        counters=result.counters.as_dict(),
-        disagreement=result.sign != oracle_sign,
-    )
+    return payload, result.counters.as_dict(), result.sign != oracle_sign
 
 
-def _run_contract(config: RunConfig) -> RunReport:
-    matrix = load_matrix(config)
-    oracle = det_lu(matrix)
+def _run_contract(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
     result = contraction_run(matrix, config.t, config.shots, config.seed, qubit_cap=config.qubit_cap)
     # The accepted count is binomial in the oracle's acceptance probability p:
     # more than 5 sigma off is a disagreement (any deviation when p is 0 or 1).
@@ -275,8 +259,7 @@ def _run_contract(config: RunConfig) -> RunReport:
         _ACCEPTANCE_RTOL * result.predicted_acceptance
     )
     if not result.no_accepted_shots:
-        grid_step = TWO_PI / (1 << config.t)
-        disagreement |= _circular_distance(result.phase.phi_hat, oracle.phase) > grid_step + 1e-9
+        disagreement |= _phase_disagrees(result.phase, oracle)
     payload = {
         "accepted": result.accepted,
         "attempted": result.attempted,
@@ -287,14 +270,22 @@ def _run_contract(config: RunConfig) -> RunReport:
         "no_accepted_shots": result.no_accepted_shots,
     }
     payload.update(_phase_payload(result.phase, exact=result.exact_conditioned_distribution))
-    return RunReport(
-        config=config.echo(),
-        mode="contract",
-        result=payload,
-        oracle_determinant=_det_payload(oracle),
-        counters=result.counters.as_dict(),
-        disagreement=disagreement,
-    )
+    return payload, result.counters.as_dict(), disagreement
+
+
+def _run_oracle(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
+    payload: dict = {"lu": _det_payload(oracle), "levi_civita": None}
+    disagreement = False
+    if matrix.shape[0] <= LEVI_CIVITA_MAX_DIM:
+        other = det_levi_civita(matrix)
+        payload["levi_civita"] = _det_payload(other)
+        disagreement = abs(oracle.value - other.value) > 1e-9 * max(1.0, abs(oracle.value))
+    payload["agreement"] = not disagreement
+    return payload, None, disagreement
+
+
+#: Each matrix mode's run: (config, matrix, oracle) -> (result, counters, disagreement).
+_MATRIX_MODES = {"qde": _run_qde, "sign": _run_sign, "contract": _run_contract, "oracle": _run_oracle}
 
 
 def _run_verify(config: RunConfig) -> RunReport:
@@ -349,30 +340,6 @@ def _mix_seed(seed: int, class_index: int, i: int) -> int:
     return (seed & ((1 << 32) - 1)) * 1_000_003 + class_index * 65_537 + i
 
 
-def _run_oracle(config: RunConfig) -> RunReport:
-    matrix = load_matrix(config)
-    oracle = det_lu(matrix)
-    n = matrix.shape[0]
-    payload: dict = {"lu": _det_payload(oracle)}
-    disagreement = False
-    if n <= LEVI_CIVITA_MAX_DIM:
-        other = det_levi_civita(matrix)
-        payload["levi_civita"] = _det_payload(other)
-        scale = max(1.0, abs(oracle.value))
-        disagreement = abs(oracle.value - other.value) > 1e-9 * scale
-    else:
-        payload["levi_civita"] = None
-    payload["agreement"] = not disagreement
-    return RunReport(
-        config=config.echo(),
-        mode="oracle",
-        result=payload,
-        oracle_determinant=_det_payload(oracle),
-        counters=None,
-        disagreement=disagreement,
-    )
-
-
 def _phase_payload(phase: PhaseEstimate, exact: np.ndarray | None) -> dict:
     return {
         "k_prime": phase.k_prime,
@@ -397,9 +364,10 @@ def _complex_pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _circular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _phase_disagrees(phase: PhaseEstimate, oracle: DetValue) -> bool:
+    """Whether the estimate is more than one grid step, 2*pi / 2**t, from the oracle's phase."""
+    d = abs(phase.phi_hat - oracle.phase) % TWO_PI
+    return min(d, TWO_PI - d) > TWO_PI / (1 << phase.t) + 1e-9
 
 
 def dump_json(obj) -> str:

@@ -89,6 +89,10 @@ class TestParseMatrixFile:
         assert "code=validation" in capsys.readouterr().err
 
 
+GENERATOR_FORMS = ["haar-unitary:{n}", "haar-orthogonal:{n}", "diag-phase:{n}:1:2", "scaled-identity:{n}:1:0"]
+GENERATOR_KINDS = [form.split(":")[0] for form in GENERATOR_FORMS]
+
+
 class TestGeneratorSpec:
     def test_diag_phase(self):
         m = generator_spec("diag-phase:2:1:2", seed=0)
@@ -133,6 +137,26 @@ class TestGeneratorSpec:
         m = generator_spec("diag-phase:2:1:1023", seed=0)
         assert m[0, 0] == np.exp(2j * math.pi / (1 << 1023))
 
+    @pytest.mark.parametrize("n", [65, 10**5])
+    @pytest.mark.parametrize("form", GENERATOR_FORMS, ids=GENERATOR_KINDS)
+    def test_dimension_above_the_oracle_bound_allocates_nothing(self, form, n, capsys):
+        # det_lu refuses N > 64 in every matrix mode; a 10**5 x 10**5 matrix would take 160 GB.
+        spec = form.format(n=n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixParseError, match=rf"bad generator spec .*N must be at most 64, got {n}"):
+                generator_spec(spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert main(["--mode", "oracle", "--gen", spec]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", GENERATOR_FORMS, ids=GENERATOR_KINDS)
+    def test_dimension_at_the_oracle_bound_builds(self, form):
+        assert generator_spec(form.format(n=64), seed=0).shape == (64, 64)
+
 
 class TestRunConfig:
     def test_sign_mode_forces_single_phase_qubit(self):
@@ -157,6 +181,26 @@ class TestRunConfig:
             RunConfig(mode="verify", verify_count=count)
         assert main(["--mode", "verify", "--verify-count", str(count)]) == EXIT_VALIDATION
         assert "code=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, 7, 100_000])
+    def test_verify_rejects_a_dimension_outside_the_identity_check(self, n, monkeypatch, capsys):
+        # Refused before any matrix is sampled: 10**5 would take 160 GB per matrix.
+        def no_sample(*args):
+            raise AssertionError("a matrix was sampled")
+
+        monkeypatch.setattr(qdet.cli, "_verify_sample", no_sample)
+        with pytest.raises(ValidationError, match=rf"--verify-n in 1\.\.6, got {n}"):
+            RunConfig(mode="verify", verify_n=n)
+        assert main(["--mode", "verify", "--verify-n", str(n), "--verify-count", "1"]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_verify_accepts_the_identity_check_range(self, n):
+        assert run(RunConfig(mode="verify", verify_n=n, verify_count=1)).result["passed"]
+
+    def test_other_modes_only_echo_verify_n(self):
+        config = RunConfig(mode="oracle", generator="haar-unitary:2", verify_n=100_000)
+        assert run(config).config["verify_n"] == 100_000
 
     def test_parser_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["--mode", "qde", "--gen", "g"])
@@ -263,6 +307,44 @@ class TestRunDispatch:
         on_disk = out.read_text()
         assert on_disk.strip() == report.to_json()
         json.loads(on_disk)  # must be valid JSON
+
+
+CONFIG_KEYS = [
+    "mode", "matrix", "gen", "t", "shots", "seed", "qubit_cap", "verify_tolerance", "verify_n", "verify_count"
+]
+PHASE_KEYS = ["k_prime", "t", "phi_hat", "shots", "histogram", "frequencies", "exact_distribution"]
+CONTRACT_KEYS = [
+    "accepted", "attempted", "acceptance_rate", "predicted_acceptance", "exact_acceptance",
+    "magnitude_estimate", "no_accepted_shots",
+]
+
+
+class TestReportKeyOrder:
+    @pytest.mark.parametrize(
+        "config, result_keys",
+        [
+            (RunConfig(mode="qde", generator="diag-phase:2:1:2", t=2, shots=20), PHASE_KEYS),
+            (
+                RunConfig(mode="sign", generator="haar-orthogonal:2", shots=20),
+                ["sign", "shots", "unanimous", "majority_probability"],
+            ),
+            (
+                RunConfig(mode="contract", generator="scaled-identity:2:0.9:0", t=2, shots=200),
+                CONTRACT_KEYS + PHASE_KEYS,
+            ),
+            (RunConfig(mode="verify", verify_n=2, verify_count=1), ["rows", "max_residual", "tolerance", "passed"]),
+            (RunConfig(mode="oracle", generator="haar-unitary:3"), ["lu", "levi_civita", "agreement"]),
+            (RunConfig(mode="oracle", generator="haar-unitary:12"), ["lu", "levi_civita", "agreement"]),
+        ],
+        ids=["qde", "sign", "contract", "verify", "oracle", "oracle-no-levi-civita"],
+    )
+    def test_report_keys_in_order(self, config, result_keys):
+        body = json.loads(run(config).to_json())
+        assert list(body) == [
+            "config", "mode", "result", "oracle_determinant", "counters", "disagreement", "wall_time_ms"
+        ]
+        assert list(body["config"]) == CONFIG_KEYS
+        assert list(body["result"]) == result_keys
 
 
 class TestReproducibility:

@@ -140,6 +140,8 @@ def parse_matrix_file(path: str) -> np.ndarray:
     rows = doc["rows"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MatrixParseError(f'{path}: "n" must be a positive integer, got {n!r}')
+    if n > DEFAULT_DIM_BOUND:  # det_lu refuses it anyway; refused here before it is built
+        raise MatrixParseError(f'{path}: "n" must be at most {DEFAULT_DIM_BOUND}, got {n}')
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixParseError(f'{path}: expected {n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}')
     out = np.zeros((n, n), dtype=np.complex128)

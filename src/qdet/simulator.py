@@ -27,10 +27,12 @@ Every slot-wise kernel cuts the state one way, `_block_width`: the
 power-of-two run of phase columns, about `_BLOCK_BYTES` in all.  Stage m
 applies its matrix to a block's columns with bit m set (`_bit_columns`):
 every other run of 2**m columns, or, when 2**m is not narrower than the
-block, the whole block or none of it.  The pass builds each block in scratch
-from phase column 0, which holds the slot column scaled t times by
-1/sqrt(2) and which no stage changes, applies every stage to it in order,
-and writes it back once, after its last stage.  A per-stage gate
+block, the whole block or none of it.  Phase column j ends as column 0,
+which holds the slot column scaled t times by 1/sqrt(2), with the stages of
+j's set bits applied in increasing order.  So the pass builds block 0 in
+scratch from column 0, and then each later stage doubles the blocks built,
+each new block being that stage applied to an earlier one, and final
+(`prepare_power_stages`); it writes each block once.  A per-stage gate
 (`_apply_stage`) visits only the blocks with a column whose bit m is set,
 copies those columns into scratch in memory order, and writes them back.
 Every column gets the same N-term sums, in stage order, either way, so the
@@ -60,9 +62,11 @@ the state exceeds a block.  Slot-wise helpers run only while OpenBLAS is
 held at one thread (`_blas_serial`, for that kernel call alone): its own
 threads would oversubscribe the cores.  `ancilla_zero_probability` holds it
 at one thread too, so the reported P(0) is the same serial sum on every
-host.  The pass sums each block's squared norm after every stage it
-applies, while the block is in cache, so its norm checks add those gains to
-the value the last check kept, without a pass over the state.
+host.  The pass deals each stage's new blocks, with a barrier between
+stages, since a stage reads the blocks the stages before it wrote.  It sums
+each block's squared norm while the block is in cache, and its norm checks
+add the gains those norms give to the value the last check kept, without a
+pass over the state.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -304,8 +308,21 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     ``powers`` gives stage m's operator, U**(2**m); it is read after the
     state is allocated, so a refused state is reported before a large t
     squares its powers towards overflow.  Amplitudes and counters equal
-    those of the per-stage gates (see the module docstring).  Each block
-    records the norm every stage it takes adds, and the norms are checked in
+    those of the per-stage gates (see the module docstring).
+
+    The pass builds block 0 from column 0, with the stages whose bit varies
+    inside a block.  Each later stage m makes a level: it doubles the blocks
+    built so far, block c of the level being stage m applied to block
+    c - 2**k, where k = m - log2(width) and 2**k <= c < 2**(k+1).  m is the
+    top set bit of every column of block c, so the block is final.  One
+    `_deal` runs the whole pass, and its workers meet at a barrier before
+    each level.
+
+    The norm checks need no pass over the state.  After stage m of the
+    per-stage gates, phase column j holds final column j mod 2**(m+1), so
+    stage m adds (phase_dim >> (m+1)) times the squared norms of the
+    level's blocks less those of their sources.  A stage whose bit varies
+    inside a block adds block 0's gain once per block.  The checks run in
     stage order after the pass, so a drift still names the stage it arose
     in.
     """
@@ -319,27 +336,42 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     for _ in range(t):
         column *= _INV_SQRT2
     rows[:, 0] = column
-    prepared = float(np.vdot(column, column).real) * layout.phase_dim
+    weight = float(np.vdot(column, column).real)
     del column  # an N = 8 column is 256 MiB: free it before the scratch is allocated
 
     width = _block_width(layout)
-    # A block of one column takes the stages whose bits its index has set:
-    # column 0 takes none and is already in place.
-    blocks = range(1 if width == 1 else 0, layout.phase_dim // width)
-    gains = np.zeros((layout.phase_dim // width, t))
-    _deal(
-        lambda first, step, scratch: _power_blocks(ops, rows, width, blocks[first::step], gains, scratch),
-        len(blocks),
-        layout.slot_dim * width,
-    )
+    count = layout.phase_dim // width
+    norms = np.empty(count)  # each block's squared norm
+    norms[0] = weight  # a block of one column is column 0, already in place
+    gains = np.empty(width.bit_length() - 1)  # block 0's gain at each stage whose bit varies inside it
+    barriers: dict[int, threading.Barrier] = {}
+
+    def work(first: int, step: int, scratch: np.ndarray) -> None:
+        # setdefault is atomic: every worker gets the barrier the first one made.
+        barrier = barriers.setdefault(step, threading.Barrier(step))
+        try:
+            _power_levels(ops, rows, width, norms, gains, barrier, first, step, scratch)
+        except threading.BrokenBarrierError:
+            return  # another worker raised and broke the barrier: `_deal` raises its exception
+        except BaseException:
+            barrier.abort()  # frees the workers waiting at the barrier
+            raise
+
+    # The widest level, the last, has count / 2 blocks.
+    _deal(work, max(1, count // 2), layout.slot_dim * width)
 
     # The norm checks start from the empty state: preparation adds all of it.
     sv = StateVector(layout=layout, amplitudes=amps, checked_norm_sq=0.0)
     _book_asym(sv.counters, n)
     sv.counters.modeled_qft_ops += t
     sv.counters.controlled_slot_applications += t * n
-    _assert_normalized(sv, "state preparation", prepared)
-    for m, gain in enumerate(gains.sum(axis=0)):
+    _assert_normalized(sv, "state preparation", weight * layout.phase_dim)
+    for m in range(t):
+        if m < len(gains):
+            gain = gains[m] * count
+        else:
+            level = 1 << (m - len(gains))  # the level's first block, and its block count
+            gain = (layout.phase_dim >> (m + 1)) * (norms[level : 2 * level].sum() - norms[:level].sum())
         _assert_normalized(sv, f"controlled_power_stage m={m}", float(gain))
     return sv
 
@@ -580,31 +612,40 @@ def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
     _deal(work, len(blocks), lay.slot_dim * (width // 2 if inside else width))
 
 
-def _power_blocks(
-    ops: list[np.ndarray], rows: np.ndarray, width: int, blocks: range, gains: np.ndarray, scratch
+def _power_levels(
+    ops: list[np.ndarray], rows: np.ndarray, width: int, norms: np.ndarray, gains: np.ndarray,
+    barrier: threading.Barrier, first: int, step: int, scratch: np.ndarray,
 ) -> None:
-    """`prepare_power_stages` on ``blocks`` of ``width`` phase columns, in the two buffers of ``scratch``.
+    """Worker ``first`` of ``step`` of `prepare_power_stages`, in the two buffers of ``scratch``.
 
     Block c is phase columns c*width to (c+1)*width - 1 of the (slots,
-    phase) ``rows``; the squared norm stage m adds to it goes to gains[c, m].
+    phase) ``rows``; its squared norm goes to norms[c], and the norm each
+    stage inside block 0 adds to it goes to ``gains``.  Worker 0 builds
+    block 0; the workers take each level's blocks round-robin, after
+    ``barrier``.
     """
     slots = rows.shape[0]
-    for c in blocks:
-        block, spare = scratch
-        np.copyto(block.reshape(slots, width), rows[:, :1])
+    block, spare = scratch
+    inside = len(gains)
+    if first == 0 and width > 1:
+        cols = block.reshape(slots, width)
+        np.copyto(cols, rows[:, :1])
         norm = np.vdot(block, block).real
-        for m, u in enumerate(ops):
-            if 1 << m < width:  # bit m varies inside the block: every other run of 2**m columns
-                part = _bit_columns(block.reshape(slots, width), m)
-                part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
-            elif c * width >> m & 1:  # bit m is fixed across the block, and set
-                # N is even: the result is in spare
-                block, spare = _slot_matmuls(u, block.reshape(slots, width), spare, block), block
-            else:
-                continue
+        for m, u in enumerate(ops[:inside]):  # every other run of 2**m columns
+            part = _bit_columns(cols, m)
+            part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
             before, norm = norm, np.vdot(block, block).real
-            gains[c, m] = norm - before
-        rows[:, c * width : (c + 1) * width] = block.reshape(slots, width)
+            gains[m] = norm - before
+        rows[:, :width] = cols
+        norms[0] = norm
+    for k, u in enumerate(ops[inside:]):
+        barrier.wait()
+        level = 1 << k
+        for c in range(level + first, 2 * level, step):
+            source = rows[:, (c - level) * width : (c - level + 1) * width]
+            out = _slot_matmuls(u, source, block, spare)  # N is even: the result is in block
+            norms[c] = np.vdot(out, out).real
+            rows[:, c * width : (c + 1) * width] = out.reshape(slots, width)
 
 
 def _bit_columns(block: np.ndarray, m: int, bit: int = 1) -> np.ndarray:

@@ -88,6 +88,31 @@ class TestParseMatrixFile:
         assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
         assert "code=validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [65, 4096])
+    def test_dimension_above_the_oracle_bound_allocates_nothing(self, tmp_path, n, capsys):
+        # A 4096 x 4096 matrix would take 256 MiB before any row's length is checked.
+        path = write_matrix(tmp_path, {"n": n, "rows": [[]] * n})
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixParseError, match=f'"n" must be at most 64, got {n}'):
+                parse_matrix_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
+    def test_dimension_far_above_the_oracle_bound_exits_2(self, tmp_path, capsys):
+        # 400 KB of JSON for a matrix of 160 GB.
+        path = write_matrix(tmp_path, {"n": 10**5, "rows": [[]] * 10**5})
+        assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
+    def test_dimension_at_the_oracle_bound_parses(self, tmp_path):
+        eye = [[[float(i == j), 0] for j in range(64)] for i in range(64)]
+        assert np.array_equal(parse_matrix_file(write_matrix(tmp_path, {"n": 64, "rows": eye})), np.eye(64))
+
 
 GENERATOR_FORMS = ["haar-unitary:{n}", "haar-orthogonal:{n}", "diag-phase:{n}:1:2", "scaled-identity:{n}:1:0"]
 GENERATOR_KINDS = [form.split(":")[0] for form in GENERATOR_FORMS]

@@ -1,5 +1,6 @@
 """Register layout, gates, counters, and measurement behavior of the simulator."""
 
+import collections
 import itertools
 import math
 import sys
@@ -869,17 +870,17 @@ def spy_blocks(monkeypatch):
     return calls
 
 
-def spy_power_blocks(monkeypatch):
+def spy_power_levels(monkeypatch):
     """Record (thread, OpenBLAS thread count) for each worker of `prepare_power_stages`."""
     calls = []
-    blocks = simulator._power_blocks
+    levels = simulator._power_levels
     api = simulator._openblas()
 
     def spy(*args):
         calls.append((threading.current_thread(), api and api[0]()))
-        blocks(*args)
+        levels(*args)
 
-    monkeypatch.setattr(simulator, "_power_blocks", spy)
+    monkeypatch.setattr(simulator, "_power_levels", spy)
     return calls
 
 
@@ -1137,7 +1138,7 @@ class TestSlotwiseWorkers:
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
         with_workers(monkeypatch, 2)
-        calls = spy_power_blocks(monkeypatch)
+        calls = spy_power_levels(monkeypatch)
         sets = []
 
         def recording_put(count):
@@ -1210,7 +1211,7 @@ class TestPreparePowerStages:
             assert len(widths) == len(power_block_bytes(layout)), widths
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # Every worker writes its own blocks and gain rows; a lost or crossed
+        # Every worker writes its own blocks and norms; a lost or crossed
         # write changes the amplitudes or the checked norm.
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
@@ -1245,7 +1246,7 @@ class TestPreparePowerStages:
             prepare_power_stages(QubitLayout(t=3, n_particles=2), [np.eye(2)] * 3)
 
     def test_norm_checks_take_no_state_pass(self, monkeypatch):
-        # Each block sums its norm after every stage it takes, so the checks add gains.
+        # Each block's norm is summed while it is in cache, so the checks add gains.
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         monkeypatch.setattr(StateVector, "norm_sq", lambda self: pytest.fail("full-state norm pass"))
@@ -1264,21 +1265,110 @@ class TestPreparePowerStages:
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         with_workers(monkeypatch, 2)
-        blocks = simulator._power_blocks
+        levels = simulator._power_levels
         seen = []
 
         def failing(*args):
             seen.append(threading.current_thread() is threading.main_thread())
             if not seen[-1]:
                 raise RuntimeError("helper failed")
-            blocks(*args)
+            levels(*args)
 
-        monkeypatch.setattr(simulator, "_power_blocks", failing)
+        monkeypatch.setattr(simulator, "_power_levels", failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
             prepare_power_stages(layout, [haar_unitary(4, 81)] * layout.t)
         assert threading.active_count() == threads
         assert sorted(seen) == [False, True]
+
+    @pytest.mark.parametrize("raiser, call", [("helper", 2), ("caller", 5)])
+    def test_worker_raising_at_a_later_level_breaks_the_barrier(self, monkeypatch, raiser, call):
+        # Four columns a block, 16 blocks: the caller builds block 0 (two
+        # matmuls) and blocks 1, 2 and 4; the helper blocks 3, 5 and 7.  Each
+        # raises at level 2, while the other waits at, or heads for, the barrier.
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        with_workers(monkeypatch, 2)
+        matmuls = simulator._slot_matmuls
+        counts = collections.Counter()
+        raised = []
+
+        def spy(*args):
+            thread = threading.current_thread()
+            counts[thread] += 1
+            if (thread is runner) == (raiser == "caller") and counts[thread] == call:
+                raise RuntimeError(f"{raiser} failed")
+            return matmuls(*args)
+
+        def run():
+            try:
+                prepare_power_stages(layout, list(stage_powers(haar_unitary(4, 82), layout.t)))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        monkeypatch.setattr(simulator, "_slot_matmuls", spy)
+        threads = threading.active_count()
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert [str(exc) for exc in raised] == [f"{raiser} failed"]
+        assert len(counts) == 2
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("block_bytes, calls", [(None, 7 + 31), (4 * 16 * 256, 2 + 1023)])
+    def test_each_later_block_takes_one_matmul(self, monkeypatch, block_bytes, calls):
+        # N = 4, t = 12: block 0 takes one matmul per stage whose bit varies
+        # inside a block, every other block one; 32 blocks of 128 columns at
+        # the default block size, 1024 of 4 columns at the other.
+        layout = QubitLayout(t=12, n_particles=4)
+        if block_bytes:
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes)
+        assert simulator._block_width(layout) == (4 if block_bytes else 128)
+        matmuls = simulator._slot_matmuls
+        count = [0]
+
+        def spy(*args):
+            count[0] += 1
+            return matmuls(*args)
+
+        monkeypatch.setattr(simulator, "_slot_matmuls", spy)
+        prepare_power_stages(layout, list(stage_powers(haar_unitary(4, 83), layout.t)))
+        assert count[0] == calls
+
+    def test_serial_bit_exact_when_openblas_cannot_be_found(self, monkeypatch):
+        layout = QubitLayout(t=9, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        with_workers(monkeypatch, 2)
+        powers = list(stage_powers(haar_unitary(4, 84), layout.t))
+        parallel = prepare_power_stages(layout, powers)
+        monkeypatch.setattr(simulator, "_openblas", lambda: None)
+        calls = spy_blocks(monkeypatch)
+        serial = prepare_power_stages(layout, powers)
+        assert [(thread, first, step) for thread, first, step, _ in calls] == [(threading.main_thread(), 0, 1)]
+        assert np.array_equal(serial.amplitudes, parallel.amplitudes)
+        assert serial.checked_norm_sq == parallel.checked_norm_sq
+
+    def test_more_levels_than_workers_under_fast_switching(self, monkeypatch):
+        # 128 blocks of four columns: seven levels after block 0, on six
+        # workers; a worker past a barrier too early reads a block not yet written.
+        layout = QubitLayout(t=9, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        powers = list(stage_powers(haar_unitary(4, 87), layout.t))
+        with_workers(monkeypatch, 1)
+        serial = prepare_power_stages(layout, powers)
+        with_workers(monkeypatch, 6)
+        calls = spy_blocks(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sv = prepare_power_stages(layout, powers)
+                assert np.array_equal(sv.amplitudes, serial.amplitudes)
+                assert sv.checked_norm_sq == serial.checked_norm_sq
+        finally:
+            sys.setswitchinterval(interval)
+        assert {step for _, _, step, _ in calls} == {6 if simulator._openblas() else 1}
 
 
 class TestKernelMemory:

@@ -7,13 +7,12 @@ certifies this by brute force against the permutation-sum determinant oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, det_levi_civita
+from .linalg import as_matrix, det_levi_civita, permutation_parities
 
 #: N! enumeration bound for the antisymmetric state.
 MAX_PARTICLES = 8
@@ -36,15 +35,8 @@ def asym_state(n: int) -> np.ndarray:
         raise ValidationError(f"need at least one label, got n={n}")
     if n > MAX_PARTICLES:
         raise ValidationError(f"refusing N! enumeration for n={n} > {MAX_PARTICLES}")
-    count = math.factorial(n)
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))), dtype=np.intp, count=count * n
-    ).reshape(count, n)
-    # sgn = (-1) ** (inversion count): the pairs i < j with perm[i] > perm[j].
-    odd = np.zeros(count, dtype=bool)
-    for i, j in itertools.combinations(range(n), 2):
-        odd ^= perms[:, i] > perms[:, j]
-    scale = 1.0 / math.sqrt(count)
+    perms, odd = permutation_parities(n)
+    scale = 1.0 / math.sqrt(len(perms))
     tensor = np.zeros((n,) * n, dtype=np.complex128, order="F")
     tensor[tuple(perms.T)] = np.where(odd, -scale, scale)
     return tensor

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -97,23 +97,30 @@ def det_levi_civita(a) -> DetValue:
         raise ValidationError(
             f"permutation-sum determinant needs N! work; N={n} exceeds {LEVI_CIVITA_MAX_DIM}"
         )
+    perms, odd = permutation_parities(n)
     total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
+    for perm, negative in zip(perms.tolist(), odd.tolist()):
         term = 1.0 + 0.0j
         for row, col in enumerate(perm):
             term *= arr[row, col]
-        total += _permutation_sign(perm) * term
+        total += (-1 if negative else 1) * term
     return DetValue.from_complex(total)
 
 
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    """(-1) ** (inversion count)."""
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def permutation_parities(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(n), in lexicographic order, as (n!, n) rows, and which are odd.
+
+    A permutation is odd when it has an odd number of inversions: pairs
+    i < j with perm[i] > perm[j].
+    """
+    count = math.factorial(n)
+    perms = np.fromiter(
+        chain.from_iterable(permutations(range(n))), dtype=np.intp, count=count * n
+    ).reshape(count, n)
+    odd = np.zeros(count, dtype=bool)
+    for i, j in combinations(range(n), 2):
+        odd ^= perms[:, i] > perms[:, j]
+    return perms, odd
 
 
 def is_unitary(a, tol: float) -> bool:

@@ -185,12 +185,14 @@ def contraction_run(
     ancilla reads 1 and accepted shots contribute one phase-register sample.
     The states along the all-zeros path do not depend on the shot, so the
     path (and the exact conditioned distribution) is computed once.
-    `sample_distribution` then draws every shot's t + 1 uniforms in bulk:
-    shot s survives when its draw m is below stage m's zero probability for
-    every m, and a survivor reads its phase from draw t.  The draws equal
-    those of substream (seed, s) taken in order, as a literal per-shot rerun
-    would consume them.  When a stage's zero branch has no amplitude, every
-    shot is rejected and nothing is drawn.
+    `sample_distribution` then walks the shots in bulk: shot s survives
+    when its draw m is below stage m's zero probability for every m, and a
+    survivor reads its phase from draw t.  It computes the draws four at a
+    time, and a shot's next four only while it survives, so a rejected shot
+    costs only the draws up to its rejection.  The draws equal those of
+    substream (seed, s) taken in order, as a literal per-shot rerun would
+    consume them.  When a stage's zero branch has no amplitude, every shot
+    is rejected and nothing is drawn.
 
     Stage m passes A**(2**m) to `controlled_block_stage`, which applies that
     N x N block to every slot, so only the qubit cap

@@ -281,13 +281,22 @@ class TestRunDispatch:
         assert report.disagreement
         assert report.exit_code == EXIT_VERIFICATION
 
-    @pytest.mark.parametrize("smallest, t, flagged", [(1e-3, 3, True), (1e-5, 2, False)])
-    def test_contract_flags_exact_acceptance_off_the_law(self, tmp_path, capsys, smallest, t, flagged):
-        # A = W diag(0.9, smallest) V^dag.  At 1e-3 and t=3 the law gives
-        # 2.3e-43, below what the stages resolve, and the exact acceptance
-        # reads 7.3e-39; at 1e-5 and t=2 it stays within 1.7e-5 (relative)
-        # of the law's 5.3e-31.  No shot is accepted in either run.
-        a = (haar_unitary(2, 1) * np.array([0.9, smallest])) @ haar_unitary(2, 2).conj().T
+    # Each id names A's smallest singular value, t, and whether the run is flagged.
+    @pytest.mark.parametrize(
+        "a, t, flagged",
+        [
+            pytest.param((haar_unitary(2, 1) * [0.9, 1e-3]) @ haar_unitary(2, 2).conj().T, 3, True, id="0.001-3-True"),
+            pytest.param((haar_unitary(2, 1) * [0.9, 1e-5]) @ haar_unitary(2, 2).conj().T, 2, False, id="1e-05-2-False"),
+            pytest.param(haar_unitary(2, 1) * [0.99, 1.0], 15, True, id="0.99-15-True"),
+        ],
+    )
+    def test_contract_flags_exact_acceptance_off_the_law(self, tmp_path, capsys, a, t, flagged):
+        # A = W diag(0.9, 1e-3) V^dag at t=3: the law gives 2.3e-43, below
+        # what the stages resolve, and the exact acceptance reads 7.3e-39.
+        # A = W diag(0.9, 1e-5) V^dag at t=2: it stays within 1.7e-5
+        # (relative) of the law's 5.3e-31.  A = W diag(0.99, 1) at t=15: the
+        # law gives 9.05e-287 and the exact acceptance reads 2.5e-137.  No
+        # shot is accepted in any of these runs.
         path = write_matrix(tmp_path, {"n": 2, "rows": [[[z.real, z.imag] for z in row] for row in a]})
         argv = ["--mode", "contract", "--matrix", path, "--t", str(t), "--shots", "200", "--seed", "1"]
         assert main(argv) == (EXIT_VERIFICATION if flagged else 0)

@@ -423,15 +423,16 @@ def reference_uniforms(seed, shots, draws, first_shot=0):
     ).reshape(shots, draws)
 
 
-def reference_sample_distribution(probs, rng_seed, shots):
-    """The per-shot loop `sample_distribution` replaced."""
+def reference_sample_distribution(probs, rng_seed, shots, postselect=()):
+    """The per-shot walk `sample_distribution` replaced: the stage draws in order, then the outcome draw."""
     cumulative = np.cumsum(probs)
     counts = {}
     top = len(cumulative) - 1
     for shot in range(shots):
-        u = shot_rng(rng_seed, shot).random()
-        outcome = min(int(np.searchsorted(cumulative, u, side="right")), top)
-        counts[outcome] = counts.get(outcome, 0) + 1
+        g = shot_rng(rng_seed, shot)
+        if all(g.random() < p for p in postselect):
+            outcome = min(int(np.searchsorted(cumulative, g.random(), side="right")), top)
+            counts[outcome] = counts.get(outcome, 0) + 1
     return counts
 
 
@@ -493,6 +494,84 @@ class TestSampleDistribution:
     def test_keys_ascending(self):
         counts = sample_distribution(np.full(8, 1 / 8), 1, 500)
         assert list(counts) == sorted(counts)
+
+
+def stage_probabilities(n, seed, low=0.8):
+    return np.random.Generator(np.random.PCG64(seed)).uniform(low, 1.0, n)
+
+
+class TestPrunedSurvivalWalk:
+    """Post-selected sampling, block by block on the survivors, equals the per-shot walk.
+
+    With n stages the outcome is draw n, in word block n // 4: n = 3 and 7
+    end a block, n = 4 and 8 start one, and n = 11 takes three blocks.
+    """
+
+    PROBS = np.random.Generator(np.random.PCG64(5)).dirichlet(np.ones(16))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    def test_matches_per_shot_walk(self, n, seed):
+        stages = stage_probabilities(n, n)
+        expected = reference_sample_distribution(self.PROBS, seed, 1500, stages)
+        assert 0 < sum(expected.values()) < 1500
+        assert sample_distribution(self.PROBS, seed, 1500, stages) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
+    def test_computes_each_block_for_the_survivors_only(self, n, monkeypatch):
+        stages = stage_probabilities(n, n)
+        passed = np.cumprod(shot_uniforms(3, 1200, n) < stages, axis=1)
+        calls = []
+        kernel = simulator._philox_words
+
+        def spy(seed, shots, block):
+            calls.append((block, len(shots)))
+            return kernel(seed, shots, block)
+
+        monkeypatch.setattr(simulator, "_philox_words", spy)
+        sample_distribution(self.PROBS, 3, 1200, stages)
+        assert calls == [(b, int(np.sum(passed[:, 4 * b - 1])) if b else 1200) for b in range(n // 4 + 1)]
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
+    def test_zero_stage_rejects_every_shot_in_block_zero(self, n, monkeypatch):
+        stages = stage_probabilities(n, n)
+        stages[0] = 0.0
+        calls = []
+        kernel = simulator._philox_words
+
+        def spy(seed, shots, block):
+            calls.append(len(shots))
+            return kernel(seed, shots, block)
+
+        monkeypatch.setattr(simulator, "_philox_words", spy)
+        assert sample_distribution(self.PROBS, 4, 300, stages) == {}
+        assert calls == [300] + [0] * (n // 4)
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 11])
+    def test_certain_stage(self, n):
+        stages = stage_probabilities(n, n + 1)
+        stages[n // 2] = 1.0
+        expected = reference_sample_distribution(self.PROBS, 6, 1000, stages)
+        assert sample_distribution(self.PROBS, 6, 1000, stages) == expected
+
+    def test_every_stage_certain_keeps_every_shot(self):
+        stages = np.ones(8)
+        expected = reference_sample_distribution(self.PROBS, 8, 500, stages)
+        assert sum(expected.values()) == 500
+        assert sample_distribution(self.PROBS, 8, 500, stages) == expected
+
+    @pytest.mark.parametrize("n", [4, 11])
+    def test_shots_span_small_chunks(self, n, monkeypatch):
+        stages = stage_probabilities(n, n)
+        expected = reference_sample_distribution(self.PROBS, 9, 1037, stages)
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 100)
+        assert sample_distribution(self.PROBS, 9, 1037, stages) == expected
+
+    def test_shots_span_default_chunks(self):
+        stages = stage_probabilities(7, 7, low=0.9)
+        shots = simulator._SHOT_CHUNK + 37
+        expected = reference_sample_distribution(self.PROBS, 10, shots, stages)
+        assert sample_distribution(self.PROBS, 10, shots, stages) == expected
 
 
 class TestMeasureAncillaPostselect:

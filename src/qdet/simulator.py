@@ -105,10 +105,10 @@ _CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
 _LEAK_SNAP = 1e-11  # 1 - rho**2 below this is rounding noise: rho snaps to 1
 _U64 = (1 << 64) - 1
 #: Shots sampled per chunk: bounds sampling memory for any shot count.  Picked
-#: by an interleaved in-process sweep of `sample_distribution` on the contract
-#: workload's probabilities (2e4 shots, 6 stages), 60 rounds on a 2-CPU host:
-#: median 11.3, 9.2, 6.9, 8.1 and 7.8 ms at 2,048, 4,096, 8,192, 16,384 and
-#: 32,768 shots.
+#: by two interleaved in-process sweeps of `sample_distribution` on the contract
+#: workload's probabilities (2e4 shots, 6 stages), 60 rounds each on a 2-CPU
+#: host: medians 11.3 / 17.2, 9.2 / 12.7, 6.9 / 10.1, 8.1 / 11.5 and 7.8 / 10.9 ms
+#: at 2,048, 4,096, 8,192, 16,384 and 32,768 shots.
 _SHOT_CHUNK = 1 << 13
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _AMP_BYTES = 16  # complex128

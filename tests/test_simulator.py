@@ -496,6 +496,20 @@ class TestSampleDistribution:
         assert list(counts) == sorted(counts)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(word block, shot count) of every `_philox_words` call the test makes."""
+    calls = []
+    kernel = simulator._philox_words
+
+    def spy(seed, shots, block):
+        calls.append((block, len(shots)))
+        return kernel(seed, shots, block)
+
+    monkeypatch.setattr(simulator, "_philox_words", spy)
+    return calls
+
+
 def stage_probabilities(n, seed, low=0.8):
     return np.random.Generator(np.random.PCG64(seed)).uniform(low, 1.0, n)
 
@@ -518,34 +532,18 @@ class TestPrunedSurvivalWalk:
         assert sample_distribution(self.PROBS, seed, 1500, stages) == expected
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
-    def test_computes_each_block_for_the_survivors_only(self, n, monkeypatch):
+    def test_computes_each_block_for_the_survivors_only(self, n, kernel_calls):
         stages = stage_probabilities(n, n)
-        passed = np.cumprod(shot_uniforms(3, 1200, n) < stages, axis=1)
-        calls = []
-        kernel = simulator._philox_words
-
-        def spy(seed, shots, block):
-            calls.append((block, len(shots)))
-            return kernel(seed, shots, block)
-
-        monkeypatch.setattr(simulator, "_philox_words", spy)
         sample_distribution(self.PROBS, 3, 1200, stages)
-        assert calls == [(b, int(np.sum(passed[:, 4 * b - 1])) if b else 1200) for b in range(n // 4 + 1)]
+        passed = np.cumprod(reference_uniforms(3, 1200, n) < stages, axis=1)
+        assert kernel_calls == [(b, int(np.sum(passed[:, 4 * b - 1])) if b else 1200) for b in range(n // 4 + 1)]
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
-    def test_zero_stage_rejects_every_shot_in_block_zero(self, n, monkeypatch):
+    def test_zero_stage_rejects_every_shot_in_block_zero(self, n, kernel_calls):
         stages = stage_probabilities(n, n)
         stages[0] = 0.0
-        calls = []
-        kernel = simulator._philox_words
-
-        def spy(seed, shots, block):
-            calls.append(len(shots))
-            return kernel(seed, shots, block)
-
-        monkeypatch.setattr(simulator, "_philox_words", spy)
         assert sample_distribution(self.PROBS, 4, 300, stages) == {}
-        assert calls == [300] + [0] * (n // 4)
+        assert kernel_calls == [(b, 0 if b else 300) for b in range(n // 4 + 1)]
 
     @pytest.mark.parametrize("n", [3, 4, 8, 11])
     def test_certain_stage(self, n):
@@ -553,12 +551,6 @@ class TestPrunedSurvivalWalk:
         stages[n // 2] = 1.0
         expected = reference_sample_distribution(self.PROBS, 6, 1000, stages)
         assert sample_distribution(self.PROBS, 6, 1000, stages) == expected
-
-    def test_every_stage_certain_keeps_every_shot(self):
-        stages = np.ones(8)
-        expected = reference_sample_distribution(self.PROBS, 8, 500, stages)
-        assert sum(expected.values()) == 500
-        assert sample_distribution(self.PROBS, 8, 500, stages) == expected
 
     @pytest.mark.parametrize("n", [4, 11])
     def test_shots_span_small_chunks(self, n, monkeypatch):

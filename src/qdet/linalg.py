@@ -67,7 +67,7 @@ def as_matrix(a, *, square: bool = True) -> np.ndarray:
     return arr
 
 
-def det_lu(a, *, dim_bound: int = DEFAULT_DIM_BOUND) -> DetValue:
+def det_lu(a) -> DetValue:
     """Determinant via pivoted LU factorization.
 
     ``np.linalg.det`` runs LAPACK's partial-pivot LU (``zgetrf``) and returns
@@ -79,8 +79,8 @@ def det_lu(a, *, dim_bound: int = DEFAULT_DIM_BOUND) -> DetValue:
     """
     arr = as_matrix(a)
     n = arr.shape[0]
-    if n > dim_bound:
-        raise ValidationError(f"dimension {n} exceeds the configured bound {dim_bound}")
+    if n > DEFAULT_DIM_BOUND:
+        raise ValidationError(f"dimension {n} exceeds the configured bound {DEFAULT_DIM_BOUND}")
     return DetValue.from_complex(np.linalg.det(arr))
 
 

@@ -15,11 +15,11 @@ probabilities, not just frequencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .antisym import asym_state
 from .errors import ValidationError, VerificationError
 from .linalg import (
     TWO_PI,
@@ -33,12 +33,9 @@ from .simulator import (
     DEFAULT_QUBIT_CAP,
     CostCounters,
     QubitLayout,
-    controlled_block_stage,
-    hadamard_layer,
-    init_state,
+    contraction_block,
     inverse_qft,
-    load_asym,
-    measure_ancilla_postselect,
+    power_pass,
     prepare_power_stages,
     register_probabilities,
     sample_distribution,
@@ -177,26 +174,26 @@ def contraction_run(
 ) -> ContractionResult:
     """Contraction-mode pipeline with per-stage ancilla post-selection.
 
-    The layout is `qde_run`'s two registers, phase and slots: stage m
-    applies only the block of its encoding where its ancilla reads 0, and
-    `measure_ancilla_postselect` reads P(0), the squared norm that branch
-    keeps, then renormalises it.  Each attempted shot walks the per-stage
-    ancilla measurements; a shot is rejected at the first stage whose
-    ancilla reads 1 and accepted shots contribute one phase-register sample.
-    The states along the all-zeros path do not depend on the shot, so the
-    path (and the exact conditioned distribution) is computed once.
-    `sample_distribution` then walks the shots in bulk: shot s survives
-    when its draw m is below stage m's zero probability for every m, and a
-    survivor reads its phase from draw t.  It computes the draws four at a
-    time, and a shot's next four only while it survives, so a rejected shot
-    costs only the draws up to its rejection.  The draws equal those of
-    substream (seed, s) taken in order, as a literal per-shot rerun would
-    consume them.  When a stage's zero branch has no amplitude, every shot
-    is rejected and nothing is drawn.
+    The state is the branch where every stage's ancilla reads 0.  Stage m
+    applies `contraction_block`'s clamped A**(2**m) to every slot on the
+    control-1 branch and multiplies the control-0 branch by rho_m, |det| of
+    that block.  Divided by rho_m**(1/N), the block makes both branches
+    divide by rho_m, a scalar that renormalisation drops, and the control-0
+    branch the identity, so `power_pass` builds the state as for `qde_run`.
+    A stage with rho_m**2 < 1e-300 gets a zero block.
 
-    Stage m passes A**(2**m) to `controlled_block_stage`, which applies that
-    N x N block to every slot, so only the qubit cap
-    (t + N*log2(N) qubits) bounds the particle count and the precision.
+    Phase column j is final once stage floor(log2 j) has run, and before
+    stage m the state is its first 2**m columns repeated.  So P(0)_m is
+    rho_m**2 times the squared norm of columns [0, 2**(m+1)) over twice that
+    of columns [0, 2**m), which `register_probabilities` sums in a fixed
+    order without BLAS.  Norms past the float range are rounding noise,
+    amplified by the 1/rho of near-singular stages, and read as P(0) 0.
+
+    A shot is rejected at the first stage whose ancilla reads 1, and an
+    accepted one samples the phase register with draw t: `sample_distribution`
+    walks the shots in bulk as per-shot reruns of substream (seed, s) would.
+    A P(0) below 1e-300 rejects every shot, and the counters book the stages
+    up to it.
     """
     arr = as_matrix(a)
     norm = operator_norm(arr)
@@ -206,22 +203,32 @@ def contraction_run(
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
 
+    rhos: list[float] = []
+
+    def scaled_blocks():
+        for m, a_m in enumerate(stage_powers(arr, t)):
+            block, rho = contraction_block(m, a_m)
+            rhos.append(rho)
+            yield block * rho ** (-1.0 / layout.n_particles) if rho * rho >= 1e-300 else np.zeros_like(block)
+
+    # A generator: the pass reads it once the state is allocated, before a large t overflows a bound.
+    sv = power_pass(layout, scaled_blocks())[0]
+    with np.errstate(over="ignore"):
+        prefix = np.cumsum(register_probabilities(sv))
     stage_zero_probs: list[float] = []
     conditioned: np.ndarray | None = None
-    sv = init_state(layout)
-    load_asym(sv, asym_state(layout.n_particles))
-    hadamard_layer(sv)
-    for m, a_m in enumerate(stage_powers(arr, t)):
-        controlled_block_stage(sv, m, a_m)
-        # Rounding can leave the renormalised zero branch a hair above 1.
-        p_zero = min(measure_ancilla_postselect(sv), 1.0)
-        if p_zero < 1e-300:
-            # The zero branch carries no usable amplitude at this stage;
-            # every shot is rejected here at the latest.
+    for m, rho in enumerate(rhos):
+        norm_sq = prefix[(2 << m) - 1]
+        p_zero = float(rho * rho * norm_sq / (2.0 * prefix[(1 << m) - 1])) if np.isfinite(norm_sq) else 0.0
+        if p_zero > 1.0 + 1e-10:  # a contraction cannot add norm
+            raise VerificationError(f"stage {m}'s ancilla-0 branch has squared norm {p_zero:.12g} > 1")
+        if p_zero < 1e-300:  # no usable amplitude: every shot is rejected here
             stage_zero_probs.append(0.0)
+            sv.counters.controlled_slot_applications = (m + 1) * layout.n_particles
             break
-        stage_zero_probs.append(p_zero)
+        stage_zero_probs.append(min(p_zero, 1.0))  # rounding can leave P(0) a hair above 1
     else:
+        sv.amplitudes /= math.sqrt(prefix[-1])
         inverse_qft(sv)
         conditioned = register_probabilities(sv)
 

@@ -7,20 +7,20 @@ Qubit layout (little-endian: qubit q is bit q of the flat amplitude index):
   occupies qubits [t + s*n, t + (s+1)*n) and stores one label in binary.
 
 There is no ancilla register: contraction mode keeps only the branch where a
-stage's ancilla reads 0, so the state is that branch, and
-`measure_ancilla_postselect` renormalises it.
+stage's ancilla reads 0, so the state is that branch.
 
 The combined slot-register value is r = sum_s label_s * N**s, so the flat
 index decomposes as  j + 2**t * r.
 
-A unitary-mode run builds its state and applies its t controlled-power
-stages in one pass, `prepare_power_stages`; contraction mode, which
-renormalises the state between stages, runs `load_asym`, `hadamard_layer`
-and `controlled_block_stage`, one stage at a time.  Both stages touch the
-slot register only through one N x N matrix applied slot by slot, never as
-a dense slot-space matrix: `controlled_power_stage` its power of U,
-`controlled_block_stage` its power of A with the singular values clamped at
-1.
+Every run builds its state and applies its t controlled stages in one pass,
+`power_pass`, each stage one N x N matrix applied slot by slot, never a
+dense slot-space matrix: the powers of U for a unitary or sign run, through
+the norm checks of `prepare_power_stages`; each stage's `contraction_block`
+divided by rho**(1/N) for a contraction run (see `qde.contraction_run`).
+The per-stage gates, `init_state`, `load_asym`, `hadamard_layer`,
+`controlled_power_stage`, `controlled_block_stage` and
+`measure_ancilla_postselect`, run the same circuit one stage at a time; no
+run calls them, and the tests keep them as the pass's reference.
 
 Every slot-wise kernel cuts the state one way, `_block_width`: the
 (slot_dim, phase_dim) rows are cut into blocks of every slot value by a
@@ -32,15 +32,15 @@ which holds the slot column scaled t times by 1/sqrt(2), with the stages of
 j's set bits applied in increasing order.  So the pass builds block 0 in
 scratch from column 0, and then each later stage doubles the blocks built,
 each new block being that stage applied to an earlier one, and final
-(`prepare_power_stages`); it writes each block once.  A per-stage gate
+(`power_pass`); it writes each block once.  A per-stage gate
 (`_apply_stage`) visits only the blocks with a column whose bit m is set,
 copies those columns into scratch in memory order, and writes them back.
 Every column gets the same N-term sums, in stage order, either way, so the
 pass is bit-exact with `init_state`, `load_asym`, `hadamard_layer` and t
-`controlled_power_stage` calls, which stay as its reference.  Every
-slot-wise matmul has a column count that is a whole number of `_GEMM_TILE`s,
-or spans a whole stage's columns, so the blocking and the data movement
-change no arithmetic, and amplitudes are bit-exact for any block size.  One
+`controlled_power_stage` calls.  Every slot-wise matmul has a column count
+that is a whole number of `_GEMM_TILE`s, or spans a whole stage's columns,
+so the blocking and the data movement change no arithmetic, and amplitudes
+are bit-exact for any block size.  One
 limit: a block holds every slot value, so when one phase column exceeds a
 block (N = 8) a block is one column, and its matmuls take two buffers of
 that column's size.
@@ -61,10 +61,10 @@ count.  `inverse_qft` deals the two halves of the slot rows that way, when
 the state exceeds a block.  Slot-wise helpers run only while OpenBLAS is
 held at one thread (`_blas_serial`, for that kernel call alone): its own
 threads would oversubscribe the cores.  `ancilla_zero_probability` holds it
-at one thread too, so the reported P(0) is the same serial sum on every
-host.  The pass deals each stage's new blocks, with a barrier between
-stages, since a stage reads the blocks the stages before it wrote.  It sums
-each block's squared norm while the block is in cache, and its norm checks
+at one thread too, so its sum is the same on every host.  The pass deals
+each stage's new blocks, with a barrier between stages, since a stage reads
+the blocks the stages before it wrote.  It sums each block's squared norm
+while the block is in cache, and the norm checks of `prepare_power_stages`
 add the gains those norms give to the value the last check kept, without a
 pass over the state.
 
@@ -73,11 +73,11 @@ Shot s reads its uniform draws from its own counter-based substream,
 depend on shot evaluation order.  The draws are not generated one shot at a
 time: one numpy kernel, `_philox_words`, evaluates a word block (four draws)
 for an array of shots at once, and gives the same words, bit for bit, as
-those per-shot substreams; `shot_uniforms` is built on it.  Sampling takes
-the shots in chunks of `_SHOT_CHUNK`, so its memory does not grow with the
-shot count.  Within a chunk it draws block by block and keeps only the
-shots that survived every post-selection draw so far, so a shot's later
-blocks are computed only when it can still use them.
+those per-shot substreams.  Sampling takes the shots in chunks of
+`_SHOT_CHUNK`, so its memory does not grow with the shot count.  Within a
+chunk it draws block by block and keeps only the shots that survived every
+post-selection draw so far, so a shot's later blocks are computed only when
+it can still use them.
 """
 
 from __future__ import annotations
@@ -243,9 +243,8 @@ def load_asym(sv: StateVector, state: np.ndarray) -> StateVector:
     Requires the freshly initialized all-zeros basis state; no other amplitude
     is written, and the freshness check bounds each of them to 1e-12.  The
     modeled orthonormalization and antisymmetrization costs are booked to the
-    counters; the amplitudes themselves are assigned directly.  Contraction
-    runs call it; unitary and sign runs build their state in
-    `prepare_power_stages`.
+    counters; the amplitudes themselves are assigned directly.  Runs build
+    their state in `power_pass`, whose reference this is.
     """
     # Fresh: amplitude 0 within 1e-12 of 1 and every other modulus at most 1e-12.
     rows = _phase_rows(sv)
@@ -277,9 +276,8 @@ def hadamard_layer(sv: StateVector) -> StateVector:
     column of the result is phase column 0 scaled t times by 1/sqrt(2),
     rounded after each step: the layer scales a copy of column 0 and writes
     it into every column.  When column 0's squared norm is more than 1e-10
-    from 1, ValidationError is raised before anything is written.
-    Contraction runs call it; unitary and sign runs build their state in
-    `prepare_power_stages`.
+    from 1, ValidationError is raised before anything is written.  Runs
+    build their state in `power_pass`, whose reference this is.
     """
     rows = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
     column = rows[:, 0].copy()
@@ -300,8 +298,8 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     ``u_m`` is expected to be the 2**m-th power of the base operator,
     precomputed by repeated squaring.  The N slot applications happen
     sequentially and each is tallied, making the t*N operation count of a
-    full run literal.  Runs take their stages from `prepare_power_stages`,
-    whose reference this is; its norm check reads the whole state.
+    full run literal.  Runs take their stages from `power_pass`, whose
+    reference this is; its norm check reads the whole state.
     """
     _apply_stage(sv, m, _stage_operator(sv.layout, m, u_m))
     sv.counters.controlled_slot_applications += sv.layout.n_particles
@@ -310,20 +308,10 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
 
 
 def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
-    """|+>^t |asym> with the t controlled-power stages applied, in one blocked pass over a new state.
+    """|+>^t |asym> with the t controlled-power stages applied by `power_pass`, norm-checked.
 
-    ``powers`` gives stage m's operator, U**(2**m); it is read after the
-    state is allocated, so a refused state is reported before a large t
-    squares its powers towards overflow.  Amplitudes and counters equal
-    those of the per-stage gates (see the module docstring).
-
-    The pass builds block 0 from column 0, with the stages whose bit varies
-    inside a block.  Each later stage m makes a level: it doubles the blocks
-    built so far, block c of the level being stage m applied to block
-    c - 2**k, where k = m - log2(width) and 2**k <= c < 2**(k+1).  m is the
-    top set bit of every column of block c, so the block is final.  One
-    `_deal` runs the whole pass, and its workers meet at a barrier before
-    each level.
+    ``powers`` gives stage m's operator, U**(2**m).  Amplitudes and counters
+    equal those of the per-stage gates (see the module docstring).
 
     The norm checks need no pass over the state.  After stage m of the
     per-stage gates, phase column j holds final column j mod 2**(m+1), so
@@ -333,8 +321,40 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     stage order after the pass, so a drift still names the stage it arose
     in.
     """
+    sv, weight, norms, gains = power_pass(layout, powers)
+    # The norm checks start from the empty state: preparation adds all of it.
+    sv.checked_norm_sq = 0.0
+    _assert_normalized(sv, "state preparation", weight * layout.phase_dim)
+    for m in range(layout.t):
+        if m < len(gains):
+            gain = gains[m] * len(norms)
+        else:
+            level = 1 << (m - len(gains))  # the level's first block, and its block count
+            gain = (layout.phase_dim >> (m + 1)) * (norms[level : 2 * level].sum() - norms[:level].sum())
+        _assert_normalized(sv, f"controlled_power_stage m={m}", float(gain))
+    return sv
+
+
+def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, float, np.ndarray, np.ndarray]:
+    """|+>^t |asym> with t controlled stages applied, in one blocked pass over a new state; no norm check.
+
+    Stage m applies the m-th N x N of ``operators`` to every slot of the
+    phase columns with bit m set.  ``operators`` is read after the state is
+    allocated, so a refused state is reported before a large t overflows
+    one.  Returns the state, counters booked as by the per-stage gates, and
+    the norms the checks need: column 0's, each block's, and block 0's gain
+    at each stage whose bit varies inside a block, all squared.
+
+    The pass builds block 0 from column 0, with the stages whose bit varies
+    inside a block.  Each later stage m makes a level: it doubles the blocks
+    built so far, block c of the level being stage m applied to block
+    c - 2**k, where k = m - log2(width) and 2**k <= c < 2**(k+1).  m is the
+    top set bit of every column of block c, so the block is final.  One
+    `_deal` runs the whole pass, and its workers meet at a barrier before
+    each level.
+    """
     amps = _new_amplitudes(layout, np.empty)
-    ops = [_stage_operator(layout, m, op) for m, op in enumerate(powers)]
+    ops = [_stage_operator(layout, m, op) for m, op in enumerate(operators)]
     if len(ops) != layout.t:
         raise ValidationError(f"{len(ops)} stage operators for a {layout.t}-qubit phase register")
     n, t = layout.n_particles, layout.t
@@ -367,20 +387,11 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     # The widest level, the last, has count / 2 blocks.
     _deal(work, max(1, count // 2), layout.slot_dim * width)
 
-    # The norm checks start from the empty state: preparation adds all of it.
-    sv = StateVector(layout=layout, amplitudes=amps, checked_norm_sq=0.0)
+    sv = StateVector(layout=layout, amplitudes=amps)
     _book_asym(sv.counters, n)
     sv.counters.modeled_qft_ops += t
     sv.counters.controlled_slot_applications += t * n
-    _assert_normalized(sv, "state preparation", weight * layout.phase_dim)
-    for m in range(t):
-        if m < len(gains):
-            gain = gains[m] * count
-        else:
-            level = 1 << (m - len(gains))  # the level's first block, and its block count
-            gain = (layout.phase_dim >> (m + 1)) * (norms[level : 2 * level].sum() - norms[:level].sum())
-        _assert_normalized(sv, f"controlled_power_stage m={m}", float(gain))
-    return sv
+    return sv, weight, norms, gains
 
 
 def inverse_qft(sv: StateVector) -> StateVector:
@@ -494,7 +505,8 @@ def measure_ancilla_postselect(sv: StateVector) -> float:
     The state is that branch, and P(0) is its squared norm.  A contraction
     cannot add norm, so P(0) above 1 + 1e-10 raises VerificationError.
     When P(0) < 1e-300 the branch has no usable amplitude and the state is
-    left as it was.
+    left as it was.  Runs read each stage's P(0) from the column norms of
+    the state `power_pass` builds; this is their reference.
     """
     p0 = ancilla_zero_probability(sv)
     if p0 > 1.0 + _NORM_TOL:
@@ -508,27 +520,17 @@ def measure_ancilla_postselect(sv: StateVector) -> float:
 def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVector:
     """One contraction-mode stage: the ancilla-0 block of a_m's block encoding.
 
-    ``a_m`` is the N x N stage contraction A**(2**m).  A run keeps only the
-    shots whose stage ancilla reads 0, so only that block is applied.  On
-    the control-1 branch it is a_m, with its singular values clamped at 1
-    (the run admits inputs of norm up to 1 + 1e-9), applied to every slot
-    in one slot-wise pass, as `controlled_power_stage` applies its matrix.
-    On the control-0 branch it is rho = prod(s) = |det a_m| for the clamped
-    singular values s, which makes P(the ancilla reads 0) = rho**2 exactly
-    and keeps the post-selected phase amplitudes of uniform magnitude, as
-    the product law and the exact phase readout need.  The state left has
-    squared norm P(0).
+    ``a_m`` is the N x N stage contraction A**(2**m).  On the control-1
+    branch the block is `contraction_block`'s clamped a_m, applied to every
+    slot as `controlled_power_stage` applies its matrix; on the control-0
+    branch it is rho = |det| of that block.  So P(the ancilla reads 0) is
+    rho**2 and the post-selected phase amplitudes keep a uniform magnitude,
+    as the product law and the exact phase readout need.  The state left
+    has squared norm P(0).  Runs take their stages from `power_pass`, whose
+    reference this is.
     """
-    arr = _stage_operator(sv.layout, m, a_m)
-    w, s, vh = np.linalg.svd(arr)
-    if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
-        raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
-    s = np.minimum(s, 1.0)
-    rho = float(np.prod(s))
-    if 1.0 - rho * rho < _LEAK_SNAP:
-        rho = 1.0
-
-    _apply_stage(sv, m, (w * s) @ vh)
+    block, rho = contraction_block(m, _stage_operator(sv.layout, m, a_m))
+    _apply_stage(sv, m, block)
     off = _bit_columns(sv.amplitudes.reshape(sv.layout.slot_dim, -1), m, 0)
     off *= rho
 
@@ -537,27 +539,31 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     return sv
 
 
+def contraction_block(m: int, a_m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stage m's control-1 block, the N x N a_m with its singular values clamped at 1, and rho.
+
+    rho, |det| of the block, is snapped to 1 when 1 - rho**2 is rounding
+    noise.  A run admits inputs of norm up to 1 + 1e-9, so ValidationError
+    is raised when a_m = A**(2**m) has a norm above (1 + 1e-9)**(2**m).
+    """
+    w, s, vh = np.linalg.svd(a_m)
+    if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
+        raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
+    s = np.minimum(s, 1.0)
+    rho = float(np.prod(s))
+    if 1.0 - rho * rho < _LEAK_SNAP:
+        rho = 1.0
+    return (w * s) @ vh, rho
+
+
 def shot_rng(seed: int, shot: int) -> np.random.Generator:
     """Counter-based substream for one shot; order-independent across shots.
 
-    This defines the draws of every shot; `shot_uniforms` computes the same
+    This defines the draws of every shot; `_philox_words` computes the same
     draws for many shots at once.
     """
     key = np.array([seed & _U64, shot & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def shot_uniforms(seed: int, shots: int, draws: int, first_shot: int = 0) -> np.ndarray:
-    """The first ``draws`` uniforms of shots first_shot .. first_shot + shots - 1, as (shots, draws).
-
-    Row i equals ``[g.random() for _ in range(draws)]`` with
-    ``g = shot_rng(seed, first_shot + i)``, bit for bit: word w of a shot's
-    stream is word w % 4 of word block w // 4 (`_philox_words`), and each
-    word becomes a double as `_unit` says.
-    """
-    ids = np.arange(first_shot, first_shot + shots, dtype=np.uint64)
-    words = np.concatenate([_philox_words(seed, ids, block) for block in range(-(-draws // 4))])
-    return _unit(words[:draws].T)
 
 
 def _philox_words(seed: int, shots: np.ndarray, block: int) -> np.ndarray:

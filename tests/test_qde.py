@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from qdet import simulator
 from qdet.antisym import asym_state
 from qdet.cli import generator_spec
-from qdet.errors import StateTooLargeError, ValidationError
-from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary, mat_pow2
+from qdet import qde
+from qdet.errors import StateTooLargeError, ValidationError, VerificationError
+from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary, stage_powers
 from qdet.qde import (
     contraction_run,
     magnitude_estimate,
@@ -19,7 +20,7 @@ from qdet.qde import (
     qde_run,
     sign_run,
 )
-from qdet.simulator import QubitLayout, shot_rng
+from qdet.simulator import QubitLayout, sample_distribution, shot_rng
 
 from conftest import random_contraction
 
@@ -251,8 +252,8 @@ class TestContractionRun:
     @pytest.mark.skipif(simulator._openblas() is None, reason="numpy's BLAS is not OpenBLAS")
     @pytest.mark.parametrize("t", [6, 8, 10])
     def test_exact_results_do_not_depend_on_openblas_threads(self, t):
-        # The stage zero probabilities are state-wide sums; OpenBLAS's own
-        # threads would split them, and their rounding, by its thread count.
+        # A pass of one worker (t=6 and 8) leaves OpenBLAS its own threads;
+        # neither the amplitudes nor the column norms behind P(0) may depend on them.
         get, put = simulator._openblas()
         before = get()
         results = []
@@ -286,26 +287,31 @@ class TestContractionRun:
         assert circular_distance(phase_from_k(k_star, 2), oracle.phase) <= grid / 2 + 1e-9
 
 
-def reference_contraction_counts(a, t, shots, seed):
-    """The all-zeros path plus the per-shot survival walk `contraction_run` replaced."""
+def per_stage_contraction(a, t):
+    """The per-stage pipeline the one pass replaced: (stage P(0)s, conditioned distribution or None, counters).
+
+    Each stage's gate goes over the whole state, and its P(0) is the
+    squared norm of the state it leaves, which is then renormalised.
+    """
     layout = QubitLayout(t=t, n_particles=a.shape[0])
     sv = simulator.init_state(layout)
     simulator.load_asym(sv, asym_state(layout.n_particles))
     simulator.hadamard_layer(sv)
     stage_zero_probs = []
-    cumulative = None
-    for m in range(t):
-        simulator.controlled_block_stage(sv, m, mat_pow2(a, m))
-        p_zero = simulator.ancilla_zero_probability(sv)
+    for m, a_m in enumerate(stage_powers(a, t)):
+        simulator.controlled_block_stage(sv, m, a_m)
+        p_zero = min(simulator.measure_ancilla_postselect(sv), 1.0)
         if p_zero < 1e-300:
-            stage_zero_probs.append(0.0)
-            break
-        sv.amplitudes /= math.sqrt(p_zero)
+            return stage_zero_probs + [0.0], None, sv.counters
         stage_zero_probs.append(p_zero)
-    else:
-        simulator.inverse_qft(sv)
-        cumulative = np.cumsum(simulator.register_probabilities(sv))
+    simulator.inverse_qft(sv)
+    return stage_zero_probs, simulator.register_probabilities(sv), sv.counters
 
+
+def reference_contraction_counts(a, t, shots, seed):
+    """The per-stage pipeline plus the per-shot survival walk `contraction_run` replaced."""
+    stage_zero_probs, conditioned, _ = per_stage_contraction(a, t)
+    cumulative = None if conditioned is None else np.cumsum(conditioned)
     accepted = 0
     counts = {}
     top = (1 << t) - 1
@@ -356,6 +362,75 @@ class TestBulkSurvivalWalk:
         result = contraction_run(a, t=2, shots=shots, seed=7)
         assert 0 < result.accepted < shots
         assert (result.accepted, result.phase.histogram) == reference_contraction_counts(a, 2, shots, 7)
+
+
+PER_STAGE_GATES = ("init_state", "load_asym", "hadamard_layer", "controlled_block_stage", "measure_ancilla_postselect")
+
+
+class TestOnePassContraction:
+    """`contraction_run` builds its state in the one pass and reads P(0) from column norms.
+
+    Against the per-stage gates, which renormalise after every stage, the
+    arithmetic differs, so exact results agree within a stated tolerance:
+    1e-13 relative on the acceptance and 1e-13 absolute on the conditioned
+    distribution.  The inputs are healthy runs, within 1e-9 of the product
+    law: where rounding leakage puts a run far off the law, both paths
+    report rounding noise, and the CLI's product-law check flags it.
+    """
+
+    @pytest.mark.parametrize(
+        "a, t",
+        [(workload_style_contraction(n, 30 * n + t, 0.999), t) for n in (2, 4) for t in (1, 3, 9, 12)]
+        + [(workload_style_contraction(2, 77, 0.9999), 17), (workload_style_contraction(4, 5, 0.995), 6)],
+    )
+    def test_matches_the_per_stage_gates(self, a, t):
+        stage_zero_probs, conditioned, counters = per_stage_contraction(a, t)
+        result = contraction_run(a, t=t, shots=2000, seed=3)
+        expected = math.prod(stage_zero_probs)
+        assert expected == pytest.approx(det_lu(a).magnitude ** (2 * (2**t - 1)), rel=1e-9)
+        assert result.exact_acceptance == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert np.max(np.abs(result.exact_conditioned_distribution - conditioned)) <= 1e-13
+        assert result.counters == counters
+        assert result.phase.histogram == sample_distribution(conditioned, 3, 2000, stage_zero_probs)
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), 1e-80 * np.eye(2)], ids=["zero", "1e-80"])
+    def test_vanishing_stage_books_the_per_stage_counters(self, a):
+        # Both stop at stage 0: the counters book one stage, not all three.
+        stage_zero_probs, conditioned, counters = per_stage_contraction(a, 3)
+        result = contraction_run(a, t=3, shots=50, seed=2)
+        assert (stage_zero_probs, conditioned) == ([0.0], None)
+        assert result.exact_acceptance == 0.0
+        assert result.counters == counters
+        assert result.counters.controlled_slot_applications == 2
+
+    def test_noise_past_the_float_range_rejects_every_shot(self):
+        # Singular A: every stage's rho is rounding noise (1e-17 down to 1e-137),
+        # and dividing by it lifts the noise off the antisymmetric state past
+        # the float range at stage 7, the last, where the per-stage gates'
+        # product of P(0)s has underflowed to 0.  Stage 7 reads P(0) 0, so no
+        # inverse QFT runs.
+        s = np.random.Generator(np.random.PCG64(0)).uniform(0.5, 1.0, 4)
+        s[-1] = 0.0
+        a = (haar_unitary(4, 0) * s) @ haar_unitary(4, 1).conj().T
+        stage_zero_probs, _, counters = per_stage_contraction(a, 8)
+        result = contraction_run(a, t=8, shots=50, seed=0)
+        assert result.exact_acceptance == math.prod(stage_zero_probs) == 0.0
+        assert (result.accepted, result.exact_conditioned_distribution) == (0, None)
+        assert result.counters.controlled_slot_applications == counters.controlled_slot_applications == 8 * 4
+
+    def test_calls_no_per_stage_gate(self, monkeypatch):
+        for name in PER_STAGE_GATES:
+            monkeypatch.setattr(simulator, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        result = contraction_run(workload_style_contraction(4, 9, 0.999), t=6, shots=100, seed=1)
+        assert result.accepted > 0
+        assert not [name for name in PER_STAGE_GATES + ("asym_state",) if hasattr(qde, name)]
+
+    def test_zero_branch_gaining_norm_raises(self, monkeypatch):
+        # rho 0.1% high makes stage 0's P(0) (1 + 1.001**2) / 2: a contraction cannot add norm.
+        block = qde.contraction_block
+        monkeypatch.setattr(qde, "contraction_block", lambda m, a_m: (block(m, a_m)[0], 1.001))
+        with pytest.raises(VerificationError, match=r"stage 0's ancilla-0 branch has squared norm 1.0010005 > 1$"):
+            contraction_run(np.eye(2), t=2, shots=10, seed=1)
 
 
 class TestPhaseWrap:

@@ -31,7 +31,6 @@ from qdet.simulator import (
     register_probabilities,
     sample_distribution,
     shot_rng,
-    shot_uniforms,
     slot_register_vector,
 )
 
@@ -423,6 +422,17 @@ def reference_uniforms(seed, shots, draws, first_shot=0):
     ).reshape(shots, draws)
 
 
+def bulk_uniforms(seed, shots, draws, first_shot=0):
+    """The first ``draws`` uniforms of shots first_shot .. first_shot + shots - 1, as (shots, draws), from the bulk kernel.
+
+    Word w of a shot's stream is word w % 4 of word block w // 4
+    (`_philox_words`), and each word becomes a double as `_unit` says.
+    """
+    ids = np.arange(first_shot, first_shot + shots, dtype=np.uint64)
+    words = np.concatenate([simulator._philox_words(seed, ids, block) for block in range(-(-draws // 4))])
+    return simulator._unit(words[:draws].T)
+
+
 def reference_sample_distribution(probs, rng_seed, shots, postselect=()):
     """The per-shot walk `sample_distribution` replaced: the stage draws in order, then the outcome draw."""
     cumulative = np.cumsum(probs)
@@ -437,26 +447,26 @@ def reference_sample_distribution(probs, rng_seed, shots, postselect=()):
 
 
 class TestShotUniforms:
-    """The bulk Philox draws equal the per-shot substreams bit for bit."""
+    """The bulk Philox kernel's draws equal the per-shot substreams bit for bit."""
 
     @pytest.mark.parametrize("draws", range(1, 10))
     @pytest.mark.parametrize("seed", [0, 9, -3, 2**63 + 5, 2**64 - 1])
     def test_matches_shot_rng(self, seed, draws):
-        u = shot_uniforms(seed, 37, draws)
+        u = bulk_uniforms(seed, 37, draws)
         assert u.shape == (37, draws) and u.dtype == np.float64
         assert np.array_equal(u, reference_uniforms(seed, 37, draws))
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_single_shot(self, seed):
-        assert np.array_equal(shot_uniforms(seed, 1, 6), reference_uniforms(seed, 1, 6))
+        assert np.array_equal(bulk_uniforms(seed, 1, 6), reference_uniforms(seed, 1, 6))
 
     def test_more_than_one_chunk(self):
         shots = simulator._SHOT_CHUNK + 3
-        assert np.array_equal(shot_uniforms(11, shots, 1), reference_uniforms(11, shots, 1))
+        assert np.array_equal(bulk_uniforms(11, shots, 1), reference_uniforms(11, shots, 1))
 
     def test_first_shot_offset(self):
         first = 3 * simulator._SHOT_CHUNK - 2
-        assert np.array_equal(shot_uniforms(5, 4, 5, first), reference_uniforms(5, 4, 5, first))
+        assert np.array_equal(bulk_uniforms(5, 4, 5, first), reference_uniforms(5, 4, 5, first))
 
 
 class TestSampleDistribution:
@@ -469,7 +479,7 @@ class TestSampleDistribution:
 
     def test_total_below_one_clamps_to_top_outcome(self):
         probs = np.full(8, (1.0 - 1e-2) / 8)
-        draws = shot_uniforms(4, 2000, 1)
+        draws = bulk_uniforms(4, 2000, 1)
         assert np.any(draws >= np.cumsum(probs)[-1])
         expected = reference_sample_distribution(probs, 4, 2000)
         assert sample_distribution(probs, 4, 2000) == expected
@@ -1495,3 +1505,18 @@ class TestKernelMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * sv.amplitudes.nbytes, peak
+
+    def test_contraction_run_peak_beyond_its_state_at_most_a_quarter_of_it(self, monkeypatch):
+        # N = 4, t = 12: a 16 MiB state, built by the one pass and read by
+        # column norms, the inverse QFT and the sampler in place.
+        with_workers(monkeypatch, 2)
+        a = (haar_unitary(4, 71) * np.linspace(0.9999, 1.0, 4)) @ haar_unitary(4, 73).conj().T
+        state_bytes = 16 << QubitLayout(t=12, n_particles=4).total_qubits
+        tracemalloc.start()
+        try:
+            result = qde.contraction_run(a, t=12, shots=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - state_bytes
+        finally:
+            tracemalloc.stop()
+        assert result.accepted > 0
+        assert peak <= 0.25 * state_bytes, peak

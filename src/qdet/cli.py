@@ -39,7 +39,7 @@ from .linalg import (
     haar_unitary,
     operator_norm,
 )
-from .qde import PhaseEstimate, contraction_run, qde_run, sign_run
+from .qde import PhaseEstimate, contraction_run, phase_from_k, qde_run, sign_run
 from .simulator import DEFAULT_QUBIT_CAP
 
 MODES = ("qde", "sign", "contract", "verify", "oracle")
@@ -367,9 +367,13 @@ def _complex_pair(value: complex) -> list[float]:
 
 
 def _phase_disagrees(phase: PhaseEstimate, oracle: DetValue) -> bool:
-    """Whether the estimate is more than one grid step, 2*pi / 2**t, from the oracle's phase."""
-    d = abs(phase.phi_hat - oracle.phase) % TWO_PI
-    return min(d, TWO_PI - d) > TWO_PI / (1 << phase.t) + 1e-9
+    """Whether every modal outcome is more than one grid step, 2*pi / 2**t, from the oracle's phase.
+
+    Tied outcomes count alike, not only the one ``k_prime`` picks.
+    """
+    best = max(phase.histogram.values())
+    gaps = [abs(phase_from_k(k, phase.t) - oracle.phase) % TWO_PI for k, c in phase.histogram.items() if c == best]
+    return all(min(d, TWO_PI - d) > TWO_PI / (1 << phase.t) + 1e-9 for d in gaps)
 
 
 def dump_json(obj) -> str:
@@ -411,8 +415,8 @@ def _write_json(obj, pieces: list[str], depth: int) -> None:
             pieces.append("[]")
             return
         if all(type(x) is float for x in obj):
-            # The float branch's bytes, such as a distribution's, written in one join.
-            pieces.append("[\n" + ",\n".join(inner + format(x, ".17g") for x in obj) + "\n" + pad + "]")
+            # The float branch's bytes, such as a distribution's, from one %-format over the list.
+            pieces.append("[\n" + ",\n".join([inner + "%.17g"] * len(obj)) % tuple(obj) + "\n" + pad + "]")
             return
         pieces.append("[\n")
         for idx, value in enumerate(obj):

@@ -34,7 +34,8 @@ scratch from column 0, and then each later stage doubles the blocks built,
 each new block being that stage applied to an earlier one, and final
 (`power_pass`); it writes each block once.  A per-stage gate
 (`_apply_stage`) visits only the blocks with a column whose bit m is set,
-copies those columns into scratch in memory order, and writes them back.
+and writes those columns back.  Either way `_slot_matmuls` copies its
+columns into scratch in row order before it transposes them there.
 Every column gets the same N-term sums, in stage order, either way, so the
 pass is bit-exact with `init_state`, `load_asym`, `hadamard_layer` and t
 `controlled_power_stage` calls.  Every slot-wise matmul has a column count
@@ -630,9 +631,9 @@ def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
 
     Slot s is base-N digit s of the slot index.  The state is cut into the
     blocks of `_block_width`, and only the blocks with a column whose bit m
-    is set are visited.  Those columns are copied into scratch in memory
-    order, go through `_slot_matmuls` inside that cache-sized scratch, and
-    are written back; the blocks are dealt by `_deal`.  The matmuls are
+    is set are visited.  Those columns go through `_slot_matmuls`, which
+    stages them in cache-sized scratch, and are written back; the blocks
+    are dealt by `_deal`.  The matmuls are
     bit-exact with those over all the stage's columns at once: each output
     amplitude is the same N-term sum over the same inputs, and BLAS rounds
     columns alike except past a matrix's last full tile, which a block's
@@ -650,9 +651,7 @@ def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
             part = rows[:, c * width : (c + 1) * width]
             if inside:
                 part = _bit_columns(part, m)
-            copy = pong.reshape(part.shape)
-            np.copyto(copy, part)
-            part[...] = _slot_matmuls(u, copy, ping, pong).reshape(part.shape)
+            part[...] = _slot_matmuls(u, part, ping, pong).reshape(part.shape)
 
     _deal(work, len(blocks), lay.slot_dim * (width // 2 if inside else width))
 
@@ -702,15 +701,17 @@ def _slot_matmuls(u: np.ndarray, part: np.ndarray, src: np.ndarray, dst: np.ndar
     """Apply u to every slot of the (slots, ...) ``part`` through the buffers ``src`` and ``dst``.
 
     Returns the buffer holding the result, laid out as ``part`` is.
-    ``part`` is transposed into ``src`` with the slot index innermost, so
-    ``dst`` may hold ``part`` itself.  Each matmul over a (rest, N) reshape
-    then applies u to the next slot and moves it to the front, ping-ponging
+    ``part`` is staged in ``dst`` in row order and transposed from there
+    into ``src``, slot index innermost: the state's rows, a power of two
+    apart, share cache sets.  Each matmul over a (rest, N) reshape then
+    applies u to the next slot and moves it to the front, ping-ponging
     between the two buffers; after N steps the slot index leads again, in
     order.
     """
     n = u.shape[0]
-    moved = np.moveaxis(part, 0, -1)
-    np.copyto(src.reshape(moved.shape), moved)
+    staged = dst.reshape(part.shape)
+    np.copyto(staged, part)
+    np.copyto(src.reshape(part.shape[1:] + part.shape[:1]), np.moveaxis(staged, 0, -1))
     for _ in range(n):
         np.matmul(u, src.reshape(-1, n).T, out=dst.reshape(n, -1))
         src, dst = dst, src

@@ -302,6 +302,26 @@ class TestRunDispatch:
         assert main(argv) == (EXIT_VERIFICATION if flagged else 0)
         assert json.loads(capsys.readouterr().out)["disagreement"] is flagged
 
+    def test_contract_tie_straddling_the_oracle_agrees(self, tmp_path, capsys):
+        # Two accepted shots tie at k' = 3100 and 3102 around the oracle's
+        # 3101.6: k' takes 3100, 1.6 grid steps off, but 3102 is within one.
+        a = haar_unitary(2, 3) * [0.9995, 1]
+        path = write_matrix(tmp_path, {"n": 2, "rows": [[[z.real, z.imag] for z in row] for row in a]})
+        argv = ["--mode", "contract", "--matrix", path, "--t", "12", "--shots", "100", "--seed", "3"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["histogram"] == {"3100": 1, "3102": 1}
+        assert doc["result"]["k_prime"] == 3100
+        assert doc["disagreement"] is False
+
+    def test_qde_tie_far_from_the_oracle_disagrees(self, capsys):
+        # Two shots tie at k' = 3 and 4, each over two grid steps from the oracle's 0.47.
+        argv = ["--mode", "qde", "--gen", "haar-unitary:2", "--t", "4", "--shots", "2", "--seed", "7"]
+        assert main(argv) == EXIT_VERIFICATION
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["histogram"] == {"3": 1, "4": 1}
+        assert doc["disagreement"] is True
+
     def test_readme_contract_example_agrees(self, capsys):
         # qdet --mode contract --gen scaled-identity:2:0.9:0 --t 2 --shots 10000 --seed 1
         argv = ["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2"]
@@ -451,6 +471,15 @@ class TestJsonWriter:
         assert float_lists([getattr(report, name) for name in fields]) > 0
         element_wise = dataclasses.replace(report, **{name: as_numpy(getattr(report, name)) for name in fields})
         assert element_wise.to_json() == report.to_json()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e300], [-0.0], [5e-324], [1e300]],
+        ids=["mixed", "negative-zero", "subnormal", "large"],
+    )
+    def test_float_list_bytes_equal_the_per_element_format(self, values):
+        rows = ",\n".join("    " + format(x, ".17g") for x in values)
+        assert dump_json({"x": values}) == '{\n  "x": [\n' + rows + "\n  ]\n}"
 
 
 class TestMainExitCodes:

@@ -1417,6 +1417,30 @@ class TestPreparePowerStages:
         prepare_power_stages(layout, list(stage_powers(haar_unitary(4, 83), layout.t)))
         assert count[0] == calls
 
+    def test_transposes_read_a_staged_copy_not_the_state(self, monkeypatch):
+        # N = 4, t = 12: the state's rows are 4096 amplitudes (64 KiB) apart,
+        # so a transposing copy straight from a block would read one
+        # amplitude from each of 256 rows that share a cache set.  Each
+        # block is copied into scratch in row order first, and the
+        # transpose reads that copy.
+        layout = QubitLayout(t=12, n_particles=4)
+        allocate, moveaxis = simulator._new_amplitudes, np.moveaxis
+        states, shared = [], []
+
+        def new_amplitudes(*args):
+            states.append(allocate(*args))
+            return states[-1]
+
+        def spy(a, *args):
+            shared.append(np.shares_memory(a, states[0]))
+            return moveaxis(a, *args)
+
+        monkeypatch.setattr(simulator, "_new_amplitudes", new_amplitudes)
+        monkeypatch.setattr(np, "moveaxis", spy)
+        prepare_power_stages(layout, list(stage_powers(haar_unitary(4, 84), layout.t)))
+        assert len(states) == 1
+        assert shared == [False] * (7 + 31)  # one transpose for each `_slot_matmuls` call
+
     def test_serial_bit_exact_when_openblas_cannot_be_found(self, monkeypatch):
         layout = QubitLayout(t=9, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)

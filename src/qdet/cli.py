@@ -83,6 +83,8 @@ class RunConfig:
             raise ValidationError(f"mode {self.mode} needs t >= 1, got {self.t}")
         if self.shots < 1:
             raise ValidationError(f"shots must be positive, got {self.shots}")
+        if not 0.0 <= self.verify_tolerance < math.inf:  # also refuses NaN
+            raise ValidationError(f"--verify-tolerance must be finite and >= 0, got {self.verify_tolerance}")
         if self.mode == "verify" and self.verify_count < 1:
             raise ValidationError(f"verify mode needs --verify-count >= 1, got {self.verify_count}")
         if self.mode == "verify" and not 1 <= self.verify_n <= VERIFY_MAX_DIM:
@@ -131,7 +133,7 @@ def parse_matrix_file(path: str) -> np.ndarray:
             doc = json.load(fh)
     except OSError as exc:
         raise MatrixParseError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"malformed JSON in {path}: {exc}") from exc
 
     if not isinstance(doc, dict) or "n" not in doc or "rows" not in doc:
@@ -224,8 +226,11 @@ def run(config: RunConfig) -> RunReport:
         )
     report.wall_time_ms = (time.perf_counter() - start) * 1e3
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write the report to {config.output_path}: {exc}") from exc
     return report
 
 

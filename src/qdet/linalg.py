@@ -221,21 +221,15 @@ def block_encode(a) -> np.ndarray:
 
 
 def mat_pow2(a, m: int) -> np.ndarray:
-    """A ** (2 ** m) by repeated squaring."""
-    arr = as_matrix(a)
+    """A ** (2 ** m) by repeated squaring: the last of ``stage_powers(a, m + 1)``."""
     if m < 0 or m > 62:
         raise ValidationError(f"squaring count must be in [0, 62], got {m}")
-    for _ in range(m):
-        arr = arr @ arr
-    return arr
+    *_, power = stage_powers(a, m + 1)
+    return power
 
 
 def stage_powers(a, t: int) -> Iterator[np.ndarray]:
-    """A ** (2 ** m) for m = 0 .. t-1, each squared from the one before.
-
-    Power m is bit-identical to ``mat_pow2(a, m)``, which squares the same
-    way, from t - 1 squarings in all.
-    """
+    """A ** (2 ** m) for m = 0 .. t-1, each squared from the one before: t - 1 squarings in all."""
     power = as_matrix(a)
     for m in range(t):
         if m:

@@ -22,52 +22,47 @@ The per-stage gates, `init_state`, `load_asym`, `hadamard_layer`,
 `measure_ancilla_postselect`, run the same circuit one stage at a time; no
 run calls them, and the tests keep them as the pass's reference.
 
-Every slot-wise kernel cuts the state one way, `_block_width`: the
-(slot_dim, phase_dim) rows are cut into blocks of every slot value by a
-power-of-two run of phase columns, about `_BLOCK_BYTES` in all.  Stage m
-applies its matrix to a block's columns with bit m set (`_bit_columns`):
-every other run of 2**m columns, or, when 2**m is not narrower than the
-block, the whole block or none of it.  Phase column j ends as column 0,
-which holds the slot column scaled t times by 1/sqrt(2), with the stages of
-j's set bits applied in increasing order.  So the pass builds block 0 in
-scratch from column 0, and then each later stage doubles the blocks built,
-each new block being that stage applied to an earlier one, and final
-(`power_pass`); it writes each block once.  A per-stage gate
-(`_apply_stage`) visits only the blocks with a column whose bit m is set,
-and writes those columns back.  Either way `_slot_matmuls` copies its
-columns into scratch in row order before it transposes them there.
-Every column gets the same N-term sums, in stage order, either way, so the
-pass is bit-exact with `init_state`, `load_asym`, `hadamard_layer` and t
-`controlled_power_stage` calls.  Every slot-wise matmul has a column count
-that is a whole number of `_GEMM_TILE`s, or spans a whole stage's columns,
-so the blocking and the data movement change no arithmetic, and amplitudes
-are bit-exact for any block size.  One
-limit: a block holds every slot value, so when one phase column exceeds a
-block (N = 8) a block is one column, and its matmuls take two buffers of
-that column's size.
+The pass cuts the state one way, `_block_width`: the (slot_dim, phase_dim)
+rows are cut into blocks of every slot value by a power-of-two run of phase
+columns, about `_BLOCK_BYTES` in all.  Stage m applies its matrix to the
+columns with bit m set (`_bit_columns`): every other run of 2**m columns.
+Phase column j ends as column 0, which holds the slot column scaled t times
+by 1/sqrt(2), with the stages of j's set bits applied in increasing order.
+So the pass builds block 0 in scratch from column 0, and then each later
+stage doubles the blocks built, each new block being that stage applied to
+an earlier one, and final (`power_pass`); it writes each block once.  A
+per-stage gate (`_apply_stage`) is plain: one `_slot_matmuls` call over all
+of its stage's columns.  Either way `_slot_matmuls` copies its columns into
+scratch in row order before it transposes them there.  Every column gets
+the same N-term sums, in stage order, either way, so the pass is bit-exact
+with `init_state`, `load_asym`, `hadamard_layer` and t
+`controlled_power_stage` calls.  Every matmul of the pass has a column
+count that is a whole number of `_GEMM_TILE`s, or spans a whole stage's
+columns, so the blocking and the data movement change no arithmetic, and
+amplitudes are bit-exact for any block size.  One limit: a block holds
+every slot value, so when one phase column exceeds a block (N = 8) a block
+is one column, and its matmuls take two buffers of that column's size.
 
-Apart from `hadamard_layer`, which writes one scaled column into every phase
-column, the other gate kernels work through the state in blocks of about
-`_BLOCK_BYTES` too: `load_asym`'s check and the phase distribution take
-blocks of phase rows (`_chunks`).  Every gate, `inverse_qft` included,
-writes into the existing amplitude buffer, and returns the StateVector,
-which a run owns exclusively.
+`load_asym`'s check and the phase distribution work through the state in
+blocks of phase rows of about `_BLOCK_BYTES` too (`_chunks`).
+`hadamard_layer` writes one scaled column into every phase column.  Every
+gate, `inverse_qft` included, writes into the existing amplitude buffer,
+and returns the StateVector, which a run owns exclusively.
 
-The blocked kernels deal their blocks round-robin to up to `_MAX_WORKERS`
-threads through one dealer, `_deal`: the caller and helpers it joins before
-returning; numpy releases the interpreter lock in the copies, matmuls and
-FFTs.  The blocks are disjoint and each runs the same arithmetic on
-whichever thread takes it, so amplitudes are bit-exact for any worker
-count.  `inverse_qft` deals the two halves of the slot rows that way, when
-the state exceeds a block.  Slot-wise helpers run only while OpenBLAS is
-held at one thread (`_blas_serial`, for that kernel call alone): its own
-threads would oversubscribe the cores.  `ancilla_zero_probability` holds it
-at one thread too, so its sum is the same on every host.  The pass deals
-each stage's new blocks, with a barrier between stages, since a stage reads
-the blocks the stages before it wrote.  It sums each block's squared norm
-while the block is in cache, and the norm checks of `prepare_power_stages`
-add the gains those norms give to the value the last check kept, without a
-pass over the state.
+The pass and `inverse_qft` deal their blocks round-robin to up to
+`_MAX_WORKERS` threads through one dealer, `_deal`: the caller and helpers
+it joins before returning; numpy releases the interpreter lock in the
+copies, matmuls and FFTs.  The blocks are disjoint and each runs the same
+arithmetic on whichever thread takes it, so amplitudes are bit-exact for
+any worker count.  `inverse_qft` deals the two halves of the slot rows that
+way, when the state exceeds a block.  The pass's helpers run only while
+OpenBLAS is held at one thread (`_blas_serial`, for that call alone): its
+own threads would oversubscribe the cores.  The pass deals each stage's new
+blocks, with a barrier between stages, since a stage reads the blocks the
+stages before it wrote.  It sums each block's squared norm while the block
+is in cache, and the norm checks of `prepare_power_stages` add the gains
+those norms give to the value the last check kept, without a pass over the
+state.
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -127,10 +122,10 @@ _BLOCK_BYTES = 1 << 19
 #: 2-CPU host; each thread holds two block-sized scratch buffers.
 _MAX_WORKERS = 2
 
-#: Slot-wise matmuls get column counts that are multiples of this.  BLAS rounds
-#: a matrix's trailing columns past its last full tile differently (OpenBLAS's
-#: x86-64 zgemm tile is 4 columns), so a block with no partial tile rounds every
-#: column as the matmul over the whole half-state does.
+#: The pass's slot-wise matmuls get column counts that are multiples of this.
+#: BLAS rounds a matrix's trailing columns past its last full tile differently
+#: (OpenBLAS's x86-64 zgemm tile is 4 columns), so a block with no partial tile
+#: rounds every column as the matmul over the whole half-state does.
 _GEMM_TILE = 16
 
 # Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox bit generator runs it:
@@ -493,11 +488,10 @@ def ancilla_zero_probability(sv: StateVector) -> float:
     """Exact Born probability that the ancilla reads 0.
 
     The state is the ancilla-0 branch a contraction stage left, so this is
-    its squared norm, summed with OpenBLAS at one thread: its threads would
-    split the sum, and its rounding, by the host's CPU count.
+    its squared norm.  No run calls it: runs read each stage's P(0) from the
+    column norms of `power_pass`.
     """
-    with _blas_serial():
-        return sv.norm_sq()
+    return sv.norm_sq()
 
 
 def measure_ancilla_postselect(sv: StateVector) -> float:
@@ -629,31 +623,12 @@ def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
 def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
     """Apply the N x N ``u`` to every slot of the phase columns with bit m set, in place.
 
-    Slot s is base-N digit s of the slot index.  The state is cut into the
-    blocks of `_block_width`, and only the blocks with a column whose bit m
-    is set are visited.  Those columns go through `_slot_matmuls`, which
-    stages them in cache-sized scratch, and are written back; the blocks
-    are dealt by `_deal`.  The matmuls are
-    bit-exact with those over all the stage's columns at once: each output
-    amplitude is the same N-term sum over the same inputs, and BLAS rounds
-    columns alike except past a matrix's last full tile, which a block's
-    column count, a multiple of `_GEMM_TILE`, never leaves.
+    Slot s is base-N digit s of the slot index.  One `_slot_matmuls` call
+    takes all of the stage's columns at once, through two scratch buffers of
+    their size (one state's worth in all), on the calling thread.
     """
-    lay = sv.layout
-    width = _block_width(lay)
-    rows = sv.amplitudes.reshape(lay.slot_dim, lay.phase_dim)
-    inside = 1 << m < width  # bit m varies inside a block: every block holds columns with it set
-    blocks = [c for c in range(lay.phase_dim // width) if inside or c * width >> m & 1]
-
-    def work(first: int, step: int, scratch: np.ndarray) -> None:
-        ping, pong = scratch
-        for c in blocks[first::step]:
-            part = rows[:, c * width : (c + 1) * width]
-            if inside:
-                part = _bit_columns(part, m)
-            part[...] = _slot_matmuls(u, part, ping, pong).reshape(part.shape)
-
-    _deal(work, len(blocks), lay.slot_dim * (width // 2 if inside else width))
+    part = _bit_columns(sv.amplitudes.reshape(sv.layout.slot_dim, -1), m)
+    part[...] = _slot_matmuls(u, part, *np.empty((2, part.size), dtype=np.complex128)).reshape(part.shape)
 
 
 def _power_levels(
@@ -830,7 +805,7 @@ def _chunks(length: int, stride: int) -> list[slice]:
 
 
 def _block_width(layout: QubitLayout) -> int:
-    """Phase columns in a block of every slot-wise kernel: a power of two of about `_BLOCK_BYTES`.
+    """Phase columns in a block of `power_pass`: a power of two of about `_BLOCK_BYTES`.
 
     It is doubled until half a block (what a stage whose bit varies inside
     it takes), or a one-column block's column, is a whole number of

@@ -67,6 +67,14 @@ class TestParseMatrixFile:
         with pytest.raises(MatrixParseError):
             parse_matrix_file(str(tmp_path / "void.json"))
 
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(MatrixParseError, match="malformed JSON"):
+            parse_matrix_file(str(path))
+        assert main(["--mode", "oracle", "--matrix", str(path)]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
     def test_non_finite_rejected(self, tmp_path):
         path = write_matrix(tmp_path, {"n": 1, "rows": [[[1e400, 0]]]})
         with pytest.raises(ValidationError):
@@ -222,6 +230,18 @@ class TestRunConfig:
     @pytest.mark.parametrize("n", [1, 6])
     def test_verify_accepts_the_identity_check_range(self, n):
         assert run(RunConfig(mode="verify", verify_n=n, verify_count=1)).result["passed"]
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-10", "inf"])
+    def test_rejects_a_tolerance_not_finite_and_non_negative(self, tolerance, capsys):
+        # A NaN or negative tolerance would fail every verify run (exit 3), whatever its residuals.
+        with pytest.raises(ValidationError, match="--verify-tolerance must be finite and >= 0"):
+            RunConfig(mode="verify", verify_tolerance=float(tolerance))
+        # "=" joins the value: argparse takes a lone "-1e-10" for an option.
+        assert main(["--mode", "verify", "--verify-count", "1", f"--verify-tolerance={tolerance}"]) == EXIT_VALIDATION
+        assert "code=validation" in capsys.readouterr().err
+
+    def test_accepts_a_zero_tolerance(self):
+        assert RunConfig(mode="verify", verify_tolerance=0.0).verify_tolerance == 0.0
 
     def test_other_modes_only_echo_verify_n(self):
         config = RunConfig(mode="oracle", generator="haar-unitary:2", verify_n=100_000)
@@ -513,6 +533,14 @@ class TestMainExitCodes:
         )
         assert code == EXIT_RESOURCE
         assert "code=resource-cap" in capsys.readouterr().err
+
+    def test_report_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["--mode", "qde", "--gen", "diag-phase:2:1:2", "--t", "2", "--shots", "20", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("QDET-ERROR code=validation") == 1
+        assert str(out) in err
 
     def test_verify_mode_smoke(self, capsys):
         code = main(["--mode", "verify", "--verify-n", "2", "--verify-count", "5"])

@@ -1081,89 +1081,15 @@ class TestBlockedKernels:
             assert np.array_equal(rows[nonzero].reshape(-1), expected.amplitudes), (n, t)
             assert np.count_nonzero(rows) == expected.amplitudes.size, (n, t)
 
-    @pytest.mark.parametrize("gate", [controlled_power_stage, controlled_block_stage])
-    def test_stage_visits_only_blocks_with_its_bit_set(self, monkeypatch, gate):
-        # N = 4, t = 12 at the default block size: 32 blocks of 128 phase
-        # columns.  Stage 0 takes half of every block, runs of one column;
-        # stage 11 takes the whole of the 16 blocks past phase column 2048.
-        layout = QubitLayout(t=12, n_particles=4)
-        assert simulator._block_width(layout) == 128
-        matmuls = simulator._slot_matmuls
-        for m, blocks, shape in [(0, 32, (256, 64, 1)), (11, 16, (256, 128))]:
-            sv = StateVector(layout, random_amplitudes(np.random.Generator(np.random.PCG64(m)), 1 << 20))
-            parts = []
-
-            def spy(u, part, src, dst):
-                parts.append(part.shape)
-                return matmuls(u, part, src, dst)
-
-            monkeypatch.setattr(simulator, "_slot_matmuls", spy)
-            gate(sv, m, haar_unitary(4, 30 + m))
-            assert parts == [shape] * blocks, (m, len(parts))
-
 
 class TestSlotwiseWorkers:
-    """Slot-wise stages on several threads: the same bits and norm gain, errors, OpenBLAS's thread count."""
-
-    def state(self, monkeypatch, seed, n=4, t=6):
-        # Three phase rows a block: a stage of this layout has several blocks.
-        layout = QubitLayout(t=t, n_particles=n)
-        monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
-        amps = random_amplitudes(np.random.Generator(np.random.PCG64(seed)), 1 << layout.total_qubits)
-        return StateVector(layout=layout, amplitudes=amps)
-
-    @pytest.mark.parametrize("m", [0, 3, 5])
-    def test_norm_gain_matches_the_unblocked_reference(self, monkeypatch, m):
-        # The state is cut into 64 one-column blocks; the reference is one block.
-        sv = self.state(monkeypatch, 40 + m)
-        start = sv.amplitudes.copy()
-        expected = StateVector(layout=sv.layout, amplitudes=start.copy())
-        u = 1.001 * haar_unitary(4, 41)
-        with monkeypatch.context() as unblocked:
-            one_block(unblocked, expected)
-            simulator._apply_stage(expected, m, u)
-        gain = expected.norm_sq() - 1.0
-        assert gain > 1e-4
-        for workers in (1, 2, 5):
-            with_workers(monkeypatch, workers)
-            sv.amplitudes[...] = start
-            simulator._apply_stage(sv, m, u)
-            assert np.array_equal(sv.amplitudes, expected.amplitudes), workers
-            assert sv.norm_sq() - 1.0 == gain
-
-    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # Every worker writes its own blocks; a lost or crossed write changes the amplitudes.
-        sv = self.state(monkeypatch, 50)
-        start = sv.amplitudes.copy()
-        u = haar_unitary(4, 51)
-        with_workers(monkeypatch, 1)
-        simulator._apply_stage(sv, 2, u)
-        serial = sv.amplitudes.copy()
-        with_workers(monkeypatch, 6)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                sv.amplitudes[...] = start
-                simulator._apply_stage(sv, 2, u)
-                assert np.array_equal(sv.amplitudes, serial)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @needs_openblas
-    def test_helpers_run_with_openblas_at_one_thread(self, monkeypatch):
-        sv = self.state(monkeypatch, 60)
-        with_workers(monkeypatch, 2)
-        calls = spy_blocks(monkeypatch)
-        controlled_power_stage(sv, 1, haar_unitary(4, 61))
-        assert sorted((first, step) for _, first, step, _ in calls) == [(0, 2), (1, 2)]
-        assert {thread is threading.main_thread() for thread, *_ in calls} == {True, False}
-        assert {count for *_, count in calls} == {1}
+    """The one pass on several threads: errors, OpenBLAS's thread count."""
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        # A stand-in OpenBLAS at 3 threads: the stage that raises still
-        # restores the count it set to 1, and its helper ran at 1 thread.
-        sv = self.state(monkeypatch, 70)
+        # A stand-in OpenBLAS at 3 threads: the pass whose helper raises
+        # still restores the count it set to 1, and its helper ran at 1 thread.
+        layout = QubitLayout(t=6, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         with_workers(monkeypatch, 2)
         count = [3]
         sets = []
@@ -1173,41 +1099,22 @@ class TestSlotwiseWorkers:
             count[0] = threads
 
         monkeypatch.setattr(simulator, "_openblas", lambda: (lambda: count[0], put))
+        levels = simulator._power_levels
         seen = []
 
-        def wrapper(work):
-            def failing(first, step, scratch):
-                seen.append(count[0])
-                if first:
-                    raise RuntimeError("helper failed")
-                work(first, step, scratch)
+        def failing(*args):
+            seen.append(count[0])
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            levels(*args)
 
-            return failing
-
-        wrap_workers(monkeypatch, wrapper)
+        monkeypatch.setattr(simulator, "_power_levels", failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
-            controlled_power_stage(sv, 2, haar_unitary(4, 71))
+            prepare_power_stages(layout, [haar_unitary(4, 71)] * layout.t)
         assert threading.active_count() == threads
         assert seen == [1, 1]
         assert sets == [1, 3]
-
-    def test_serial_when_openblas_cannot_be_pinned(self, monkeypatch):
-        sv = self.state(monkeypatch, 80)
-        parallel = StateVector(sv.layout, sv.amplitudes.copy())
-        u = haar_unitary(4, 81)
-        with_workers(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "_openblas", lambda: None)
-        calls = spy_blocks(monkeypatch)
-        for m in range(sv.layout.t):
-            controlled_power_stage(sv, m, mat_pow2(u, m))
-        assert {(thread, first, step) for thread, first, step, _ in calls} == {(threading.main_thread(), 0, 1)}
-        monkeypatch.undo()
-        monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(sv.layout, 3))
-        with_workers(monkeypatch, 2)
-        for m in range(sv.layout.t):
-            controlled_power_stage(parallel, m, mat_pow2(u, m))
-        assert np.array_equal(sv.amplitudes, parallel.amplitudes)
 
     @needs_openblas
     @pytest.mark.parametrize("fails", [False, True])
@@ -1481,10 +1388,10 @@ class TestKernelMemory:
 
     @pytest.mark.parametrize("t, contraction", [(12, False), (12, True)])
     def test_peak_at_most_a_quarter_of_the_state(self, monkeypatch, t, contraction):
-        # 2**20 amplitudes (N = 4), 2**11 phase columns per half; the slot-wise
-        # blocks are cut along a phase axis and dealt to 2 threads, each with
-        # its own scratch.  Post-selection after a contraction stage reads
-        # P(0) with one vdot and scales in place.
+        # 2**20 amplitudes (N = 4), 2**11 phase columns per half.  The stage
+        # gates are plain, one matmul pass through one state's worth of
+        # scratch, so they run outside the trace.  Post-selection after a
+        # contraction stage reads P(0) with one vdot and scales in place.
         with_workers(monkeypatch, 2)
         n = 4
         layout = QubitLayout(t=t, n_particles=n)
@@ -1509,6 +1416,9 @@ class TestKernelMemory:
         steps += [(inverse_qft, ()), (register_probabilities, ())]
         peaks = []
         for gate, args in steps:
+            if gate in (controlled_power_stage, controlled_block_stage):
+                gate(sv, *args)
+                continue
             tracemalloc.start()
             try:
                 gate(sv, *args)

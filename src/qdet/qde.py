@@ -180,14 +180,14 @@ def contraction_run(
     that block.  Divided by rho_m**(1/N), the block makes both branches
     divide by rho_m, a scalar that renormalisation drops, and the control-0
     branch the identity, so `power_pass` builds the state as for `qde_run`.
-    A stage with rho_m**2 < 1e-300 gets a zero block.
+    A stage with rho_m**2 < 1e-300 gets a zero block, the pass's last stage.
 
     Phase column j is final once stage floor(log2 j) has run, and before
     stage m the state is its first 2**m columns repeated.  So P(0)_m is
-    rho_m**2 times the squared norm of columns [0, 2**(m+1)) over twice that
-    of columns [0, 2**m), which `register_probabilities` sums in a fixed
-    order without BLAS.  Norms past the float range are rounding noise,
-    amplified by the 1/rho of near-singular stages, and read as P(0) 0.
+    rho_m**2 * prefix[m+1] / (2 * prefix[m]), from the pass's record of the
+    squared norms of columns [0, 2**m), summed without BLAS.  Norms past the
+    float range are rounding noise, amplified by the 1/rho of near-singular
+    stages, and read as P(0) 0.
 
     A shot is rejected at the first stage whose ancilla reads 1, and an
     accepted one samples the phase register with draw t: `sample_distribution`
@@ -212,14 +212,12 @@ def contraction_run(
             yield block * rho ** (-1.0 / layout.n_particles) if rho * rho >= 1e-300 else np.zeros_like(block)
 
     # A generator: the pass reads it once the state is allocated, before a large t overflows a bound.
-    sv = power_pass(layout, scaled_blocks())[0]
-    with np.errstate(over="ignore"):
-        prefix = np.cumsum(register_probabilities(sv))
+    sv, prefix = power_pass(layout, scaled_blocks())
     stage_zero_probs: list[float] = []
     conditioned: np.ndarray | None = None
     for m, rho in enumerate(rhos):
-        norm_sq = prefix[(2 << m) - 1]
-        p_zero = float(rho * rho * norm_sq / (2.0 * prefix[(1 << m) - 1])) if np.isfinite(norm_sq) else 0.0
+        norm_sq = prefix[m + 1]
+        p_zero = float(rho * rho * norm_sq / (2.0 * prefix[m])) if np.isfinite(norm_sq) else 0.0
         if p_zero > 1.0 + 1e-10:  # a contraction cannot add norm
             raise VerificationError(f"stage {m}'s ancilla-0 branch has squared norm {p_zero:.12g} > 1")
         if p_zero < 1e-300:  # no usable amplitude: every shot is rejected here

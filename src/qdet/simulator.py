@@ -60,9 +60,9 @@ OpenBLAS is held at one thread (`_blas_serial`, for that call alone): its
 own threads would oversubscribe the cores.  The pass deals each stage's new
 blocks, with a barrier between stages, since a stage reads the blocks the
 stages before it wrote.  It sums each block's squared norm while the block
-is in cache, and the norm checks of `prepare_power_stages` add the gains
-those norms give to the value the last check kept, without a pass over the
-state.
+is in cache, without BLAS (`_norm_sq`), into one record of prefix norms,
+from which every mode takes its per-stage norms: the norm checks of
+`prepare_power_stages` and contraction's P(0).
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -309,43 +309,41 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     ``powers`` gives stage m's operator, U**(2**m).  Amplitudes and counters
     equal those of the per-stage gates (see the module docstring).
 
-    The norm checks need no pass over the state.  After stage m of the
-    per-stage gates, phase column j holds final column j mod 2**(m+1), so
-    stage m adds (phase_dim >> (m+1)) times the squared norms of the
-    level's blocks less those of their sources.  A stage whose bit varies
-    inside a block adds block 0's gain once per block.  The checks run in
-    stage order after the pass, so a drift still names the stage it arose
-    in.
+    The norm checks read the pass's record, not the state: after stage m
+    of the per-stage gates the state is its first 2**(m+1) phase columns
+    repeated, so its squared norm is (phase_dim >> (m+1)) * prefix[m+1].
+    The checks run in stage order after the pass, so a drift still names
+    the stage it arose in.
     """
-    sv, weight, norms, gains = power_pass(layout, powers)
-    # The norm checks start from the empty state: preparation adds all of it.
-    sv.checked_norm_sq = 0.0
-    _assert_normalized(sv, "state preparation", weight * layout.phase_dim)
-    for m in range(layout.t):
-        if m < len(gains):
-            gain = gains[m] * len(norms)
-        else:
-            level = 1 << (m - len(gains))  # the level's first block, and its block count
-            gain = (layout.phase_dim >> (m + 1)) * (norms[level : 2 * level].sum() - norms[:level].sum())
-        _assert_normalized(sv, f"controlled_power_stage m={m}", float(gain))
+    sv, prefix = power_pass(layout, powers)
+    for m, norm_sq in enumerate(prefix):
+        gate = f"controlled_power_stage m={m - 1}" if m else "state preparation"
+        _assert_normalized(sv, gate, float((layout.phase_dim >> m) * norm_sq))
     return sv
 
 
-def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, float, np.ndarray, np.ndarray]:
-    """|+>^t |asym> with t controlled stages applied, in one blocked pass over a new state; no norm check.
+def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, np.ndarray]:
+    """|+>^t |asym> with its controlled stages applied, in one blocked pass over a new state; no norm check.
 
     Stage m applies the m-th N x N of ``operators`` to every slot of the
     phase columns with bit m set.  ``operators`` is read after the state is
     allocated, so a refused state is reported before a large t overflows
     one.  Returns the state, counters booked as by the per-stage gates, and
-    the norms the checks need: column 0's, each block's, and block 0's gain
-    at each stage whose bit varies inside a block, all squared.
+    the record ``prefix``: prefix[m] is the squared norm of the final phase
+    columns [0, 2**m), for m = 0..t, summed without BLAS.
+
+    An all-zero operator, at stage m, is the last stage applied: the pass
+    leaves phase columns 2**(m+1) on unbuilt (in the circuit those whose bit
+    m is clear are not zero), and the record ends at prefix[m+1].
 
     The pass builds block 0 from column 0, with the stages whose bit varies
-    inside a block.  Each later stage m makes a level: it doubles the blocks
+    inside a block; after stage m it holds width >> (m+1) copies of columns
+    [0, 2**(m+1)), so its norm gives prefix[m+1] by an exact power-of-two
+    rescaling.  Each later stage m makes a level: it doubles the blocks
     built so far, block c of the level being stage m applied to block
     c - 2**k, where k = m - log2(width) and 2**k <= c < 2**(k+1).  m is the
-    top set bit of every column of block c, so the block is final.  One
+    top set bit of every column of block c, so the block is final, and
+    prefix[m+1] is the sum of the norms of blocks 0 to 2**(k+1) - 1.  One
     `_deal` runs the whole pass, and its workers meet at a barrier before
     each level.
     """
@@ -353,41 +351,43 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, f
     ops = [_stage_operator(layout, m, op) for m, op in enumerate(operators)]
     if len(ops) != layout.t:
         raise ValidationError(f"{len(ops)} stage operators for a {layout.t}-qubit phase register")
+    ops = ops[: next((m + 1 for m, op in enumerate(ops) if not op.any()), len(ops))]
     n, t = layout.n_particles, layout.t
     rows = amps.reshape(layout.slot_dim, layout.phase_dim)
     column = slot_register_vector(asym_state(n), layout)
     for _ in range(t):
         column *= _INV_SQRT2
     rows[:, 0] = column
-    weight = float(np.vdot(column, column).real)
+    prefix = np.empty(len(ops) + 1)
+    prefix[0] = _norm_sq(column)
     del column  # an N = 8 column is 256 MiB: free it before the scratch is allocated
 
     width = _block_width(layout)
-    count = layout.phase_dim // width
-    norms = np.empty(count)  # each block's squared norm
-    norms[0] = weight  # a block of one column is column 0, already in place
-    gains = np.empty(width.bit_length() - 1)  # block 0's gain at each stage whose bit varies inside it
+    inside = min(width.bit_length() - 1, len(ops))  # the stages whose bit varies inside a block
+    norms = np.empty(1 << (len(ops) - inside))  # each block's squared norm
     barriers: dict[int, threading.Barrier] = {}
 
     def work(first: int, step: int, scratch: np.ndarray) -> None:
         # setdefault is atomic: every worker gets the barrier the first one made.
         barrier = barriers.setdefault(step, threading.Barrier(step))
         try:
-            _power_levels(ops, rows, width, norms, gains, barrier, first, step, scratch)
+            _power_levels(ops, rows, width, prefix, norms, barrier, first, step, scratch)
         except threading.BrokenBarrierError:
             return  # another worker raised and broke the barrier: `_deal` raises its exception
         except BaseException:
             barrier.abort()  # frees the workers waiting at the barrier
             raise
 
-    # The widest level, the last, has count / 2 blocks.
-    _deal(work, max(1, count // 2), layout.slot_dim * width)
+    # The widest level, the last, has half the blocks.
+    _deal(work, max(1, len(norms) // 2), layout.slot_dim * width)
+    norms[0] = prefix[inside]  # block 0's own norm when a level follows: inside is then log2(width)
+    prefix[inside + 1 :] = np.cumsum(norms)[(2 << np.arange(len(ops) - inside)) - 1]
 
     sv = StateVector(layout=layout, amplitudes=amps)
     _book_asym(sv.counters, n)
     sv.counters.modeled_qft_ops += t
-    sv.counters.controlled_slot_applications += t * n
-    return sv, weight, norms, gains
+    sv.counters.controlled_slot_applications += len(ops) * n
+    return sv, prefix
 
 
 def inverse_qft(sv: StateVector) -> StateVector:
@@ -489,7 +489,7 @@ def ancilla_zero_probability(sv: StateVector) -> float:
 
     The state is the ancilla-0 branch a contraction stage left, so this is
     its squared norm.  No run calls it: runs read each stage's P(0) from the
-    column norms of `power_pass`.
+    record of `power_pass`.
     """
     return sv.norm_sq()
 
@@ -500,8 +500,8 @@ def measure_ancilla_postselect(sv: StateVector) -> float:
     The state is that branch, and P(0) is its squared norm.  A contraction
     cannot add norm, so P(0) above 1 + 1e-10 raises VerificationError.
     When P(0) < 1e-300 the branch has no usable amplitude and the state is
-    left as it was.  Runs read each stage's P(0) from the column norms of
-    the state `power_pass` builds; this is their reference.
+    left as it was.  Runs read each stage's P(0) from the record of
+    `power_pass`; this is their reference.
     """
     p0 = ancilla_zero_probability(sv)
     if p0 > 1.0 + _NORM_TOL:
@@ -632,39 +632,41 @@ def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
 
 
 def _power_levels(
-    ops: list[np.ndarray], rows: np.ndarray, width: int, norms: np.ndarray, gains: np.ndarray,
+    ops: list[np.ndarray], rows: np.ndarray, width: int, prefix: np.ndarray, norms: np.ndarray,
     barrier: threading.Barrier, first: int, step: int, scratch: np.ndarray,
 ) -> None:
-    """Worker ``first`` of ``step`` of `prepare_power_stages`, in the two buffers of ``scratch``.
+    """Worker ``first`` of ``step`` of `power_pass`, in the two buffers of ``scratch``.
 
     Block c is phase columns c*width to (c+1)*width - 1 of the (slots,
-    phase) ``rows``; its squared norm goes to norms[c], and the norm each
-    stage inside block 0 adds to it goes to ``gains``.  Worker 0 builds
-    block 0; the workers take each level's blocks round-robin, after
-    ``barrier``.
+    phase) ``rows``.  Worker 0 builds block 0, writing prefix[m+1] for each
+    stage m inside it; the workers take each level's blocks round-robin,
+    after ``barrier``, and put block c's squared norm in norms[c].
     """
     slots = rows.shape[0]
     block, spare = scratch
-    inside = len(gains)
+    inside = min(width.bit_length() - 1, len(ops))
     if first == 0 and width > 1:
         cols = block.reshape(slots, width)
         np.copyto(cols, rows[:, :1])
-        norm = np.vdot(block, block).real
         for m, u in enumerate(ops[:inside]):  # every other run of 2**m columns
             part = _bit_columns(cols, m)
             part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
-            before, norm = norm, np.vdot(block, block).real
-            gains[m] = norm - before
+            prefix[m + 1] = _norm_sq(block) * (2 << m) / width
         rows[:, :width] = cols
-        norms[0] = norm
     for k, u in enumerate(ops[inside:]):
         barrier.wait()
         level = 1 << k
         for c in range(level + first, 2 * level, step):
             source = rows[:, (c - level) * width : (c - level + 1) * width]
             out = _slot_matmuls(u, source, block, spare)  # N is even: the result is in block
-            norms[c] = np.vdot(out, out).real
+            norms[c] = _norm_sq(out)
             rows[:, c * width : (c + 1) * width] = out.reshape(slots, width)
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    """Squared norm of contiguous amplitudes by numpy's einsum loop: no BLAS, whose rounding varies with its threads."""
+    floats = amps.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", floats, floats))
 
 
 def _bit_columns(block: np.ndarray, m: int, bit: int = 1) -> np.ndarray:
@@ -837,17 +839,13 @@ def _phase_rows(sv: StateVector) -> np.ndarray:
     return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
 
 
-def _assert_normalized(sv: StateVector, gate: str, gain: float | None = None) -> None:
+def _assert_normalized(sv: StateVector, gate: str, norm_sq: float | None = None) -> None:
     """Raise VerificationError unless the squared norm is within 1e-10 of 1; keep it on ``sv``.
 
-    With ``gain``, the squared norm the gate added, the norm is the value
-    the last check kept plus that gain, when a check has kept one;
-    otherwise it is read from the whole state.
+    The norm is ``norm_sq`` when the caller measured it, else it is read
+    from the whole state.
     """
-    if gain is None or sv.checked_norm_sq is None:
-        sv.checked_norm_sq = sv.norm_sq()
-    else:
-        sv.checked_norm_sq += gain
+    sv.checked_norm_sq = sv.norm_sq() if norm_sq is None else norm_sq
     drift = abs(sv.checked_norm_sq - 1.0)
     if drift > _NORM_TOL:
         raise VerificationError(f"state norm drifted by {drift:.3e} after {gate}")

@@ -433,6 +433,33 @@ class TestOnePassContraction:
             contraction_run(np.eye(2), t=2, shots=10, seed=1)
 
 
+class TestDeadStage:
+    """A zero block (rho**2 < 1e-300) is the last stage the pass applies; the run reads nothing past it."""
+
+    @pytest.mark.parametrize(
+        "a, t, applied",
+        [(np.zeros((2, 2)), 3, 1), (np.zeros((4, 4)), 10, 1), (np.diag([1.0, 1e-80]), 4, 2)],
+        ids=["zero-2", "zero-4", "stage-1"],
+    )
+    def test_no_stage_after_the_first_zero_block_is_applied(self, monkeypatch, a, t, applied):
+        # diag(1, 1e-80): stage 0's rho**2 is 1e-160, stage 1's 1e-320.
+        stage_zero_probs, _, counters = per_stage_contraction(a, t)
+        matmuls = simulator._slot_matmuls
+        zero_blocks = []
+
+        def spy(u, *args):
+            zero_blocks.append(not u.any())
+            return matmuls(u, *args)
+
+        monkeypatch.setattr(simulator, "_slot_matmuls", spy)
+        monkeypatch.setattr(qde, "inverse_qft", lambda sv: pytest.fail("inverse_qft ran"))
+        result = contraction_run(a, t=t, shots=50, seed=1)
+        assert zero_blocks == [False] * (applied - 1) + [True]
+        assert (result.accepted, result.exact_acceptance, result.exact_conditioned_distribution) == (0, 0.0, None)
+        assert stage_zero_probs[-1] == 0.0 and len(stage_zero_probs) == applied
+        assert result.counters == counters
+
+
 class TestPhaseWrap:
     """Determinant phases within half a grid step of 0 or 2*pi read out across the wrap."""
 

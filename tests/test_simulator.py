@@ -757,6 +757,27 @@ class TestControlledBlockStage:
             assert np.shares_memory(sv.amplitudes, buffer)
             assert np.max(np.abs(sv.amplitudes - expected[0].reshape(-1))) <= 1e-12, m
 
+    @pytest.mark.parametrize("t", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_in_place_in_the_ancilla_0_half(self, n, t):
+        # The state as the 0-half of a raw one-ancilla array: the stage
+        # writes that half in place, as the dense encoding's ancilla-0
+        # output, and leaves the 1-half as it was.
+        layout = QubitLayout(t=t, n_particles=n)
+        rng = np.random.Generator(np.random.PCG64(3000 * n + t))
+        a = random_contraction(n, 500 + t)
+        for m in range(t):
+            a_m = mat_pow2(a, m)
+            sv = StateVector(layout=layout, amplitudes=random_amplitudes(rng, 1 << layout.total_qubits))
+            expected = with_ancilla(sv)
+            raw = into_ancilla_half(sv, random_amplitudes(rng, sv.amplitudes.size))
+            rest = raw[1].copy()
+            controlled_block_stage(sv, m, a_m)
+            reference_block_stage(expected, layout, m, block_encode(kron_power(a_m, n)))
+            assert np.shares_memory(sv.amplitudes, raw[0])
+            assert np.max(np.abs(sv.amplitudes - expected[0].reshape(-1))) <= 1e-12, m
+            assert np.array_equal(raw[1], rest), m
+
 
 class TestPipelineInvariants:
     def test_norm_preserved_through_full_run(self):
@@ -1012,18 +1033,15 @@ class TestBlockedKernels:
                 self.check_bit_exact_and_in_place(monkeypatch, n, t, ancilla_half, rows)
 
     def check_bit_exact_and_in_place(self, monkeypatch, n, t, ancilla_half, rows):
+        # The stage gates are plain, one matmul pass whatever the block size:
+        # `TestPhaseBitViewGates` and `TestControlledBlockStage` check them.
         layout = QubitLayout(t=t, n_particles=n)
         rng = np.random.Generator(np.random.PCG64(int(2 * rows) + 100 * n + 10 * t + ancilla_half))
-        u = haar_unitary(n, 300 + t)
-        a = random_contraction(n, 500 + t)
         cases = [
             (hadamard_layer, reference_hadamard_layer, ()),
             (inverse_qft, unblocked_transform(np.fft.fft), ()),
             (qft, unblocked_transform(np.fft.ifft), ()),
         ]
-        for m in range(t):
-            cases.append((controlled_power_stage, controlled_power_stage, (m, mat_pow2(u, m))))
-            cases.append((controlled_block_stage, controlled_block_stage, (m, mat_pow2(a, m))))
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows))
         for gate, reference, args in cases:
             amps = rng.standard_normal(1 << layout.total_qubits) + 1j * rng.standard_normal(
@@ -1381,6 +1399,85 @@ class TestPreparePowerStages:
         finally:
             sys.setswitchinterval(interval)
         assert {step for _, _, step, _ in calls} == {6 if simulator._openblas() else 1}
+
+
+def record(layout, operators):
+    """The record of `power_pass` on ``operators``: its prefix norms, one more than the stages applied."""
+    _, prefix = simulator.power_pass(layout, operators)
+    return prefix
+
+
+class TestPowerPassRecord:
+    """`power_pass`'s record: prefix[m], the squared norm of phase columns [0, 2**m), from the pass alone.
+
+    After m stages of the per-stage gates the state is its first 2**m
+    columns repeated, so its squared norm is (phase_dim >> m) * prefix[m].
+    """
+
+    @pytest.mark.parametrize("rows", [None, 0.5])
+    @pytest.mark.parametrize("t", [1, 3, 6])
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("contraction", [False, True], ids=["powers", "blocks"])
+    def test_matches_the_per_stage_norms(self, monkeypatch, contraction, n, t, rows):
+        # Divided by rho**(1/N), a contraction block makes the pass's state
+        # that of the block stages divided by the product of the rhos so far.
+        layout = QubitLayout(t=t, n_particles=n)
+        if rows:
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows))
+        if contraction:
+            # Singular values from 0.99 to 1: P(0) stays well above 0 at t = 6.
+            a = (haar_unitary(n, 50 * n + t) * np.linspace(0.99, 1.0, n)) @ haar_unitary(n, 50 * n + t + 1).conj().T
+            matrices = list(stage_powers(a, t))
+            blocks = [simulator.contraction_block(m, a_m) for m, a_m in enumerate(matrices)]
+            operators = [block * rho ** (-1.0 / n) for block, rho in blocks]
+            rhos_sq = [rho * rho for _, rho in blocks]
+            gate = controlled_block_stage
+        else:
+            matrices = operators = [mat_pow2(haar_unitary(n, 40 * n + t), m) for m in range(t)]
+            rhos_sq = [1.0] * t
+            gate = controlled_power_stage
+        prefix = record(layout, operators)
+        sv = prepared_state(t, n)
+        hadamard_layer(sv)
+        norms = [sv.norm_sq()]
+        for m, matrix in enumerate(matrices):
+            norms.append(gate(sv, m, matrix).norm_sq() / math.prod(rhos_sq[: m + 1]))
+        assert len(prefix) == t + 1
+        for m, norm in enumerate(norms):
+            assert (layout.phase_dim >> m) * prefix[m] == pytest.approx(norm, abs=1e-13), m
+
+    def test_bit_identical_on_any_worker_count(self, monkeypatch):
+        # 128 blocks of four columns: stages 0 and 1 inside block 0, seven levels after it.
+        layout = QubitLayout(t=9, n_particles=4)
+        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        powers = list(stage_powers(haar_unitary(4, 88), layout.t))
+        records = []
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            records.append(record(layout, powers))
+        monkeypatch.setattr(simulator, "_openblas", lambda: None)
+        records.append(record(layout, powers))
+        assert len(records[0]) == layout.t + 1
+        assert all(np.array_equal(prefix, records[0]) for prefix in records)
+
+    @needs_openblas
+    def test_bit_identical_on_any_openblas_thread_count(self, monkeypatch):
+        # One worker leaves OpenBLAS its threads; eight blocks of 2**15 amplitudes,
+        # where a BLAS dot product splits its sum across them.
+        with_workers(monkeypatch, 1)
+        layout = QubitLayout(t=10, n_particles=4)
+        powers = list(stage_powers(haar_unitary(4, 89), layout.t))
+        get, put = simulator._openblas()
+        before = get()
+        records = []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                records.append(record(layout, powers))
+        finally:
+            put(before)
+        assert len(records[0]) == layout.t + 1
+        assert np.array_equal(records[0], records[1])
 
 
 class TestKernelMemory:

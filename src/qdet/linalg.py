@@ -39,8 +39,15 @@ class DetValue:
 
     @classmethod
     def from_complex(cls, value: complex) -> "DetValue":
+        """The polar pieces of ``value``; ValidationError when its modulus is not finite, as past the float range."""
         value = complex(value)
-        return cls(value=value, magnitude=abs(value), phase=phase_in_2pi(value))
+        try:
+            magnitude = abs(value)
+        except OverflowError:  # finite parts whose modulus is not
+            magnitude = math.inf
+        if not math.isfinite(magnitude):
+            raise ValidationError(f"determinant {value} is outside the float range")
+        return cls(value=value, magnitude=magnitude, phase=phase_in_2pi(value))
 
 
 def phase_in_2pi(value: complex) -> float:

@@ -43,25 +43,27 @@ amplitudes are bit-exact for any block size.  One limit: a block holds
 every slot value, so when one phase column exceeds a block (N = 8) a block
 is one column, and its matmuls take two buffers of that column's size.
 
-`load_asym`'s check and the phase distribution work through the state in
-blocks of phase rows of about `_BLOCK_BYTES` too (`_chunks`).
-`hadamard_layer` writes one scaled column into every phase column.  Every
-gate, `inverse_qft` included, writes into the existing amplitude buffer,
-and returns the StateVector, which a run owns exclusively.
+The phase distribution works through the state in blocks of phase rows of
+about `_BLOCK_BYTES` too (`_chunks`).  `hadamard_layer` writes one scaled
+column into every phase column.  Every gate, `inverse_qft` included, writes
+into the existing amplitude buffer, and returns the StateVector, which a run
+owns exclusively.
 
-The pass and `inverse_qft` deal their blocks round-robin to up to
-`_MAX_WORKERS` threads through one dealer, `_deal`: the caller and helpers
-it joins before returning; numpy releases the interpreter lock in the
-copies, matmuls and FFTs.  The blocks are disjoint and each runs the same
-arithmetic on whichever thread takes it, so amplitudes are bit-exact for
-any worker count.  `inverse_qft` deals the two halves of the slot rows that
-way, when the state exceeds a block.  The pass's helpers run only while
-OpenBLAS is held at one thread (`_blas_serial`, for that call alone): its
-own threads would oversubscribe the cores.  The pass deals each stage's new
-blocks, with a barrier between stages, since a stage reads the blocks the
-stages before it wrote.  It sums each block's squared norm while the block
-is in cache, without BLAS (`_norm_sq`), into one record of prefix norms,
-from which every mode takes its per-stage norms: the norm checks of
+One dealer, `_deal`, runs every blocked kernel on up to `_MAX_WORKERS`
+threads, the caller and helpers it joins before returning; numpy releases
+the interpreter lock in the copies, matmuls and FFTs.  A kernel hands it
+levels of block jobs.  Worker w takes jobs w, w + step, ... of each level,
+and the workers meet at one barrier between levels, since a level reads
+the blocks the levels before it wrote.  The blocks are disjoint and each
+runs the same arithmetic on whichever thread takes it, so amplitudes are
+bit-exact for any worker count.  The pass's levels are block 0, then one
+per later stage, with one job per new block; `inverse_qft`'s one level is
+a job per half of the slot rows, or one job when the state fits in a
+block.  The pass's helpers run only while OpenBLAS is held at one thread
+(`_blas_serial`, for that call alone): its own threads would oversubscribe
+the cores.  The pass sums each block's squared norm while the block is in
+cache, without BLAS (`_norm_sq`), into one record of prefix norms, from
+which every mode takes its per-stage norms: the norm checks of
 `prepare_power_stages` and contraction's P(0).
 
 Shot s reads its uniform draws from its own counter-based substream,
@@ -202,9 +204,6 @@ class StateVector:
     layout: QubitLayout
     amplitudes: np.ndarray
     counters: CostCounters = field(default_factory=CostCounters)
-    #: Squared norm the last norm check measured; None until a check has run
-    #: or after a gate that changed the norm without one.
-    checked_norm_sq: float | None = None
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -236,26 +235,19 @@ def slot_register_vector(state: np.ndarray, layout: QubitLayout) -> np.ndarray:
 def load_asym(sv: StateVector, state: np.ndarray) -> StateVector:
     """Write a slot tensor, such as `asym_state`, into phase column 0 of the slot register.
 
-    Requires the freshly initialized all-zeros basis state; no other amplitude
-    is written, and the freshness check bounds each of them to 1e-12.  The
-    modeled orthonormalization and antisymmetrization costs are booked to the
-    counters; the amplitudes themselves are assigned directly.  Runs build
-    their state in `power_pass`, whose reference this is.
+    Requires the freshly initialized all-zeros basis state: amplitude 0
+    within 1e-12 of 1, and the others of squared norm at most 1e-24.  Only
+    phase column 0 is written.  The modeled orthonormalization and
+    antisymmetrization costs are booked to the counters; the amplitudes
+    themselves are assigned directly.  Runs build their state in
+    `power_pass`, whose reference this is.
     """
-    # Fresh: amplitude 0 within 1e-12 of 1 and every other modulus at most 1e-12.
-    rows = _phase_rows(sv)
-    chunks = _chunks(len(rows), rows.shape[1])
-    mags = np.empty(rows[chunks[0]].size)
-    for s in chunks:
-        block = rows[s]
-        mag = np.abs(block, out=mags[: block.size].reshape(block.shape))
-        if s.start == 0:
-            mag[0, 0] = abs(block[0, 0] - 1.0)
-        if mag.max() > 1e-12:
-            raise ValidationError("load_asym requires the freshly initialized all-zeros state")
-    sv.amplitudes.reshape(-1, sv.layout.phase_dim)[:, 0] = slot_register_vector(state, sv.layout)
+    amps = sv.amplitudes
+    if abs(amps[0] - 1.0) > 1e-12 or _norm_sq(amps[1:]) > 1e-24:
+        raise ValidationError("load_asym requires the freshly initialized all-zeros state")
+    amps.reshape(-1, sv.layout.phase_dim)[:, 0] = slot_register_vector(state, sv.layout)
     _book_asym(sv.counters, sv.layout.n_particles)
-    _assert_normalized(sv, "load_asym")
+    _assert_normalized(sv.norm_sq(), "load_asym")
     return sv
 
 
@@ -284,7 +276,7 @@ def hadamard_layer(sv: StateVector) -> StateVector:
         column *= _INV_SQRT2
     rows[...] = column[:, None]
     sv.counters.modeled_qft_ops += sv.layout.t
-    _assert_normalized(sv, "hadamard_layer")
+    _assert_normalized(sv.norm_sq(), "hadamard_layer")
     return sv
 
 
@@ -299,7 +291,7 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     """
     _apply_stage(sv, m, _stage_operator(sv.layout, m, u_m))
     sv.counters.controlled_slot_applications += sv.layout.n_particles
-    _assert_normalized(sv, f"controlled_power_stage m={m}")
+    _assert_normalized(sv.norm_sq(), f"controlled_power_stage m={m}")
     return sv
 
 
@@ -318,7 +310,7 @@ def prepare_power_stages(layout: QubitLayout, powers: Iterable) -> StateVector:
     sv, prefix = power_pass(layout, powers)
     for m, norm_sq in enumerate(prefix):
         gate = f"controlled_power_stage m={m - 1}" if m else "state preparation"
-        _assert_normalized(sv, gate, float((layout.phase_dim >> m) * norm_sq))
+        _assert_normalized(float((layout.phase_dim >> m) * norm_sq), gate)
     return sv
 
 
@@ -344,8 +336,9 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, n
     c - 2**k, where k = m - log2(width) and 2**k <= c < 2**(k+1).  m is the
     top set bit of every column of block c, so the block is final, and
     prefix[m+1] is the sum of the norms of blocks 0 to 2**(k+1) - 1.  One
-    `_deal` runs the whole pass, and its workers meet at a barrier before
-    each level.
+    `_deal` runs the whole pass as levels of block jobs: block 0's
+    (`_first_block`), then one level per later stage, one job per new block
+    (`_next_block`).
     """
     amps = _new_amplitudes(layout, np.empty)
     ops = [_stage_operator(layout, m, op) for m, op in enumerate(operators)]
@@ -364,22 +357,14 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, n
 
     width = _block_width(layout)
     inside = min(width.bit_length() - 1, len(ops))  # the stages whose bit varies inside a block
+    blocks = rows.reshape(layout.slot_dim, -1, width).swapaxes(0, 1)  # blocks[c]: (slots, width)
     norms = np.empty(1 << (len(ops) - inside))  # each block's squared norm
-    barriers: dict[int, threading.Barrier] = {}
-
-    def work(first: int, step: int, scratch: np.ndarray) -> None:
-        # setdefault is atomic: every worker gets the barrier the first one made.
-        barrier = barriers.setdefault(step, threading.Barrier(step))
-        try:
-            _power_levels(ops, rows, width, prefix, norms, barrier, first, step, scratch)
-        except threading.BrokenBarrierError:
-            return  # another worker raised and broke the barrier: `_deal` raises its exception
-        except BaseException:
-            barrier.abort()  # frees the workers waiting at the barrier
-            raise
-
-    # The widest level, the last, has half the blocks.
-    _deal(work, max(1, len(norms) // 2), layout.slot_dim * width)
+    levels = [[functools.partial(_first_block, ops[:inside], blocks, prefix)]] if inside else []
+    levels += [
+        [functools.partial(_next_block, u, blocks, norms, c, c - (1 << k)) for c in range(1 << k, 2 << k)]
+        for k, u in enumerate(ops[inside:])
+    ]
+    _deal(levels, layout.slot_dim * width)
     norms[0] = prefix[inside]  # block 0's own norm when a level follows: inside is then log2(width)
     prefix[inside + 1 :] = np.cumsum(norms)[(2 << np.arange(len(ops) - inside)) - 1]
 
@@ -395,20 +380,15 @@ def inverse_qft(sv: StateVector) -> StateVector:
 
     Convention: the forward QFT maps |j> to 2**(-t/2) sum_k exp(2i pi jk/2**t)|k>,
     so the inverse is the unitary DFT with the negative-sign kernel.  The
-    rows transform independently, so a state larger than a block deals the
-    two halves of its slot rows to `_worker_count` threads; no BLAS is
-    involved.
+    rows transform independently, so a state larger than a block hands
+    `_deal` one job per half of its slot rows; no BLAS is involved.
     """
     t = sv.layout.t
-    halves = sv.amplitudes.reshape(2, -1, 1 << t)
-
-    def transform(first: int, step: int, _) -> None:
-        for half in halves[first::step]:
-            np.fft.fft(half, axis=1, norm="ortho", out=half)
-
-    _deal(transform, len(halves) if sv.amplitudes.nbytes > _BLOCK_BYTES else 1, blas=False)
+    rows = sv.amplitudes.reshape(-1, 1 << t)
+    parts = np.split(rows, 2) if sv.amplitudes.nbytes > _BLOCK_BYTES else [rows]
+    _deal([[lambda _, part=part: np.fft.fft(part, axis=1, norm="ortho", out=part) for part in parts]], blas=False)
     sv.counters.modeled_inv_qft_ops += t * (t + 1) // 2
-    _assert_normalized(sv, "inverse_qft")
+    _assert_normalized(sv.norm_sq(), "inverse_qft")
     return sv
 
 
@@ -508,7 +488,7 @@ def measure_ancilla_postselect(sv: StateVector) -> float:
         raise VerificationError(f"the ancilla-0 branch has squared norm {p0:.12g} > 1")
     if p0 >= 1e-300:
         sv.amplitudes /= math.sqrt(p0)
-        _assert_normalized(sv, "measure_ancilla_postselect")
+        _assert_normalized(sv.norm_sq(), "measure_ancilla_postselect")
     return p0
 
 
@@ -530,7 +510,6 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     off *= rho
 
     sv.counters.controlled_slot_applications += sv.layout.n_particles
-    sv.checked_norm_sq = None
     return sv
 
 
@@ -631,36 +610,27 @@ def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
     part[...] = _slot_matmuls(u, part, *np.empty((2, part.size), dtype=np.complex128)).reshape(part.shape)
 
 
-def _power_levels(
-    ops: list[np.ndarray], rows: np.ndarray, width: int, prefix: np.ndarray, norms: np.ndarray,
-    barrier: threading.Barrier, first: int, step: int, scratch: np.ndarray,
-) -> None:
-    """Worker ``first`` of ``step`` of `power_pass`, in the two buffers of ``scratch``.
+def _first_block(ops: list[np.ndarray], blocks: np.ndarray, prefix: np.ndarray, buffers: np.ndarray) -> None:
+    """Build block 0 of `power_pass` from phase column 0 in the first of ``buffers``.
 
-    Block c is phase columns c*width to (c+1)*width - 1 of the (slots,
-    phase) ``rows``.  Worker 0 builds block 0, writing prefix[m+1] for each
-    stage m inside it; the workers take each level's blocks round-robin,
-    after ``barrier``, and put block c's squared norm in norms[c].
+    ``ops`` are the stages whose bit varies inside a block; after stage m,
+    prefix[m+1] is the block's squared norm rescaled to columns [0, 2**(m+1)).
     """
-    slots = rows.shape[0]
-    block, spare = scratch
-    inside = min(width.bit_length() - 1, len(ops))
-    if first == 0 and width > 1:
-        cols = block.reshape(slots, width)
-        np.copyto(cols, rows[:, :1])
-        for m, u in enumerate(ops[:inside]):  # every other run of 2**m columns
-            part = _bit_columns(cols, m)
-            part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
-            prefix[m + 1] = _norm_sq(block) * (2 << m) / width
-        rows[:, :width] = cols
-    for k, u in enumerate(ops[inside:]):
-        barrier.wait()
-        level = 1 << k
-        for c in range(level + first, 2 * level, step):
-            source = rows[:, (c - level) * width : (c - level + 1) * width]
-            out = _slot_matmuls(u, source, block, spare)  # N is even: the result is in block
-            norms[c] = _norm_sq(out)
-            rows[:, c * width : (c + 1) * width] = out.reshape(slots, width)
+    block, spare = buffers
+    cols = block.reshape(blocks.shape[1:])
+    np.copyto(cols, blocks[0, :, :1])
+    for m, u in enumerate(ops):  # every other run of 2**m columns
+        part = _bit_columns(cols, m)
+        part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
+        prefix[m + 1] = _norm_sq(block) * (2 << m) / cols.shape[1]
+    blocks[0] = cols
+
+
+def _next_block(u: np.ndarray, blocks: np.ndarray, norms: np.ndarray, c: int, source: int, buffers: np.ndarray) -> None:
+    """Build block c of `power_pass` as stage ``u`` applied to block ``source``; its squared norm goes in norms[c]."""
+    out = _slot_matmuls(u, blocks[source], *buffers)  # N is even: the result is in the first buffer
+    norms[c] = _norm_sq(out)
+    blocks[c] = out.reshape(blocks.shape[1:])
 
 
 def _norm_sq(amps: np.ndarray) -> float:
@@ -695,39 +665,47 @@ def _slot_matmuls(u: np.ndarray, part: np.ndarray, src: np.ndarray, dst: np.ndar
     return src
 
 
-def _deal(work: Callable[[int, int, np.ndarray], None], blocks: int, scratch: int = 0, *, blas: bool = True) -> None:
-    """Run a blocked kernel's ``work(first, step, buffers)`` on `_worker_count` threads.
+def _deal(levels: Sequence[Sequence[Callable[[np.ndarray], None]]], scratch: int = 0, *, blas: bool = True) -> None:
+    """Run a blocked kernel's ``levels`` of jobs ``job(buffers)`` on `_worker_count` threads.
 
-    Worker w takes blocks w, w + step, ..., with step the worker count, and
-    its own pair of ``scratch``-amplitude buffers.  The calling thread is
-    worker 0; helper threads take the rest and are joined before this
-    returns, and an exception raised in one is raised here.  With ``blas``,
-    helpers run only inside `_blas_serial`, which holds OpenBLAS at one
-    thread for the call: its own threads would oversubscribe the cores.  A
-    call on one thread leaves OpenBLAS's thread count alone.
+    Worker w runs jobs w, w + step, ... of each level, step being the worker
+    count, in its own pair of ``scratch``-amplitude buffers.  The workers
+    meet at one barrier between levels, since a level may read what the
+    levels before it wrote.  The calling thread is worker 0; helper threads
+    take the rest and are joined before this returns.  A job's exception
+    aborts the barrier, so no worker waits for it, and is raised here.  With
+    ``blas``, helpers run only inside `_blas_serial`, which holds OpenBLAS at
+    one thread for the call: its own threads would oversubscribe the cores.
+    A call on one thread leaves OpenBLAS's thread count alone.
     """
-    workers = _worker_count(blocks)
+    workers = _worker_count(max(map(len, levels)))
     with _blas_serial() if blas and workers > 1 else contextlib.nullcontext(True) as pinned:
         workers = workers if pinned else 1
         # Allocated here, not in the helpers: memory a helper thread frees
         # stays in its own allocator arena, out of reach of later allocations.
         buffers = np.empty((workers, 2, scratch), dtype=np.complex128)
+        barrier = threading.Barrier(workers)
         errors: list[BaseException] = []
 
-        def helper(first: int) -> None:
+        def work(w: int) -> None:
             try:
-                work(first, workers, buffers[first])
+                for k, level in enumerate(levels):
+                    if k:
+                        barrier.wait()
+                    for job in level[w::workers]:
+                        job(buffers[w])
+            except threading.BrokenBarrierError:
+                pass  # another worker's job raised: its exception is raised below
             except BaseException as exc:  # handed to the caller, which raises it
                 errors.append(exc)
+                barrier.abort()
 
-        helpers = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+        helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
         for thread in helpers:
             thread.start()
-        try:
-            work(0, workers, buffers[0])
-        finally:
-            for thread in helpers:
-                thread.join()
+        work(0)
+        for thread in helpers:
+            thread.join()
     if errors:
         raise errors[0]
 
@@ -799,8 +777,8 @@ def _chunks(length: int, stride: int) -> list[slice]:
     """Slices cutting an axis of ``length`` indices into blocks of about `_BLOCK_BYTES`.
 
     One index spans ``stride`` amplitudes.  A block takes as many indices as
-    fit, but at least one; the last block may be shorter.  The phase-row
-    kernels iterate through this.
+    fit, but at least one; the last block may be shorter.
+    `register_probabilities` iterates through this.
     """
     per = max(1, _BLOCK_BYTES // (_AMP_BYTES * stride))
     return [slice(i, i + per) for i in range(0, length, per)]
@@ -839,13 +817,8 @@ def _phase_rows(sv: StateVector) -> np.ndarray:
     return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
 
 
-def _assert_normalized(sv: StateVector, gate: str, norm_sq: float | None = None) -> None:
-    """Raise VerificationError unless the squared norm is within 1e-10 of 1; keep it on ``sv``.
-
-    The norm is ``norm_sq`` when the caller measured it, else it is read
-    from the whole state.
-    """
-    sv.checked_norm_sq = sv.norm_sq() if norm_sq is None else norm_sq
-    drift = abs(sv.checked_norm_sq - 1.0)
+def _assert_normalized(norm_sq: float, gate: str) -> None:
+    """Raise VerificationError, naming ``gate``, unless the measured squared norm is within 1e-10 of 1."""
+    drift = abs(norm_sq - 1.0)
     if drift > _NORM_TOL:
         raise VerificationError(f"state norm drifted by {drift:.3e} after {gate}")

@@ -521,6 +521,27 @@ class TestMainExitCodes:
         assert code == EXIT_VALIDATION
         assert "code=validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["scaled-identity:64:1e200:0", "scaled-identity:8:1e50:0"])
+    def test_determinant_past_the_float_range_exits_2(self, capsys, spec):
+        # det = 1e12800 and 1e400: LU (and, at N=8, the permutation sum) overflow
+        # to inf and NaN, which a JSON report cannot hold.
+        assert main(["--mode", "oracle", "--gen", spec]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("QDET-ERROR code=validation") == 1
+
+    def test_matrix_file_determinant_past_the_float_range_exits_2(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, {"n": 2, "rows": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]})
+        assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("QDET-ERROR code=validation") == 1
+
+    def test_determinant_below_the_float_range_reads_0(self, capsys):
+        assert main(["--mode", "oracle", "--gen", "scaled-identity:64:1e-200:0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["oracle_determinant"] == {"value": [0, 0], "magnitude": 0, "phase": 0}
+
     def test_resource_cap(self, capsys):
         code = main(["--mode", "qde", "--gen", "haar-unitary:8", "--t", "8"])
         assert code == EXIT_RESOURCE

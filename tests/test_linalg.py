@@ -255,3 +255,11 @@ def test_operator_norm_is_largest_singular_value():
 def test_detvalue_from_complex_zero():
     d = DetValue.from_complex(0.0)
     assert d.magnitude == 0.0 and d.phase == 0.0
+
+
+@pytest.mark.parametrize(
+    "value", [complex(math.inf, math.nan), complex(math.nan, math.nan), complex(1.5e308, 1.5e308)], ids=str
+)
+def test_detvalue_from_complex_rejects_a_modulus_past_the_float_range(value):
+    with pytest.raises(ValidationError, match="outside the float range"):
+        DetValue.from_complex(value)

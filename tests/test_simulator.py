@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -48,7 +49,7 @@ def qft(sv):
     """Forward QFT on the phase register, in place: the adjoint of `inverse_qft`, for round trips."""
     flat = sv.amplitudes.reshape(-1, sv.layout.phase_dim)
     np.fft.ifft(flat, axis=1, norm="ortho", out=flat)
-    simulator._assert_normalized(sv, "qft")
+    simulator._assert_normalized(sv.norm_sq(), "qft")
     return sv
 
 
@@ -179,8 +180,8 @@ class TestLoadAsym:
 
     @pytest.mark.parametrize("index", [1, 100, -1])
     def test_checks_every_block_by_modulus(self, monkeypatch, index):
-        # 16-amplitude blocks of a 1024-amplitude state: a stray amplitude
-        # fails the freshness check in whichever block it sits, by modulus.
+        # A stray amplitude fails the freshness check wherever it sits, once
+        # the squared norm of every amplitude past the first exceeds 1e-24.
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 16)
         layout = QubitLayout(t=2, n_particles=4)
         sv = init_state(layout)
@@ -316,18 +317,19 @@ class TestControlledPowerStage:
         with pytest.raises(VerificationError, match=r"after controlled_power_stage m=1$"):
             controlled_power_stage(sv, 1, 1.001 * np.eye(2))
 
-
     def test_norm_check_reads_the_state(self):
-        # The gate is the one pass's reference: its check is a whole-state sum, also after a kept check.
+        # The gate is the one pass's reference: its check is a whole-state sum,
+        # so it fails on a drift in the columns the stage leaves alone.
         sv = prepared_state(t=3, n=2)
         hadamard_layer(sv)
-        controlled_power_stage(sv, 1, haar_unitary(2, 5))
-        assert sv.checked_norm_sq == sv.norm_sq()
+        simulator._bit_columns(grouped(sv), 1, 0)[...] *= math.sqrt(1.001)
+        with pytest.raises(VerificationError, match=r"after controlled_power_stage m=1$"):
+            controlled_power_stage(sv, 1, haar_unitary(2, 5))
 
     def test_first_check_reads_the_state(self):
+        # A state no gate built, of unit norm: the check reads it and passes.
         sv = StateVector(layout=QubitLayout(t=2, n_particles=2), amplitudes=np.full(16, 0.25 + 0j))
         controlled_power_stage(sv, 0, haar_unitary(2, 6))
-        assert sv.checked_norm_sq == pytest.approx(1.0, abs=1e-15)
 
 
 class TestInverseQft:
@@ -728,7 +730,6 @@ class TestControlledBlockStage:
         sv = prepared_state(t=2, n=2)
         hadamard_layer(sv)
         controlled_block_stage(sv, 0, 0.5 * np.eye(2))
-        assert sv.checked_norm_sq is None
         with pytest.raises(VerificationError, match="m=1"):
             controlled_power_stage(sv, 1, np.eye(2))
 
@@ -950,40 +951,29 @@ def with_workers(monkeypatch, workers):
     monkeypatch.setattr(simulator, "_worker_count", lambda cuts: min(cuts, workers))
 
 
-def wrap_workers(monkeypatch, wrapper):
-    """Deal ``wrapper(work)`` in place of each blocked kernel's ``work``."""
+def spy_jobs(monkeypatch, hook=None):
+    """Record the (thread, OpenBLAS thread count) of each job, one list per `_deal` call; then run ``hook()``."""
+    deals = []
     deal = simulator._deal
-    monkeypatch.setattr(simulator, "_deal", lambda work, *args, **kwargs: deal(wrapper(work), *args, **kwargs))
-
-
-def spy_blocks(monkeypatch):
-    """Record (thread, first block, step, OpenBLAS thread count) for each worker of a slot-wise stage."""
-    calls = []
     api = simulator._openblas()
 
-    def wrapper(work):
-        def spy(first, step, scratch):
-            calls.append((threading.current_thread(), first, step, api and api[0]()))
-            work(first, step, scratch)
+    def spy(levels, *args, **kwargs):
+        calls = []
+        deals.append(calls)
 
-        return spy
+        def recorded(job):
+            def run(buffers):
+                calls.append((threading.current_thread(), api and api[0]()))
+                if hook:
+                    hook()
+                job(buffers)
 
-    wrap_workers(monkeypatch, wrapper)
-    return calls
+            return run
 
+        deal([[recorded(job) for job in level] for level in levels], *args, **kwargs)
 
-def spy_power_levels(monkeypatch):
-    """Record (thread, OpenBLAS thread count) for each worker of `prepare_power_stages`."""
-    calls = []
-    levels = simulator._power_levels
-    api = simulator._openblas()
-
-    def spy(*args):
-        calls.append((threading.current_thread(), api and api[0]()))
-        levels(*args)
-
-    monkeypatch.setattr(simulator, "_power_levels", spy)
-    return calls
+    monkeypatch.setattr(simulator, "_deal", spy)
+    return deals
 
 
 needs_openblas = pytest.mark.skipif(simulator._openblas() is None, reason="numpy's BLAS is not OpenBLAS")
@@ -1100,6 +1090,106 @@ class TestBlockedKernels:
             assert np.count_nonzero(rows) == expected.amplitudes.size, (n, t)
 
 
+#: Jobs per level of `recording_levels`.
+DEAL_LEVELS = (1, 3, 5, 2)
+
+
+def recording_levels(events, fail=None):
+    """Levels of `DEAL_LEVELS` jobs, each appending (event, level, index, thread, OpenBLAS threads) to ``events``.
+
+    Odd jobs sleep before they return, so a worker that passed a barrier
+    early would start a job of the next level first.  The job at ``fail``,
+    a (level, index) pair, raises instead.
+    """
+
+    def job(k, i):
+        def run(buffers):
+            api = simulator._openblas()
+            events.append(("start", k, i, threading.current_thread(), api and api[0]()))
+            if (k, i) == fail:
+                raise RuntimeError(f"job {i} of level {k} failed")
+            time.sleep(0.005 * (i % 2))
+            events.append(("end", k, i, threading.current_thread(), None))
+
+        return run
+
+    return [[job(k, i) for i in range(n)] for k, n in enumerate(DEAL_LEVELS)]
+
+
+def deal_within(levels, **kwargs):
+    """Run `_deal` on ``levels`` from a new caller thread, joined with a timeout; return it and what it raised."""
+    raised = []
+
+    def deal():
+        try:
+            simulator._deal(levels, **kwargs)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=deal, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    return caller, raised
+
+
+class TestDeal:
+    """The dealer on synthetic levels of recording jobs, with no pass involved."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_job_runs_once_on_worker_index_mod_workers(self, monkeypatch, workers):
+        with_workers(monkeypatch, workers)
+        events = []
+        caller, raised = deal_within(recording_levels(events), blas=False)
+        assert not raised
+        starts = [(k, i, thread) for event, k, i, thread, _ in events if event == "start"]
+        assert sorted((k, i) for k, i, _ in starts) == [(k, i) for k, n in enumerate(DEAL_LEVELS) for i in range(n)]
+        threads = [{thread for _, i, thread in starts if i % workers == w} for w in range(workers)]
+        assert all(len(worker) == 1 for worker in threads)
+        assert threads[0] == {caller}
+        assert len(set.union(*threads)) == workers
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_level_starts_before_the_one_before_returns(self, monkeypatch, workers):
+        with_workers(monkeypatch, workers)
+        events = []
+        assert not deal_within(recording_levels(events), blas=False)[1]
+        for k in range(len(DEAL_LEVELS) - 1):
+            ends = [p for p, (event, level, *_) in enumerate(events) if event == "end" and level == k]
+            starts = [p for p, (event, level, *_) in enumerate(events) if event == "start" and level == k + 1]
+            assert max(ends) < min(starts), k
+
+    @pytest.mark.parametrize("fail", [None, (2, 0), (2, 1)], ids=["none", "caller", "helper"])
+    def test_an_error_reaches_the_caller_and_every_thread_ends(self, monkeypatch, fail):
+        # A stand-in OpenBLAS at 3 threads: the jobs run at 1, and the count
+        # is restored.  Job 0 of a level runs on the caller, job 1 on the helper.
+        with_workers(monkeypatch, 2)
+        count = [3]
+        sets = []
+
+        def put(threads):
+            sets.append(threads)
+            count[0] = threads
+
+        monkeypatch.setattr(simulator, "_openblas", lambda: (lambda: count[0], put))
+        events = []
+        threads = threading.active_count()
+        caller, raised = deal_within(recording_levels(events, fail))
+        assert threading.active_count() == threads
+        assert count[0] == 3
+        assert sets == [1, 3]
+        starts = [(k, i, thread, blas) for event, k, i, thread, blas in events if event == "start"]
+        assert {blas for *_, blas in starts} == {1}
+        assert len({thread for _, _, thread, _ in starts}) == 2
+        if fail is None:
+            assert not raised
+            assert len(starts) == sum(DEAL_LEVELS)
+        else:
+            assert [str(exc) for exc in raised] == [f"job {fail[1]} of level 2 failed"]
+            assert [thread is caller for k, i, thread, _ in starts if (k, i) == fail] == [fail[1] == 0]
+            assert max(k for k, *_ in starts) == 2  # no job of level 3 ran
+
+
 class TestSlotwiseWorkers:
     """The one pass on several threads: errors, OpenBLAS's thread count."""
 
@@ -1117,21 +1207,19 @@ class TestSlotwiseWorkers:
             count[0] = threads
 
         monkeypatch.setattr(simulator, "_openblas", lambda: (lambda: count[0], put))
-        levels = simulator._power_levels
-        seen = []
 
-        def failing(*args):
-            seen.append(count[0])
+        def failing():
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("helper failed")
-            levels(*args)
 
-        monkeypatch.setattr(simulator, "_power_levels", failing)
+        deals = spy_jobs(monkeypatch, failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
             prepare_power_stages(layout, [haar_unitary(4, 71)] * layout.t)
         assert threading.active_count() == threads
-        assert seen == [1, 1]
+        assert [{(thread is threading.main_thread(), count) for thread, count in calls} for calls in deals] == [
+            {(True, 1), (False, 1)}
+        ]
         assert sets == [1, 3]
 
     @needs_openblas
@@ -1144,7 +1232,7 @@ class TestSlotwiseWorkers:
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, 3))
         with_workers(monkeypatch, 2)
-        calls = spy_power_levels(monkeypatch)
+        deals = spy_jobs(monkeypatch)
         sets = []
 
         def recording_put(count):
@@ -1168,6 +1256,7 @@ class TestSlotwiseWorkers:
             assert get() == 2
         finally:
             put(before)
+        calls = deals[0]  # the pass's jobs
         assert {thread is threading.main_thread() for thread, _ in calls} == {True, False}
         assert {count for _, count in calls} == {1}
         assert sets == [1, 2]
@@ -1212,26 +1301,25 @@ class TestPreparePowerStages:
                 sv = prepare_power_stages(layout, [mat_pow2(u, m) for m in range(t)])
                 assert np.array_equal(sv.amplitudes, expected.amplitudes), (block, workers)
                 assert sv.counters == expected.counters
-                assert sv.checked_norm_sq == pytest.approx(expected.checked_norm_sq, abs=1e-12)
         if t >= 9:
             assert len(widths) == len(power_block_bytes(layout)), widths
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # Every worker writes its own blocks and norms; a lost or crossed
-        # write changes the amplitudes or the checked norm.
+        # write changes the amplitudes or the record of prefix norms.
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 85), layout.t))
         with_workers(monkeypatch, 1)
-        serial = prepare_power_stages(layout, powers)
+        serial, serial_prefix = simulator.power_pass(layout, powers)
         with_workers(monkeypatch, 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                sv = prepare_power_stages(layout, powers)
+                sv, prefix = simulator.power_pass(layout, powers)
                 assert np.array_equal(sv.amplitudes, serial.amplitudes)
-                assert sv.checked_norm_sq == serial.checked_norm_sq
+                assert np.array_equal(prefix, serial_prefix)
         finally:
             sys.setswitchinterval(interval)
 
@@ -1255,10 +1343,19 @@ class TestPreparePowerStages:
         # Each block's norm is summed while it is in cache, so the checks add gains.
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        check = simulator._assert_normalized
+        checked = []
+
+        def recorded(norm_sq, gate):
+            checked.append(norm_sq)
+            check(norm_sq, gate)
+
+        monkeypatch.setattr(simulator, "_assert_normalized", recorded)
         monkeypatch.setattr(StateVector, "norm_sq", lambda self: pytest.fail("full-state norm pass"))
         sv = prepare_power_stages(layout, list(stage_powers(haar_unitary(4, 86), layout.t)))
         monkeypatch.undo()
-        assert sv.checked_norm_sq == pytest.approx(sv.norm_sq(), abs=1e-13)
+        assert len(checked) == layout.t + 1
+        assert checked[-1] == pytest.approx(sv.norm_sq(), abs=1e-13)
 
     def test_rejects_a_wrong_stage_count_or_shape(self):
         layout = QubitLayout(t=3, n_particles=2)
@@ -1271,21 +1368,17 @@ class TestPreparePowerStages:
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         with_workers(monkeypatch, 2)
-        levels = simulator._power_levels
-        seen = []
 
-        def failing(*args):
-            seen.append(threading.current_thread() is threading.main_thread())
-            if not seen[-1]:
+        def failing():
+            if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("helper failed")
-            levels(*args)
 
-        monkeypatch.setattr(simulator, "_power_levels", failing)
+        deals = spy_jobs(monkeypatch, failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
             prepare_power_stages(layout, [haar_unitary(4, 81)] * layout.t)
         assert threading.active_count() == threads
-        assert sorted(seen) == [False, True]
+        assert sorted({thread is threading.main_thread() for thread, _ in deals[0]}) == [False, True]
 
     @pytest.mark.parametrize("raiser, call", [("helper", 2), ("caller", 5)])
     def test_worker_raising_at_a_later_level_breaks_the_barrier(self, monkeypatch, raiser, call):
@@ -1371,13 +1464,13 @@ class TestPreparePowerStages:
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         with_workers(monkeypatch, 2)
         powers = list(stage_powers(haar_unitary(4, 84), layout.t))
-        parallel = prepare_power_stages(layout, powers)
+        parallel, parallel_prefix = simulator.power_pass(layout, powers)
         monkeypatch.setattr(simulator, "_openblas", lambda: None)
-        calls = spy_blocks(monkeypatch)
-        serial = prepare_power_stages(layout, powers)
-        assert [(thread, first, step) for thread, first, step, _ in calls] == [(threading.main_thread(), 0, 1)]
+        deals = spy_jobs(monkeypatch)
+        serial, serial_prefix = simulator.power_pass(layout, powers)
+        assert [{thread for thread, _ in calls} for calls in deals] == [{threading.main_thread()}]
         assert np.array_equal(serial.amplitudes, parallel.amplitudes)
-        assert serial.checked_norm_sq == parallel.checked_norm_sq
+        assert np.array_equal(serial_prefix, parallel_prefix)
 
     def test_more_levels_than_workers_under_fast_switching(self, monkeypatch):
         # 128 blocks of four columns: seven levels after block 0, on six
@@ -1386,19 +1479,20 @@ class TestPreparePowerStages:
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 87), layout.t))
         with_workers(monkeypatch, 1)
-        serial = prepare_power_stages(layout, powers)
+        serial, serial_prefix = simulator.power_pass(layout, powers)
         with_workers(monkeypatch, 6)
-        calls = spy_blocks(monkeypatch)
+        deals = spy_jobs(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                sv = prepare_power_stages(layout, powers)
+                sv, prefix = simulator.power_pass(layout, powers)
                 assert np.array_equal(sv.amplitudes, serial.amplitudes)
-                assert sv.checked_norm_sq == serial.checked_norm_sq
+                assert np.array_equal(prefix, serial_prefix)
         finally:
             sys.setswitchinterval(interval)
-        assert {step for _, _, step, _ in calls} == {6 if simulator._openblas() else 1}
+        # Each pass ran on six threads: every worker took blocks.
+        assert {len({thread for thread, _ in calls}) for calls in deals} == {6 if simulator._openblas() else 1}
 
 
 def record(layout, operators):

@@ -88,7 +88,8 @@ def det_lu(a) -> DetValue:
     n = arr.shape[0]
     if n > DEFAULT_DIM_BOUND:
         raise ValidationError(f"dimension {n} exceeds the configured bound {DEFAULT_DIM_BOUND}")
-    return DetValue.from_complex(np.linalg.det(arr))
+    with np.errstate(over="ignore", invalid="ignore"):  # from_complex reports a determinant past the float range
+        return DetValue.from_complex(np.linalg.det(arr))
 
 
 def det_levi_civita(a) -> DetValue:
@@ -106,11 +107,12 @@ def det_levi_civita(a) -> DetValue:
         )
     perms, odd = permutation_parities(n)
     total = 0.0 + 0.0j
-    for perm, negative in zip(perms.tolist(), odd.tolist()):
-        term = 1.0 + 0.0j
-        for row, col in enumerate(perm):
-            term *= arr[row, col]
-        total += (-1 if negative else 1) * term
+    with np.errstate(over="ignore", invalid="ignore"):  # as in det_lu
+        for perm, negative in zip(perms.tolist(), odd.tolist()):
+            term = 1.0 + 0.0j
+            for row, col in enumerate(perm):
+                term *= arr[row, col]
+            total += (-1 if negative else 1) * term
     return DetValue.from_complex(total)
 
 

@@ -28,26 +28,28 @@ columns, about `_BLOCK_BYTES` in all.  Stage m applies its matrix to the
 columns with bit m set (`_bit_columns`): every other run of 2**m columns.
 Phase column j ends as column 0, which holds the slot column scaled t times
 by 1/sqrt(2), with the stages of j's set bits applied in increasing order.
-So the pass builds block 0 in scratch from column 0, and then each later
+So the pass writes copies of column 0 across block 0, applies each stage
+whose bit varies inside a block to block 0 in place, and then each later
 stage doubles the blocks built, each new block being that stage applied to
-an earlier one, and final (`power_pass`); it writes each block once.  A
-per-stage gate (`_apply_stage`) is plain: one `_slot_matmuls` call over all
-of its stage's columns.  Either way `_slot_matmuls` copies its columns into
-scratch in row order before it transposes them there.  Every column gets
-the same N-term sums, in stage order, either way, so the pass is bit-exact
-with `init_state`, `load_asym`, `hadamard_layer` and t
-`controlled_power_stage` calls.  Every matmul of the pass has a column
-count that is a whole number of `_GEMM_TILE`s, or spans a whole stage's
-columns, so the blocking and the data movement change no arithmetic, and
-amplitudes are bit-exact for any block size.  One limit: a block holds
-every slot value, so when one phase column exceeds a block (N = 8) a block
-is one column, and its matmuls take two buffers of that column's size.
+an earlier one, and final (`power_pass`).  Every step is one job, `_stage`:
+one `_slot_matmuls` call over a source's columns, written to a destination.
+A per-stage gate is one `_stage` over all of its stage's columns, in place.
+`_slot_matmuls` copies its columns into scratch in row order before it
+transposes them there.  Every column gets the same N-term sums, in stage
+order, either way, so the pass is bit-exact with `init_state`,
+`load_asym`, `hadamard_layer` and t `controlled_power_stage` calls.  Every
+matmul of the pass has a column count that is a whole number of
+`_GEMM_TILE`s, or spans a whole stage's columns, so the blocking and the
+data movement change no arithmetic, and amplitudes are bit-exact for any
+block size.  One limit: a block holds every slot value, so when one phase
+column exceeds a block (N = 8) a block is one column, and its matmuls take
+two buffers of that column's size.
 
-The phase distribution works through the state in blocks of phase rows of
-about `_BLOCK_BYTES` too (`_chunks`).  `hadamard_layer` writes one scaled
-column into every phase column.  Every gate, `inverse_qft` included, writes
-into the existing amplitude buffer, and returns the StateVector, which a run
-owns exclusively.
+The phase distribution works through the state in blocks of about
+`_BLOCK_BYTES` too (`register_probabilities`).  `hadamard_layer` writes one
+scaled column into every phase column.  Every gate, `inverse_qft` included,
+writes into the existing amplitude buffer, and returns the StateVector,
+which a run owns exclusively.
 
 One dealer, `_deal`, runs every blocked kernel on up to `_MAX_WORKERS`
 threads, the caller and helpers it joins before returning; numpy releases
@@ -56,15 +58,17 @@ levels of block jobs.  Worker w takes jobs w, w + step, ... of each level,
 and the workers meet at one barrier between levels, since a level reads
 the blocks the levels before it wrote.  The blocks are disjoint and each
 runs the same arithmetic on whichever thread takes it, so amplitudes are
-bit-exact for any worker count.  The pass's levels are block 0, then one
-per later stage, with one job per new block; `inverse_qft`'s one level is
-a job per half of the slot rows, or one job when the state fits in a
-block.  The pass's helpers run only while OpenBLAS is held at one thread
-(`_blas_serial`, for that call alone): its own threads would oversubscribe
-the cores.  The pass sums each block's squared norm while the block is in
-cache, without BLAS (`_norm_sq`), into one record of prefix norms, from
-which every mode takes its per-stage norms: the norm checks of
-`prepare_power_stages` and contraction's P(0).
+bit-exact for any worker count.  The pass has one level per stage: one
+job on block 0 for each stage whose bit varies inside a block, then one job
+per new block; `inverse_qft`'s one level is a job per half of the slot
+rows, or one job when the state fits in a block.  The pass's helpers run
+only while OpenBLAS is held at one thread (`_blas_serial`, for that call
+alone): its own threads would oversubscribe the cores.  Each `_stage`
+returns the squared norm of what it wrote, summed while it is in cache,
+without BLAS (`_norm_sq`); `_deal` hands the values back by level, and the
+pass adds each level's sum to one record of prefix norms, from which every
+mode takes its per-stage norms: the norm checks of `prepare_power_stages`
+and contraction's P(0).
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -289,7 +293,9 @@ def controlled_power_stage(sv: StateVector, m: int, u_m: np.ndarray) -> StateVec
     full run literal.  Runs take their stages from `power_pass`, whose
     reference this is; its norm check reads the whole state.
     """
-    _apply_stage(sv, m, _stage_operator(sv.layout, m, u_m))
+    u = _stage_operator(sv.layout, m, u_m)
+    part = _bit_columns(sv.amplitudes.reshape(sv.layout.slot_dim, -1), m)
+    _stage(u, part, part, np.empty((2, part.size), dtype=np.complex128))
     sv.counters.controlled_slot_applications += sv.layout.n_particles
     _assert_normalized(sv.norm_sq(), f"controlled_power_stage m={m}")
     return sv
@@ -328,17 +334,18 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, n
     leaves phase columns 2**(m+1) on unbuilt (in the circuit those whose bit
     m is clear are not zero), and the record ends at prefix[m+1].
 
-    The pass builds block 0 from column 0, with the stages whose bit varies
-    inside a block; after stage m it holds width >> (m+1) copies of columns
-    [0, 2**(m+1)), so its norm gives prefix[m+1] by an exact power-of-two
-    rescaling.  Each later stage m makes a level: it doubles the blocks
-    built so far, block c of the level being stage m applied to block
-    c - 2**k, where k = m - log2(width) and 2**k <= c < 2**(k+1).  m is the
-    top set bit of every column of block c, so the block is final, and
-    prefix[m+1] is the sum of the norms of blocks 0 to 2**(k+1) - 1.  One
-    `_deal` runs the whole pass as levels of block jobs: block 0's
-    (`_first_block`), then one level per later stage, one job per new block
-    (`_next_block`).
+    The pass writes width copies of column 0 into block 0, and runs one
+    `_deal` level per stage, each job a `_stage`.  A stage m whose bit
+    varies inside a block is one job, in place on block 0's bit-m columns;
+    after it the block holds width >> (m+1) copies of columns
+    [0, 2**(m+1)), so the job's norm, scaled by the exact power of two
+    2**(m+1) / width, is that of the new columns.  Each later stage m
+    doubles the blocks built so far, block c of the level being stage m
+    applied to block c - 2**k, where k = m - log2(width) and
+    2**k <= c < 2**(k+1); m is the top set bit of every column of block c,
+    so the block is final.  Either way prefix[m+1] is prefix[m] plus the
+    new columns' norm, from the sum of the level's norms in job order, so
+    the record does not depend on the worker count.
     """
     amps = _new_amplitudes(layout, np.empty)
     ops = [_stage_operator(layout, m, op) for m, op in enumerate(operators)]
@@ -346,27 +353,28 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, n
         raise ValidationError(f"{len(ops)} stage operators for a {layout.t}-qubit phase register")
     ops = ops[: next((m + 1 for m, op in enumerate(ops) if not op.any()), len(ops))]
     n, t = layout.n_particles, layout.t
-    rows = amps.reshape(layout.slot_dim, layout.phase_dim)
+    width = _block_width(layout)
+    blocks = amps.reshape(layout.slot_dim, -1, width).swapaxes(0, 1)  # blocks[c]: (slots, width)
     column = slot_register_vector(asym_state(n), layout)
     for _ in range(t):
         column *= _INV_SQRT2
-    rows[:, 0] = column
+    blocks[0] = column[:, None]
     prefix = np.empty(len(ops) + 1)
     prefix[0] = _norm_sq(column)
     del column  # an N = 8 column is 256 MiB: free it before the scratch is allocated
 
-    width = _block_width(layout)
     inside = min(width.bit_length() - 1, len(ops))  # the stages whose bit varies inside a block
-    blocks = rows.reshape(layout.slot_dim, -1, width).swapaxes(0, 1)  # blocks[c]: (slots, width)
-    norms = np.empty(1 << (len(ops) - inside))  # each block's squared norm
-    levels = [[functools.partial(_first_block, ops[:inside], blocks, prefix)]] if inside else []
+    levels = []
+    for m, u in enumerate(ops[:inside]):  # in place on block 0: every other run of 2**m columns
+        part = _bit_columns(blocks[0], m)
+        levels.append([functools.partial(_stage, u, part, part)])
     levels += [
-        [functools.partial(_next_block, u, blocks, norms, c, c - (1 << k)) for c in range(1 << k, 2 << k)]
+        [functools.partial(_stage, u, blocks[c - (1 << k)], blocks[c]) for c in range(1 << k, 2 << k)]
         for k, u in enumerate(ops[inside:])
     ]
-    _deal(levels, layout.slot_dim * width)
-    norms[0] = prefix[inside]  # block 0's own norm when a level follows: inside is then log2(width)
-    prefix[inside + 1 :] = np.cumsum(norms)[(2 << np.arange(len(ops) - inside)) - 1]
+    for m, norms in enumerate(_deal(levels, layout.slot_dim * width)):
+        scale = min(1.0, (2 << m) / width)  # block 0 holds width >> (m+1) copies of the new columns
+        prefix[m + 1] = prefix[m] + scale * sum(norms)
 
     sv = StateVector(layout=layout, amplitudes=amps)
     _book_asym(sv.counters, n)
@@ -395,24 +403,28 @@ def inverse_qft(sv: StateVector) -> StateVector:
 def register_probabilities(sv: StateVector) -> np.ndarray:
     """Exact Born distribution of the phase register, marginalizing the slots.
 
-    It is accumulated block by block: each block's squared moduli are
-    stacked under the running totals and summed down the rows, so every
-    outcome adds its rows in order, as a sum over the whole state does.
+    It is accumulated in blocks of about `_BLOCK_BYTES`: a run of phase
+    columns (the whole register or, when that exceeds a block, the largest
+    power-of-two piece of it that fits, at least two columns) by a chunk of
+    slot rows.  Each block's squared moduli are stacked under the run's
+    running totals and summed down the rows, so every outcome adds its
+    rows in order, as a sum over the whole state does.
     """
-    rows = _phase_rows(sv)
-    width = rows.shape[1]
-    totals = np.zeros(sv.layout.phase_dim)
-    pieces = totals.reshape(-1, width)
-    chunks = _chunks(len(rows), width)
-    stack = np.empty((len(rows[chunks[0]]) + 1, width))
-    for s in chunks:
-        # A block of several rows only occurs when a row is the whole register.
-        block = rows[s]
-        acc = pieces[s.start % len(pieces)]
-        part = stack[: len(block) + 1]
-        part[0] = acc
-        np.square(np.abs(block, out=part[1:]), out=part[1:])
-        np.sum(part, axis=0, out=acc)
+    slot_dim, phase_dim = sv.layout.slot_dim, sv.layout.phase_dim
+    rows = sv.amplitudes.reshape(slot_dim, phase_dim)
+    fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
+    width = min(phase_dim, 1 << (fit.bit_length() - 1))
+    per = min(slot_dim, max(1, _BLOCK_BYTES // (_AMP_BYTES * width)))
+    totals = np.zeros(phase_dim)
+    stack = np.empty((per + 1, width))
+    for first in range(0, phase_dim, width):
+        acc = totals[first : first + width]
+        for row in range(0, slot_dim, per):
+            block = rows[row : row + per, first : first + width]
+            part = stack[: len(block) + 1]
+            part[0] = acc
+            np.square(np.abs(block, out=part[1:]), out=part[1:])
+            np.sum(part, axis=0, out=acc)
     return totals
 
 
@@ -505,10 +517,11 @@ def controlled_block_stage(sv: StateVector, m: int, a_m: np.ndarray) -> StateVec
     reference this is.
     """
     block, rho = contraction_block(m, _stage_operator(sv.layout, m, a_m))
-    _apply_stage(sv, m, block)
-    off = _bit_columns(sv.amplitudes.reshape(sv.layout.slot_dim, -1), m, 0)
+    rows = sv.amplitudes.reshape(sv.layout.slot_dim, -1)
+    part = _bit_columns(rows, m)
+    _stage(block, part, part, np.empty((2, part.size), dtype=np.complex128))
+    off = _bit_columns(rows, m, 0)
     off *= rho
-
     sv.counters.controlled_slot_applications += sv.layout.n_particles
     return sv
 
@@ -599,38 +612,17 @@ def _stage_operator(layout: QubitLayout, m: int, op) -> np.ndarray:
     return arr
 
 
-def _apply_stage(sv: StateVector, m: int, u: np.ndarray) -> None:
-    """Apply the N x N ``u`` to every slot of the phase columns with bit m set, in place.
+def _stage(u: np.ndarray, source: np.ndarray, dest: np.ndarray, buffers: np.ndarray) -> float:
+    """Write ``u`` applied to every slot of the (slots, ...) ``source`` into ``dest``; return the squared norm written.
 
-    Slot s is base-N digit s of the slot index.  One `_slot_matmuls` call
-    takes all of the stage's columns at once, through two scratch buffers of
-    their size (one state's worth in all), on the calling thread.
+    Slot s is base-N digit s of the slot index.  ``dest`` has ``source``'s
+    shape and may be ``source`` itself.  The matmuls run in the first
+    ``source.size`` amplitudes of each of the two ``buffers``.
     """
-    part = _bit_columns(sv.amplitudes.reshape(sv.layout.slot_dim, -1), m)
-    part[...] = _slot_matmuls(u, part, *np.empty((2, part.size), dtype=np.complex128)).reshape(part.shape)
-
-
-def _first_block(ops: list[np.ndarray], blocks: np.ndarray, prefix: np.ndarray, buffers: np.ndarray) -> None:
-    """Build block 0 of `power_pass` from phase column 0 in the first of ``buffers``.
-
-    ``ops`` are the stages whose bit varies inside a block; after stage m,
-    prefix[m+1] is the block's squared norm rescaled to columns [0, 2**(m+1)).
-    """
-    block, spare = buffers
-    cols = block.reshape(blocks.shape[1:])
-    np.copyto(cols, blocks[0, :, :1])
-    for m, u in enumerate(ops):  # every other run of 2**m columns
-        part = _bit_columns(cols, m)
-        part[...] = _slot_matmuls(u, part, *np.split(spare, 2)).reshape(part.shape)
-        prefix[m + 1] = _norm_sq(block) * (2 << m) / cols.shape[1]
-    blocks[0] = cols
-
-
-def _next_block(u: np.ndarray, blocks: np.ndarray, norms: np.ndarray, c: int, source: int, buffers: np.ndarray) -> None:
-    """Build block c of `power_pass` as stage ``u`` applied to block ``source``; its squared norm goes in norms[c]."""
-    out = _slot_matmuls(u, blocks[source], *buffers)  # N is even: the result is in the first buffer
-    norms[c] = _norm_sq(out)
-    blocks[c] = out.reshape(blocks.shape[1:])
+    out = _slot_matmuls(u, source, *buffers[:, : source.size])
+    norm_sq = _norm_sq(out)
+    dest[...] = out.reshape(dest.shape)
+    return norm_sq
 
 
 def _norm_sq(amps: np.ndarray) -> float:
@@ -665,18 +657,19 @@ def _slot_matmuls(u: np.ndarray, part: np.ndarray, src: np.ndarray, dst: np.ndar
     return src
 
 
-def _deal(levels: Sequence[Sequence[Callable[[np.ndarray], None]]], scratch: int = 0, *, blas: bool = True) -> None:
-    """Run a blocked kernel's ``levels`` of jobs ``job(buffers)`` on `_worker_count` threads.
+def _deal(levels: Sequence[Sequence[Callable[[np.ndarray], object]]], scratch: int = 0, *, blas: bool = True) -> list[list]:
+    """Run a blocked kernel's ``levels`` of jobs ``job(buffers)`` on `_worker_count` threads; return their values.
 
     Worker w runs jobs w, w + step, ... of each level, step being the worker
     count, in its own pair of ``scratch``-amplitude buffers.  The workers
     meet at one barrier between levels, since a level may read what the
-    levels before it wrote.  The calling thread is worker 0; helper threads
-    take the rest and are joined before this returns.  A job's exception
-    aborts the barrier, so no worker waits for it, and is raised here.  With
-    ``blas``, helpers run only inside `_blas_serial`, which holds OpenBLAS at
-    one thread for the call: its own threads would oversubscribe the cores.
-    A call on one thread leaves OpenBLAS's thread count alone.
+    levels before it wrote.  The values come back as one list per level, in
+    job order.  The calling thread is worker 0; helper threads take the rest
+    and are joined before this returns.  A job's exception aborts the
+    barrier, so no worker waits for it, and is raised here.  With ``blas``,
+    helpers run only inside `_blas_serial`, which holds OpenBLAS at one
+    thread for the call: its own threads would oversubscribe the cores.  A
+    call on one thread leaves OpenBLAS's thread count alone.
     """
     workers = _worker_count(max(map(len, levels)))
     with _blas_serial() if blas and workers > 1 else contextlib.nullcontext(True) as pinned:
@@ -686,14 +679,15 @@ def _deal(levels: Sequence[Sequence[Callable[[np.ndarray], None]]], scratch: int
         buffers = np.empty((workers, 2, scratch), dtype=np.complex128)
         barrier = threading.Barrier(workers)
         errors: list[BaseException] = []
+        values = [[None] * len(level) for level in levels]
 
         def work(w: int) -> None:
             try:
                 for k, level in enumerate(levels):
                     if k:
                         barrier.wait()
-                    for job in level[w::workers]:
-                        job(buffers[w])
+                    for i in range(w, len(level), workers):
+                        values[k][i] = level[i](buffers[w])
             except threading.BrokenBarrierError:
                 pass  # another worker's job raised: its exception is raised below
             except BaseException as exc:  # handed to the caller, which raises it
@@ -708,6 +702,7 @@ def _deal(levels: Sequence[Sequence[Callable[[np.ndarray], None]]], scratch: int
             thread.join()
     if errors:
         raise errors[0]
+    return values
 
 
 def _worker_count(blocks: int) -> int:
@@ -773,17 +768,6 @@ def _openblas() -> tuple | None:
     return None
 
 
-def _chunks(length: int, stride: int) -> list[slice]:
-    """Slices cutting an axis of ``length`` indices into blocks of about `_BLOCK_BYTES`.
-
-    One index spans ``stride`` amplitudes.  A block takes as many indices as
-    fit, but at least one; the last block may be shorter.
-    `register_probabilities` iterates through this.
-    """
-    per = max(1, _BLOCK_BYTES // (_AMP_BYTES * stride))
-    return [slice(i, i + per) for i in range(0, length, per)]
-
-
 def _block_width(layout: QubitLayout) -> int:
     """Phase columns in a block of `power_pass`: a power of two of about `_BLOCK_BYTES`.
 
@@ -805,16 +789,6 @@ def _new_amplitudes(layout: QubitLayout, allocate) -> np.ndarray:
         return allocate(1 << layout.total_qubits, dtype=np.complex128)
     except (ValueError, MemoryError) as exc:
         raise StateTooLargeError(f"cannot allocate the {layout.total_qubits}-qubit state: {exc}") from exc
-
-
-def _phase_rows(sv: StateVector) -> np.ndarray:
-    """The amplitudes as rows of consecutive phase indices.
-
-    A row is the whole phase register or, when that exceeds a block, the
-    largest power-of-two piece of it that fits (at least two amplitudes).
-    """
-    fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
-    return sv.amplitudes.reshape(-1, min(sv.layout.phase_dim, 1 << (fit.bit_length() - 1)))
 
 
 def _assert_normalized(norm_sq: float, gate: str) -> None:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,13 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("QDET-ERROR code=validation") == 1
+
+    @pytest.mark.parametrize("spec", ["scaled-identity:64:1e200:0", "scaled-identity:8:1e50:0"])
+    def test_determinant_past_the_float_range_raises_no_numpy_warning(self, capsys, spec):
+        # The overflow is reported once, as the QDET-ERROR line, not also as warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--mode", "oracle", "--gen", spec]) == EXIT_VALIDATION
 
     def test_matrix_file_determinant_past_the_float_range_exits_2(self, tmp_path, capsys):
         path = write_matrix(tmp_path, {"n": 2, "rows": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]})

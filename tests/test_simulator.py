@@ -1,6 +1,7 @@
 """Register layout, gates, counters, and measurement behavior of the simulator."""
 
 import collections
+import functools
 import itertools
 import math
 import sys
@@ -14,6 +15,7 @@ from conftest import random_contraction
 
 from qdet import qde, simulator
 from qdet.antisym import asym_state
+from qdet.cli import RunConfig, run
 from qdet.errors import StateTooLargeError, ValidationError, VerificationError
 from qdet.linalg import block_encode, det_lu, haar_unitary, kron_power, mat_pow2, stage_powers
 from qdet.simulator import (
@@ -179,10 +181,9 @@ class TestLoadAsym:
             load_asym(sv, asym_state(2))
 
     @pytest.mark.parametrize("index", [1, 100, -1])
-    def test_checks_every_block_by_modulus(self, monkeypatch, index):
-        # A stray amplitude fails the freshness check wherever it sits, once
-        # the squared norm of every amplitude past the first exceeds 1e-24.
-        monkeypatch.setattr(simulator, "_BLOCK_BYTES", 16 * 16)
+    def test_refuses_a_stray_amplitude_wherever_it_sits(self, index):
+        # A stray amplitude fails the freshness check once the squared norm
+        # of every amplitude past the first exceeds 1e-24.
         layout = QubitLayout(t=2, n_particles=4)
         sv = init_state(layout)
         sv.amplitudes[index] = 8e-13 * (1 + 1j)
@@ -952,7 +953,10 @@ def with_workers(monkeypatch, workers):
 
 
 def spy_jobs(monkeypatch, hook=None):
-    """Record the (thread, OpenBLAS thread count) of each job, one list per `_deal` call; then run ``hook()``."""
+    """Record the (thread, OpenBLAS thread count) of each job, one list per `_deal` call; then run ``hook()``.
+
+    Each job's value, and `_deal`'s result, are passed through.
+    """
     deals = []
     deal = simulator._deal
     api = simulator._openblas()
@@ -966,11 +970,11 @@ def spy_jobs(monkeypatch, hook=None):
                 calls.append((threading.current_thread(), api and api[0]()))
                 if hook:
                     hook()
-                job(buffers)
+                return job(buffers)
 
             return run
 
-        deal([[recorded(job) for job in level] for level in levels], *args, **kwargs)
+        return deal([[recorded(job) for job in level] for level in levels], *args, **kwargs)
 
     monkeypatch.setattr(simulator, "_deal", spy)
     return deals
@@ -1060,14 +1064,13 @@ class TestBlockedKernels:
         for n, t, rows_per_block in itertools.product((2, 4), (1, 3, 5), ROWS_PER_BLOCK):
             layout = QubitLayout(t=t, n_particles=n)
             monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes(layout, rows_per_block))
-            sv = StateVector(layout=layout, amplitudes=np.zeros(1 << layout.total_qubits, dtype=complex))
-            rows = simulator._phase_rows(sv)
-            per = simulator._chunks(len(rows), rows.shape[1])[0].stop
-            if rows.shape[1] < layout.phase_dim:
+            fit = simulator._BLOCK_BYTES // 16  # amplitudes a block holds
+            per = fit // layout.phase_dim  # whole phase rows a block holds
+            if fit < layout.phase_dim:
                 seen.add("a phase row exceeds a block")
-            if 1 < per < len(rows):
+            if 1 < per < layout.slot_dim:
                 seen.add("several phase rows a block")
-            if len(rows) % per:
+            if per and layout.slot_dim % per:
                 seen.add("short last block")
             if simulator._block_width(layout) < layout.phase_dim:
                 seen.add("slot-wise blocks cut the state")
@@ -1097,9 +1100,9 @@ DEAL_LEVELS = (1, 3, 5, 2)
 def recording_levels(events, fail=None):
     """Levels of `DEAL_LEVELS` jobs, each appending (event, level, index, thread, OpenBLAS threads) to ``events``.
 
-    Odd jobs sleep before they return, so a worker that passed a barrier
-    early would start a job of the next level first.  The job at ``fail``,
-    a (level, index) pair, raises instead.
+    Odd jobs sleep before they return (level, index), so a worker that
+    passed a barrier early would start a job of the next level first.  The
+    job at ``fail``, a (level, index) pair, raises instead.
     """
 
     def job(k, i):
@@ -1110,6 +1113,7 @@ def recording_levels(events, fail=None):
                 raise RuntimeError(f"job {i} of level {k} failed")
             time.sleep(0.005 * (i % 2))
             events.append(("end", k, i, threading.current_thread(), None))
+            return k, i
 
         return run
 
@@ -1148,6 +1152,13 @@ class TestDeal:
         assert all(len(worker) == 1 for worker in threads)
         assert threads[0] == {caller}
         assert len(set.union(*threads)) == workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_returns_each_value_by_level_and_index(self, monkeypatch, workers):
+        # Odd jobs return last, on whichever worker took them.
+        with_workers(monkeypatch, workers)
+        values = simulator._deal(recording_levels([]), blas=False)
+        assert values == [[(k, i) for i in range(n)] for k, n in enumerate(DEAL_LEVELS)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_no_level_starts_before_the_one_before_returns(self, monkeypatch, workers):
@@ -1382,9 +1393,10 @@ class TestPreparePowerStages:
 
     @pytest.mark.parametrize("raiser, call", [("helper", 2), ("caller", 5)])
     def test_worker_raising_at_a_later_level_breaks_the_barrier(self, monkeypatch, raiser, call):
-        # Four columns a block, 16 blocks: the caller builds block 0 (two
-        # matmuls) and blocks 1, 2 and 4; the helper blocks 3, 5 and 7.  Each
-        # raises at level 2, while the other waits at, or heads for, the barrier.
+        # Four columns a block, 16 blocks: the caller runs stages 0 and 1 on
+        # block 0 (levels 0 and 1) and builds blocks 1, 2 and 4; the helper
+        # blocks 3, 5 and 7.  Each raises at level 4, blocks 4 to 7, while the
+        # other waits at, or heads for, the barrier.
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         with_workers(monkeypatch, 2)
@@ -1473,8 +1485,8 @@ class TestPreparePowerStages:
         assert np.array_equal(serial_prefix, parallel_prefix)
 
     def test_more_levels_than_workers_under_fast_switching(self, monkeypatch):
-        # 128 blocks of four columns: seven levels after block 0, on six
-        # workers; a worker past a barrier too early reads a block not yet written.
+        # 128 blocks of four columns: seven levels of whole blocks after
+        # block 0's two, on six workers; a worker past a barrier too early reads a block not yet written.
         layout = QubitLayout(t=9, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 87), layout.t))
@@ -1493,6 +1505,34 @@ class TestPreparePowerStages:
             sys.setswitchinterval(interval)
         # Each pass ran on six threads: every worker took blocks.
         assert {len({thread for thread, _ in calls}) for calls in deals} == {6 if simulator._openblas() else 1}
+
+
+class TestPassLevels:
+    """What a run's one pass hands `_deal`: one level per applied stage, every job a `_stage`."""
+
+    @pytest.mark.parametrize(
+        "config, stages",
+        [
+            (RunConfig(mode="qde", generator="haar-unitary:4", t=14, shots=10), 14),
+            # A = 0: stage 0's operator is all zero, the last stage applied.
+            (RunConfig(mode="contract", generator="scaled-identity:4:0:0", t=10, shots=10), 1),
+        ],
+        ids=["qde-phase", "contract-zero"],
+    )
+    def test_one_level_of_stage_jobs_per_applied_stage(self, monkeypatch, config, stages):
+        deal = simulator._deal
+        handed = []
+
+        def spy(levels, *args, **kwargs):
+            handed.append(levels)
+            return deal(levels, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_deal", spy)
+        run(config)
+        levels = handed[0]  # the pass's; `inverse_qft`'s come after it
+        assert len(levels) == stages
+        jobs = [job for level in levels for job in level]
+        assert all(isinstance(job, functools.partial) and job.func is simulator._stage for job in jobs)
 
 
 def record(layout, operators):
@@ -1540,13 +1580,35 @@ class TestPowerPassRecord:
         for m, norm in enumerate(norms):
             assert (layout.phase_dim >> m) * prefix[m] == pytest.approx(norm, abs=1e-13), m
 
+    @pytest.mark.parametrize("shrink", [1.0, 0.5])
+    @pytest.mark.parametrize("four_columns", [False, True], ids=["default-block", "four-column-block"])
+    @pytest.mark.parametrize("n, t", [(2, 14), (4, 9)])
+    def test_each_step_is_the_norm_of_the_columns_its_stage_built(self, monkeypatch, n, t, four_columns, shrink):
+        # At the default block size stages 0 to 12 (N = 2) or 0 to 6 (N = 4)
+        # run inside block 0 and the rest as levels of whole blocks; at four
+        # columns a block (16 at N = 2, by the tile rule) most run as levels.
+        # A shrinking stage makes each step a fifth of the record: a step
+        # taken as the difference of two whole-block norms loses digits.
+        # The bound is the einsum's rounding over block 0's copies of the
+        # new columns: up to 7e-14 at N = 2.
+        layout = QubitLayout(t=t, n_particles=n)
+        if four_columns:
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
+        powers = [shrink * p for p in stage_powers(haar_unitary(n, 90 + n), t)]
+        sv, prefix = simulator.power_pass(layout, powers)
+        rows = grouped(sv)
+        assert len(prefix) == t + 1
+        for m in range(t):
+            built = np.ascontiguousarray(rows[:, 1 << m : 2 << m])
+            assert prefix[m + 1] - prefix[m] == pytest.approx(simulator._norm_sq(built), rel=2e-13, abs=0), m
+
     def test_bit_identical_on_any_worker_count(self, monkeypatch):
-        # 128 blocks of four columns: stages 0 and 1 inside block 0, seven levels after it.
+        # 128 blocks of four columns: stages 0 and 1 inside block 0, seven levels of whole blocks after.
         layout = QubitLayout(t=9, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 88), layout.t))
         records = []
-        for workers in (1, 2):
+        for workers in (1, 2, 6):
             with_workers(monkeypatch, workers)
             records.append(record(layout, powers))
         monkeypatch.setattr(simulator, "_openblas", lambda: None)

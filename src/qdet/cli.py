@@ -256,7 +256,7 @@ def _run_contract(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tu
     result = contraction_run(matrix, config.t, config.shots, config.seed, qubit_cap=config.qubit_cap)
     # The accepted count is binomial in the oracle's acceptance probability p:
     # more than 5 sigma off is a disagreement (any deviation when p is 0 or 1).
-    p = min(result.predicted_acceptance, 1.0)
+    p = result.predicted_acceptance
     sigma = math.sqrt(result.attempted * p * (1.0 - p))
     disagreement = abs(result.accepted - result.attempted * p) > 5.0 * sigma
     # The exact acceptance follows the same law.  Far from it, it and the

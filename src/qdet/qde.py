@@ -100,6 +100,7 @@ class ContractionResult:
     acceptance_rate: float
     phase: PhaseEstimate
     magnitude_estimate: float
+    #: The law |det A|**(2*(2**t - 1)), clamped at 1: norms up to 1 + 1e-9 are admitted.
     predicted_acceptance: float
     #: Product of the exact per-stage ancilla-zero probabilities.
     exact_acceptance: float
@@ -242,7 +243,7 @@ def contraction_run(
         acceptance_rate=accepted / shots,
         phase=PhaseEstimate.from_counts(counts, t),
         magnitude_estimate=magnitude_estimate(accepted, shots, t),
-        predicted_acceptance=oracle_magnitude**exponent,
+        predicted_acceptance=min(oracle_magnitude**exponent, 1.0),
         exact_acceptance=exact_acceptance,
         exact_conditioned_distribution=conditioned,
         no_accepted_shots=accepted == 0,

@@ -22,28 +22,28 @@ The per-stage gates, `init_state`, `load_asym`, `hadamard_layer`,
 `measure_ancilla_postselect`, run the same circuit one stage at a time; no
 run calls them, and the tests keep them as the pass's reference.
 
-The pass cuts the state one way, `_block_width`: the (slot_dim, phase_dim)
-rows are cut into blocks of every slot value by a power-of-two run of phase
-columns, about `_BLOCK_BYTES` in all.  Stage m applies its matrix to the
-columns with bit m set (`_bit_columns`): every other run of 2**m columns.
-Phase column j ends as column 0, which holds the slot column scaled t times
-by 1/sqrt(2), with the stages of j's set bits applied in increasing order.
-So the pass writes copies of column 0 across block 0, applies each stage
-whose bit varies inside a block to block 0 in place, and then each later
-stage doubles the blocks built, each new block being that stage applied to
-an earlier one, and final (`power_pass`).  Every step is one job, `_stage`:
-one `_slot_matmuls` call over a source's columns, written to a destination.
-A per-stage gate is one `_stage` over all of its stage's columns, in place.
-`_slot_matmuls` copies its columns into scratch in row order before it
-transposes them there.  Every column gets the same N-term sums, in stage
-order, either way, so the pass is bit-exact with `init_state`,
-`load_asym`, `hadamard_layer` and t `controlled_power_stage` calls.  Every
-matmul of the pass has a column count that is a whole number of
-`_GEMM_TILE`s, or spans a whole stage's columns, so the blocking and the
-data movement change no arithmetic, and amplitudes are bit-exact for any
-block size.  One limit: a block holds every slot value, so when one phase
-column exceeds a block (N = 8) a block is one column, and its matmuls take
-two buffers of that column's size.
+Stage m applies its matrix to the columns with bit m set (`_bit_columns`):
+every other run of 2**m columns.  Phase column j ends as column 0, which
+holds the slot column scaled t times by 1/sqrt(2), with the stages of j's
+set bits applied in increasing order.  Before stage m, phase qubit m is in
+|+>, so the columns with bit m set equal those with it clear.  So the pass
+writes a seed of copies of column 0 (`_seed_width`), and stage m writes its
+matrix applied to the bit-m-clear columns built so far into the bit-m-set
+ones (`power_pass`).  Every step is one job, `_stage`: one `_slot_matmuls`
+call over a run of at most a block's width of source columns, written to a
+destination; a block is every slot value by a power-of-two run of phase
+columns, about `_BLOCK_BYTES` in all (`_block_width`).  A per-stage gate is
+one `_stage` over all of its stage's columns, in place.  `_slot_matmuls`
+copies its columns into scratch in row order before it transposes them
+there.  Every column gets the same N-term sums, in stage order, either way,
+so the pass is bit-exact with `init_state`, `load_asym`, `hadamard_layer`
+and t `controlled_power_stage` calls.  Every matmul of the pass has a
+column count that is a whole number of `_GEMM_TILE`s, or spans a whole
+stage's columns, so the blocking and the data movement change no
+arithmetic, and amplitudes are bit-exact for any block size.  One limit: a
+job takes every slot value, so when one phase column exceeds a block
+(N = 8) a job is one column, and its matmuls take two buffers of that
+column's size.
 
 The phase distribution works through the state in blocks of about
 `_BLOCK_BYTES` too (`register_probabilities`).  `hadamard_layer` writes one
@@ -58,12 +58,12 @@ levels of block jobs.  Worker w takes jobs w, w + step, ... of each level,
 and the workers meet at one barrier between levels, since a level reads
 the blocks the levels before it wrote.  The blocks are disjoint and each
 runs the same arithmetic on whichever thread takes it, so amplitudes are
-bit-exact for any worker count.  The pass has one level per stage: one
-job on block 0 for each stage whose bit varies inside a block, then one job
-per new block; `inverse_qft`'s one level is a job per half of the slot
-rows, or one job when the state fits in a block.  The pass's helpers run
-only while OpenBLAS is held at one thread (`_blas_serial`, for that call
-alone): its own threads would oversubscribe the cores.  Each `_stage`
+bit-exact for any worker count.  The pass has one level per stage, a job
+per block-wide run of the columns it writes; `inverse_qft`'s one level is
+a job per half of the slot rows, or one job when the state fits in a
+block.  The pass's helpers run only while OpenBLAS is held at one thread
+(`_blas_serial`, for that call alone): its own threads would oversubscribe
+the cores.  Each `_stage`
 returns the squared norm of what it wrote, summed while it is in cache,
 without BLAS (`_norm_sq`); `_deal` hands the values back by level, and the
 pass adds each level's sum to one record of prefix norms, from which every
@@ -130,8 +130,8 @@ _MAX_WORKERS = 2
 
 #: The pass's slot-wise matmuls get column counts that are multiples of this.
 #: BLAS rounds a matrix's trailing columns past its last full tile differently
-#: (OpenBLAS's x86-64 zgemm tile is 4 columns), so a block with no partial tile
-#: rounds every column as the matmul over the whole half-state does.
+#: (OpenBLAS's x86-64 zgemm tile is 4 columns), so a job with no partial tile
+#: rounds every column as the matmul over a whole stage's columns does.
 _GEMM_TILE = 16
 
 # Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox bit generator runs it:
@@ -331,21 +331,18 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, n
     columns [0, 2**m), for m = 0..t, summed without BLAS.
 
     An all-zero operator, at stage m, is the last stage applied: the pass
-    leaves phase columns 2**(m+1) on unbuilt (in the circuit those whose bit
+    leaves the later phase columns unbuilt (in the circuit those whose bit
     m is clear are not zero), and the record ends at prefix[m+1].
 
-    The pass writes width copies of column 0 into block 0, and runs one
-    `_deal` level per stage, each job a `_stage`.  A stage m whose bit
-    varies inside a block is one job, in place on block 0's bit-m columns;
-    after it the block holds width >> (m+1) copies of columns
-    [0, 2**(m+1)), so the job's norm, scaled by the exact power of two
-    2**(m+1) / width, is that of the new columns.  Each later stage m
-    doubles the blocks built so far, block c of the level being stage m
-    applied to block c - 2**k, where k = m - log2(width) and
-    2**k <= c < 2**(k+1); m is the top set bit of every column of block c,
-    so the block is final.  Either way prefix[m+1] is prefix[m] plus the
-    new columns' norm, from the sum of the level's norms in job order, so
-    the record does not depend on the worker count.
+    The pass writes a seed of copies of column 0, then runs one `_deal`
+    level per stage: stage m writes its operator applied to the
+    bit-m-clear columns of those built so far, [0, max(seed, 2**(m+1))),
+    into their bit-m-set ones, a `_stage` job per run of at most a block's
+    width.  A stage inside the seed leaves it seed >> (m+1) copies of
+    columns [0, 2**(m+1)), so its norm, scaled by the exact power of two
+    2**(m+1) / seed, is that of the new columns; from N = 4 on no norm is
+    scaled.  prefix[m+1] is prefix[m] plus the sum of the level's norms in
+    job order, so the record does not depend on the worker count.
     """
     amps = _new_amplitudes(layout, np.empty)
     ops = [_stage_operator(layout, m, op) for m, op in enumerate(operators)]
@@ -353,27 +350,24 @@ def power_pass(layout: QubitLayout, operators: Iterable) -> tuple[StateVector, n
         raise ValidationError(f"{len(ops)} stage operators for a {layout.t}-qubit phase register")
     ops = ops[: next((m + 1 for m, op in enumerate(ops) if not op.any()), len(ops))]
     n, t = layout.n_particles, layout.t
-    width = _block_width(layout)
-    blocks = amps.reshape(layout.slot_dim, -1, width).swapaxes(0, 1)  # blocks[c]: (slots, width)
+    seed, width = _seed_width(layout), _block_width(layout)
+    rows = amps.reshape(layout.slot_dim, -1)
     column = slot_register_vector(asym_state(n), layout)
     for _ in range(t):
         column *= _INV_SQRT2
-    blocks[0] = column[:, None]
+    rows[:, :seed] = column[:, None]
     prefix = np.empty(len(ops) + 1)
     prefix[0] = _norm_sq(column)
     del column  # an N = 8 column is 256 MiB: free it before the scratch is allocated
 
-    inside = min(width.bit_length() - 1, len(ops))  # the stages whose bit varies inside a block
     levels = []
-    for m, u in enumerate(ops[:inside]):  # in place on block 0: every other run of 2**m columns
-        part = _bit_columns(blocks[0], m)
-        levels.append([functools.partial(_stage, u, part, part)])
-    levels += [
-        [functools.partial(_stage, u, blocks[c - (1 << k)], blocks[c]) for c in range(1 << k, 2 << k)]
-        for k, u in enumerate(ops[inside:])
-    ]
+    for m, u in enumerate(ops):
+        built = rows[:, : max(seed, 2 << m)]
+        source, dest = _bit_columns(built, m, 0), _bit_columns(built, m, 1)
+        cuts = [np.s_[..., a : a + width] for a in range(0, 1 << m, width)]
+        levels.append([functools.partial(_stage, u, source[cut], dest[cut]) for cut in cuts])
     for m, norms in enumerate(_deal(levels, layout.slot_dim * width)):
-        scale = min(1.0, (2 << m) / width)  # block 0 holds width >> (m+1) copies of the new columns
+        scale = min(1.0, (2 << m) / seed)  # the seed holds seed >> (m+1) copies of the new columns
         prefix[m + 1] = prefix[m] + scale * sum(norms)
 
     sv = StateVector(layout=layout, amplitudes=amps)
@@ -616,8 +610,8 @@ def _stage(u: np.ndarray, source: np.ndarray, dest: np.ndarray, buffers: np.ndar
     """Write ``u`` applied to every slot of the (slots, ...) ``source`` into ``dest``; return the squared norm written.
 
     Slot s is base-N digit s of the slot index.  ``dest`` has ``source``'s
-    shape and may be ``source`` itself.  The matmuls run in the first
-    ``source.size`` amplitudes of each of the two ``buffers``.
+    shape; a per-stage gate passes ``source`` itself.  The matmuls run in
+    the first ``source.size`` amplitudes of each of the two ``buffers``.
     """
     out = _slot_matmuls(u, source, *buffers[:, : source.size])
     norm_sq = _norm_sq(out)
@@ -769,18 +763,18 @@ def _openblas() -> tuple | None:
 
 
 def _block_width(layout: QubitLayout) -> int:
-    """Phase columns in a block of `power_pass`: a power of two of about `_BLOCK_BYTES`.
-
-    It is doubled until half a block (what a stage whose bit varies inside
-    it takes), or a one-column block's column, is a whole number of
-    `_GEMM_TILE` matmul columns, or until the block is the state, whose
-    matmuls span each stage's columns whole.
-    """
+    """Phase columns a job of `power_pass` takes at most: a power of two of about `_BLOCK_BYTES`, at least the seed."""
     fit = max(1, _BLOCK_BYTES // (_AMP_BYTES * layout.slot_dim))
-    width = min(layout.phase_dim, 1 << (fit.bit_length() - 1))
-    while width < layout.phase_dim and max(1, width // 2) * layout.slot_dim // layout.n_particles % _GEMM_TILE:
-        width *= 2
-    return width
+    return max(_seed_width(layout), min(layout.phase_dim, 1 << (fit.bit_length() - 1)))
+
+
+def _seed_width(layout: QubitLayout) -> int:
+    """Copies of column 0 `power_pass` starts from: the fewest whose half is whole `_GEMM_TILE`s of matmul columns.
+
+    A column is N**(N-1) matmul columns, so that is 16 at N = 2 and column
+    0 alone from N = 4 on, or the whole register when it is smaller.
+    """
+    return min(layout.phase_dim, max(1, 2 * _GEMM_TILE * layout.n_particles // layout.slot_dim))
 
 
 def _new_amplitudes(layout: QubitLayout, allocate) -> np.ndarray:

@@ -27,7 +27,7 @@ from qdet.cli import (
     parse_matrix_file,
     run,
 )
-from qdet.errors import MatrixParseError, ValidationError
+from qdet.errors import MatrixParseError, ValidationError, VerificationError
 from qdet.linalg import haar_unitary
 from qdet.qde import contraction_run
 
@@ -291,6 +291,16 @@ class TestRunDispatch:
         assert main(argv) == EXIT_VERIFICATION
         assert json.loads(capsys.readouterr().out)["disagreement"] is True
 
+    def test_contract_law_above_one_is_clamped(self, capsys):
+        # Norms up to 1 + 1e-9 are admitted, so |det A| = 1 + 5e-10 is: at
+        # t = 19 the law |det A|**(2*(2**t - 1)) reads 1.001, while every
+        # shot is accepted and the exact acceptance is 1 within rounding.
+        argv = ["--mode", "contract", "--gen", "scaled-identity:2:1.0000000005:0", "--t", "19", "--shots", "10"]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["predicted_acceptance"] == 1.0
+        assert result["accepted"] == 10
+
     def test_contract_flags_any_deviation_at_certain_acceptance(self, monkeypatch):
         def one_rejected(*args, **kwargs):
             result = contraction_run(*args, **kwargs)
@@ -364,6 +374,25 @@ class TestRunDispatch:
         report = run(config)
         assert report.result["passed"] is False
         assert report.exit_code == EXIT_VERIFICATION
+
+    def test_verify_above_tolerance_exits_3_after_its_report(self, capsys):
+        argv = ["--mode", "verify", "--verify-n", "2", "--verify-count", "1", "--verify-tolerance", "0"]
+        assert main(argv) == EXIT_VERIFICATION
+        out, err = capsys.readouterr()
+        assert json.loads(out)["result"]["passed"] is False
+        assert err.splitlines() == ["QDET-ERROR code=verification: identity residual above tolerance"]
+
+    def test_verification_error_exits_3_with_no_report(self, monkeypatch, capsys):
+        def drifting(*args, **kwargs):
+            raise VerificationError("state norm drifted by 1.000e-03 after controlled_power_stage m=0")
+
+        monkeypatch.setattr(qdet.cli, "qde_run", drifting)
+        assert main(["--mode", "qde", "--gen", "haar-unitary:2", "--t", "2", "--shots", "10"]) == EXIT_VERIFICATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "QDET-ERROR code=verification: state norm drifted by 1.000e-03 after controlled_power_stage m=0"
+        ]
 
     def test_oracle_mode_agreement(self):
         config = RunConfig(mode="oracle", generator="haar-unitary:4", seed=9)

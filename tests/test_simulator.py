@@ -1285,8 +1285,9 @@ def per_stage_run(layout, u):
 def power_block_bytes(layout):
     """Block sizes for `prepare_power_stages`: the default, about 256 blocks, and one phase column a block.
 
-    One column a block takes no stage inside a block (at N = 2 the tile rule
-    widens it to 16 columns); it is tried where it makes at most 512 blocks.
+    At one column a block every stage past the seed is a level of
+    one-column jobs (at N = 2 a block is the 16-column seed); it is tried
+    where it makes at most 512 blocks.
     """
     sizes = [simulator._BLOCK_BYTES, max(1 << 14, 16 << layout.total_qubits >> 8)]
     if layout.t <= 9:
@@ -1336,7 +1337,7 @@ class TestPreparePowerStages:
 
     @pytest.mark.parametrize("m", [0, 2, 5])
     def test_norm_drift_names_the_stage(self, monkeypatch, m):
-        # Four columns a block: stages 0 and 1 take half a block, the rest whole blocks.
+        # Four columns a block: stages 0 and 1 write one and two columns, the rest whole blocks.
         layout = QubitLayout(t=6, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         with_workers(monkeypatch, 2)
@@ -1393,8 +1394,8 @@ class TestPreparePowerStages:
 
     @pytest.mark.parametrize("raiser, call", [("helper", 2), ("caller", 5)])
     def test_worker_raising_at_a_later_level_breaks_the_barrier(self, monkeypatch, raiser, call):
-        # Four columns a block, 16 blocks: the caller runs stages 0 and 1 on
-        # block 0 (levels 0 and 1) and builds blocks 1, 2 and 4; the helper
+        # Four columns a block, 16 blocks: the caller runs levels 0 to 2 (one
+        # job each, columns 1 to 7), then blocks 2, 4 and 6; the helper
         # blocks 3, 5 and 7.  Each raises at level 4, blocks 4 to 7, while the
         # other waits at, or heads for, the barrier.
         layout = QubitLayout(t=6, n_particles=4)
@@ -1429,9 +1430,10 @@ class TestPreparePowerStages:
 
     @pytest.mark.parametrize("block_bytes, calls", [(None, 7 + 31), (4 * 16 * 256, 2 + 1023)])
     def test_each_later_block_takes_one_matmul(self, monkeypatch, block_bytes, calls):
-        # N = 4, t = 12: block 0 takes one matmul per stage whose bit varies
-        # inside a block, every other block one; 32 blocks of 128 columns at
-        # the default block size, 1024 of 4 columns at the other.
+        # N = 4, t = 12: one matmul a job, and the jobs write columns 1 to
+        # 4095 once, in runs of at most a block: 7 shorter runs and 31 blocks
+        # of 128 columns at the default block size, 2 shorter runs and 1023
+        # blocks of 4 columns at the other.
         layout = QubitLayout(t=12, n_particles=4)
         if block_bytes:
             monkeypatch.setattr(simulator, "_BLOCK_BYTES", block_bytes)
@@ -1485,8 +1487,8 @@ class TestPreparePowerStages:
         assert np.array_equal(serial_prefix, parallel_prefix)
 
     def test_more_levels_than_workers_under_fast_switching(self, monkeypatch):
-        # 128 blocks of four columns: seven levels of whole blocks after
-        # block 0's two, on six workers; a worker past a barrier too early reads a block not yet written.
+        # 128 blocks of four columns: seven levels of whole blocks after the
+        # one- and two-column levels, on six workers; a worker past a barrier too early reads a block not yet written.
         layout = QubitLayout(t=9, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 87), layout.t))
@@ -1533,6 +1535,38 @@ class TestPassLevels:
         assert len(levels) == stages
         jobs = [job for level in levels for job in level]
         assert all(isinstance(job, functools.partial) and job.func is simulator._stage for job in jobs)
+
+
+    @pytest.mark.parametrize(
+        "n, t, columns", [(4, 14, None), (4, 9, 4), (2, 17, None)], ids=["qde-phase", "four-column-block", "n2-t17"]
+    )
+    def test_each_stage_writes_its_bit_set_columns_from_the_clear_ones(self, monkeypatch, n, t, columns):
+        # N = 4 starts from column 0 alone, so the jobs write every other
+        # column once; N = 2 from 16 copies of it, which its first 4 stages fill.
+        layout = QubitLayout(t=t, n_particles=n)
+        if columns:
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", columns * 16 * layout.slot_dim)
+        deal, allocate = simulator._deal, simulator._new_amplitudes
+        handed, states = [], []
+        monkeypatch.setattr(simulator, "_deal", lambda levels, *args: handed.append(levels) or deal(levels, *args))
+        monkeypatch.setattr(simulator, "_new_amplitudes", lambda *args: states.append(allocate(*args)) or states[-1])
+        simulator.power_pass(layout, stage_powers(haar_unitary(n, 91), t))
+        seed = 16 if n == 2 else 1
+
+        def last_column(view):  # of the view's slot row 0, a row of the state
+            row = view[0]
+            last = row.ctypes.data + sum((d - 1) * s for d, s in zip(row.shape, row.strides))
+            return (last - states[0].ctypes.data) // 16
+
+        written = 0
+        for m, level in enumerate(handed[0]):
+            for job in level:
+                _, source, dest = job.args
+                assert not np.shares_memory(source, dest), m
+                assert (last_column(dest) < seed) == (n == 2 and m < 4), m
+                written += dest.size // layout.slot_dim
+        if n == 4:
+            assert written == layout.phase_dim - seed
 
 
 def record(layout, operators):
@@ -1584,13 +1618,14 @@ class TestPowerPassRecord:
     @pytest.mark.parametrize("four_columns", [False, True], ids=["default-block", "four-column-block"])
     @pytest.mark.parametrize("n, t", [(2, 14), (4, 9)])
     def test_each_step_is_the_norm_of_the_columns_its_stage_built(self, monkeypatch, n, t, four_columns, shrink):
-        # At the default block size stages 0 to 12 (N = 2) or 0 to 6 (N = 4)
-        # run inside block 0 and the rest as levels of whole blocks; at four
-        # columns a block (16 at N = 2, by the tile rule) most run as levels.
-        # A shrinking stage makes each step a fifth of the record: a step
-        # taken as the difference of two whole-block norms loses digits.
-        # The bound is the einsum's rounding over block 0's copies of the
-        # new columns: up to 7e-14 at N = 2.
+        # At N = 2 stages 0 to 3 fill the 16-column seed.  Each later stage
+        # writes its new columns as one job while they fit a block, and as
+        # whole blocks after: 8,192 columns (N = 2) or 128 (N = 4) at the
+        # default block size, 16 (the seed) or 4 at the other.  A shrinking
+        # stage makes each step a fifth of the record: a step taken as the
+        # difference of two whole-block norms loses digits.  What the bound
+        # leaves room for: at N = 4, t = 9, with shrink 0.5, the step differs
+        # by 2.7e-14 (relative), from cancellation in prefix[1] - prefix[0].
         layout = QubitLayout(t=t, n_particles=n)
         if four_columns:
             monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
@@ -1603,7 +1638,7 @@ class TestPowerPassRecord:
             assert prefix[m + 1] - prefix[m] == pytest.approx(simulator._norm_sq(built), rel=2e-13, abs=0), m
 
     def test_bit_identical_on_any_worker_count(self, monkeypatch):
-        # 128 blocks of four columns: stages 0 and 1 inside block 0, seven levels of whole blocks after.
+        # 128 blocks of four columns: stages 0 and 1 write one and two columns, then seven levels of whole blocks.
         layout = QubitLayout(t=9, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 88), layout.t))

@@ -1488,7 +1488,8 @@ class TestPreparePowerStages:
 
     def test_more_levels_than_workers_under_fast_switching(self, monkeypatch):
         # 128 blocks of four columns: seven levels of whole blocks after the
-        # one- and two-column levels, on six workers; a worker past a barrier too early reads a block not yet written.
+        # one- and two-column levels, on six workers; a worker past a barrier
+        # too early reads a block not yet written.
         layout = QubitLayout(t=9, n_particles=4)
         monkeypatch.setattr(simulator, "_BLOCK_BYTES", 4 * 16 * layout.slot_dim)
         powers = list(stage_powers(haar_unitary(4, 87), layout.t))
@@ -1536,27 +1537,25 @@ class TestPassLevels:
         jobs = [job for level in levels for job in level]
         assert all(isinstance(job, functools.partial) and job.func is simulator._stage for job in jobs)
 
-
     @pytest.mark.parametrize(
         "n, t, columns", [(4, 14, None), (4, 9, 4), (2, 17, None)], ids=["qde-phase", "four-column-block", "n2-t17"]
     )
     def test_each_stage_writes_its_bit_set_columns_from_the_clear_ones(self, monkeypatch, n, t, columns):
-        # N = 4 starts from column 0 alone, so the jobs write every other
+        # N = 4 starts from column 0 alone, so the jobs write each later
         # column once; N = 2 from 16 copies of it, which its first 4 stages fill.
         layout = QubitLayout(t=t, n_particles=n)
         if columns:
             monkeypatch.setattr(simulator, "_BLOCK_BYTES", columns * 16 * layout.slot_dim)
-        deal, allocate = simulator._deal, simulator._new_amplitudes
-        handed, states = [], []
+        deal = simulator._deal
+        handed = []
         monkeypatch.setattr(simulator, "_deal", lambda levels, *args: handed.append(levels) or deal(levels, *args))
-        monkeypatch.setattr(simulator, "_new_amplitudes", lambda *args: states.append(allocate(*args)) or states[-1])
-        simulator.power_pass(layout, stage_powers(haar_unitary(n, 91), t))
+        sv, _ = simulator.power_pass(layout, stage_powers(haar_unitary(n, 91), t))
         seed = 16 if n == 2 else 1
 
         def last_column(view):  # of the view's slot row 0, a row of the state
             row = view[0]
             last = row.ctypes.data + sum((d - 1) * s for d, s in zip(row.shape, row.strides))
-            return (last - states[0].ctypes.data) // 16
+            return (last - sv.amplitudes.ctypes.data) // 16
 
         written = 0
         for m, level in enumerate(handed[0]):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -164,6 +165,7 @@ def parse_matrix_file(path: str) -> np.ndarray:
     return as_matrix(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as_matrix refuses the inf and nan entries, without numpy's warnings
 def generator_spec(spec: str, seed: int) -> np.ndarray:
     """Build one of the named deterministic test matrices.
 
@@ -471,7 +473,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, QdetError) as exc:
         print(f"QDET-ERROR code=validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(report.to_json())
+    try:
+        print(report.to_json(), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout: the rest of the report goes to devnull,
+        # and so does the interpreter's flush of it at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if report.disagreement:
         print("QDET-ERROR code=disagreement: quantum estimate disagrees with the oracle", file=sys.stderr)
     if report.verify_failed:

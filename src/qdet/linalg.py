@@ -135,7 +135,8 @@ def permutation_parities(n: int) -> tuple[np.ndarray, np.ndarray]:
 def is_unitary(a, tol: float) -> bool:
     """True iff the max-entry norm of A^dag A - I is at most ``tol``."""
     arr = as_matrix(a)
-    gram = arr.conj().T @ arr
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram product reads as not unitary
+        gram = arr.conj().T @ arr
     gram[np.diag_indices_from(gram)] -= 1.0
     return bool(np.max(np.abs(gram)) <= tol)
 

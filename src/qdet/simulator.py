@@ -735,30 +735,22 @@ def _blas_serial():
 
 @functools.cache
 def _openblas() -> tuple | None:
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+    """The (get, set) thread-count functions of the OpenBLAS numpy links, or None.
 
-    The library is found among the process's memory mappings by name.
-    numpy's wheels vendor it with prefixed, suffixed symbols.  Its own
-    thread-local setter is not used: in a pthreads build it sets the
-    process-wide count.
+    They are looked up through numpy's own, already loaded extension, whose
+    handle resolves symbols in the libraries it links: the OpenBLAS found is
+    numpy's, whatever other copies the process has mapped.  numpy's wheels
+    vendor it with prefixed, suffixed symbols.  Its own thread-local setter
+    is not used: in a pthreads build it sets the process-wide count.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
 
 

@@ -15,3 +15,19 @@ def random_contraction(n: int, seed: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20260809))
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ClosedStdout
 
 import qdet.cli
 from qdet.cli import (
@@ -30,6 +31,12 @@ from qdet.cli import (
 from qdet.errors import MatrixParseError, ValidationError, VerificationError
 from qdet.linalg import haar_unitary
 from qdet.qde import contraction_run
+
+
+def source_env():
+    """The environment for a Python subprocess that imports this qdet."""
+    src = str(Path(qdet.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_matrix(tmp_path, doc, name="m.json"):
@@ -567,6 +574,23 @@ class TestMainExitCodes:
             warnings.simplefilter("error")
             assert main(["--mode", "oracle", "--gen", spec]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # exp(i*inf) in the generator is nan.
+            ["--mode", "sign", "--gen", "scaled-identity:1:65:inf"],
+            # The unitarity check's Gram product overflows.
+            ["--mode", "qde", "--gen", "scaled-identity:1:1e308:1e308", "--t", "6"],
+        ],
+    )
+    def test_refused_matrix_raises_no_numpy_warning(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("QDET-ERROR code=validation") and err.count("\n") == 1
+
     def test_matrix_file_determinant_past_the_float_range_exits_2(self, tmp_path, capsys):
         path = write_matrix(tmp_path, {"n": 2, "rows": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]})
         assert main(["--mode", "oracle", "--matrix", path]) == EXIT_VALIDATION
@@ -611,10 +635,37 @@ class TestMainExitCodes:
         assert code == EXIT_RESOURCE
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early, as `qdet ... | head` does, ends the run quietly."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--mode", "oracle", "--gen", "haar-unitary:4", "--seed", "2"], 0),
+            (["--mode", "verify", "--verify-n", "3", "--verify-count", "2", "--verify-tolerance", "0"], 3),
+        ],
+    )
+    def test_returns_the_runs_exit_code_and_points_stdout_at_devnull(self, tmp_path, monkeypatch, capsys, argv, code):
+        with open(tmp_path / "stdout", "wb") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fh.fileno()))
+            assert main(argv) == code
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "QDET-ERROR code=verification: identity residual above tolerance\n")
+
+    def test_closed_pipe_exits_0_with_empty_stderr(self):
+        # The reader is gone before qdet writes, so every write meets a closed pipe, the
+        # interpreter's flush at exit included.
+        argv = [sys.executable, "-m", "qdet.cli", "--mode", "oracle", "--gen", "haar-unitary:4", "--seed", "2"]
+        proc = subprocess.Popen(argv, env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
+
+
 def test_cli_import_leaves_scipy_out_and_loads_numpy_fft():
     # Importing scipy.linalg costs about 0.3 s and 28 MiB per CLI process; inverse_qft needs numpy.fft.
-    src = str(Path(qdet.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, qdet, qdet.cli; print('scipy' in sys.modules, 'numpy.fft' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1271,6 +1272,33 @@ class TestSlotwiseWorkers:
         assert {thread is threading.main_thread() for thread, _ in calls} == {True, False}
         assert {count for _, count in calls} == {1}
         assert sets == [1, 2]
+
+
+class TestOpenblasLookup:
+    """`_openblas` finds numpy's OpenBLAS through numpy's own extension."""
+
+    @needs_openblas
+    def test_finds_openblas_without_opening_a_file(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(f"open{args} refused")
+
+        monkeypatch.setattr("builtins.open", refuse)
+        get, put = simulator._openblas.__wrapped__()
+        monkeypatch.undo()
+        cached_get, cached_put = simulator._openblas()
+        before = cached_get()
+        try:
+            cached_put(1)
+            assert get() == 1
+            put(before)
+            assert cached_get() == before
+        finally:
+            cached_put(before)
+
+    @pytest.mark.parametrize("symbols", [{}, {"scipy_openblas_get_num_threads64_": lambda: 1}])
+    def test_none_without_a_get_and_set_pair(self, monkeypatch, symbols):
+        monkeypatch.setattr(simulator.ctypes, "CDLL", lambda path: types.SimpleNamespace(**symbols))
+        assert simulator._openblas.__wrapped__() is None
 
 
 def per_stage_run(layout, u):

@@ -1,5 +1,14 @@
 """Exact simulation and classical verification of determinant estimation by phase estimation."""
 
+import os
+
+# Before numpy loads OpenBLAS, which reads this once: its idle pool threads
+# then sleep after 2**4 polling cycles instead of spinning through about
+# 2**28, which otherwise takes a CPU from the run's own workers for its
+# first 60-90 ms.  Only how idle threads wait changes, never a result; a
+# value already set is kept, and nothing changes if numpy is already loaded.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .antisym import asym_state, verify_det_identity
 from .errors import (
     MatrixParseError,

@@ -435,8 +435,15 @@ def _write_json(obj, pieces: list[str], depth: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals keep the CLI's contract: one QDET-ERROR line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_VALIDATION, f"QDET-ERROR code=validation: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdet",
         description="Determinant estimation by exact phase-estimation simulation, "
         "self-checked against classical determinant oracles.",
@@ -461,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or an argv the parser refused
+        return exc.code
     try:
         report = run(RunConfig(**vars(args)))
     except StateTooLargeError as exc:

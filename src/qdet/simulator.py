@@ -46,29 +46,31 @@ job takes every slot value, so when one phase column exceeds a block
 column's size.
 
 The phase distribution works through the state in blocks of about
-`_BLOCK_BYTES` too (`register_probabilities`).  `hadamard_layer` writes one
-scaled column into every phase column.  Every gate, `inverse_qft` included,
-writes into the existing amplitude buffer, and returns the StateVector,
-which a run owns exclusively.
+`_BLOCK_BYTES` too, on up to two workers (`register_probabilities`).
+`hadamard_layer` writes one scaled column into every phase column.  Every
+gate, `inverse_qft` included, writes into the existing amplitude buffer,
+and returns the StateVector, which a run owns exclusively.
 
 One dealer, `_deal`, runs every blocked kernel on up to `_MAX_WORKERS`
 threads, the caller and helpers it joins before returning; numpy releases
-the interpreter lock in the copies, matmuls and FFTs.  A kernel hands it
-levels of block jobs.  Worker w takes jobs w, w + step, ... of each level,
-and the workers meet at one barrier between levels, since a level reads
-the blocks the levels before it wrote.  The blocks are disjoint and each
-runs the same arithmetic on whichever thread takes it, so amplitudes are
-bit-exact for any worker count.  The pass has one level per stage, a job
-per block-wide run of the columns it writes; `inverse_qft`'s one level is
-a job per half of the slot rows, or one job when the state fits in a
-block.  The pass's helpers run only while OpenBLAS is held at one thread
-(`_blas_serial`, for that call alone): its own threads would oversubscribe
-the cores.  Each `_stage`
-returns the squared norm of what it wrote, summed while it is in cache,
-without BLAS (`_norm_sq`); `_deal` hands the values back by level, and the
-pass adds each level's sum to one record of prefix norms, from which every
-mode takes its per-stage norms: the norm checks of `prepare_power_stages`
-and contraction's P(0).
+the interpreter lock in the copies, matmuls, FFTs and sums.  A kernel hands
+it levels of block jobs.  Worker w takes jobs w, w + step, ... of each
+level, and the workers meet at one barrier between levels, since a level
+reads the blocks the levels before it wrote.  The blocks are disjoint and
+each runs the same arithmetic on whichever thread takes it, so amplitudes
+are bit-exact for any worker count.  The pass has one level per stage, a
+job per block-wide run of the columns it writes; `inverse_qft`'s one level
+is a job per half of the slot rows, or one job when the state fits in a
+block; `register_probabilities`' one level is a job per half of the phase
+columns, or one job when the state fits in a block or a half would be one
+column, which numpy would sum pairwise rather than row by row.  The pass's
+helpers run only while OpenBLAS is held at one thread (`_blas_serial`, for
+that call alone): its own threads would oversubscribe the cores.  Each
+`_stage` returns the squared norm of what it wrote, summed while it is in
+cache, without BLAS (`_norm_sq`); `_deal` hands the values back by level,
+and the pass adds each level's sum to one record of prefix norms, from
+which every mode takes its per-stage norms: the norm checks of
+`prepare_power_stages` and contraction's P(0).
 
 Shot s reads its uniform draws from its own counter-based substream,
 `shot_rng(seed, s)` (Philox4x64-10 keyed by (seed, s)), so histograms do not
@@ -397,29 +399,48 @@ def inverse_qft(sv: StateVector) -> StateVector:
 def register_probabilities(sv: StateVector) -> np.ndarray:
     """Exact Born distribution of the phase register, marginalizing the slots.
 
-    It is accumulated in blocks of about `_BLOCK_BYTES`: a run of phase
-    columns (the whole register or, when that exceeds a block, the largest
-    power-of-two piece of it that fits, at least two columns) by a chunk of
-    slot rows.  Each block's squared moduli are stacked under the run's
-    running totals and summed down the rows, so every outcome adds its
-    rows in order, as a sum over the whole state does.
+    A state larger than a block whose halves of the phase columns keep two
+    columns each hands `_deal` one job per half; otherwise it is one job.
+    A job accumulates its columns in blocks of about `_BLOCK_BYTES`: a run
+    of them (all or, when that exceeds a block, the largest power-of-two
+    piece that fits, at least two columns) by a chunk of slot rows.  Each
+    block's squared moduli are stacked under the run's running totals and
+    summed down the rows, so every outcome adds its rows in order, as a sum
+    over the whole state does.  A one-column run would be summed pairwise
+    instead, so no job holds one column alone; no BLAS is involved.
     """
     slot_dim, phase_dim = sv.layout.slot_dim, sv.layout.phase_dim
     rows = sv.amplitudes.reshape(slot_dim, phase_dim)
+    cols = phase_dim // 2 if sv.amplitudes.nbytes > _BLOCK_BYTES and phase_dim >= 4 else phase_dim
     fit = max(2, _BLOCK_BYTES // _AMP_BYTES)
-    width = min(phase_dim, 1 << (fit.bit_length() - 1))
+    width = min(cols, 1 << (fit.bit_length() - 1))
     per = min(slot_dim, max(1, _BLOCK_BYTES // (_AMP_BYTES * width)))
     totals = np.zeros(phase_dim)
-    stack = np.empty((per + 1, width))
-    for first in range(0, phase_dim, width):
+    jobs = [
+        functools.partial(_add_probabilities, rows[:, a : a + cols], totals[a : a + cols], width, per)
+        for a in range(0, phase_dim, cols)
+    ]
+    # A job's (per + 1, width) float stack fits in half as many amplitudes: width is even.
+    _deal([jobs], (per + 1) * width // 2, blas=False)
+    return totals
+
+
+def _add_probabilities(rows: np.ndarray, totals: np.ndarray, width: int, per: int, buffers: np.ndarray) -> None:
+    """Add the squared moduli of the (slots, columns) ``rows`` down each column into ``totals``.
+
+    Blocks of ``per`` rows by ``width`` columns are stacked under their
+    running totals in the first of ``buffers``, as `register_probabilities`
+    describes.
+    """
+    stack = buffers[0].view(np.float64)[: (per + 1) * width].reshape(per + 1, width)
+    for first in range(0, rows.shape[1], width):
         acc = totals[first : first + width]
-        for row in range(0, slot_dim, per):
+        for row in range(0, len(rows), per):
             block = rows[row : row + per, first : first + width]
             part = stack[: len(block) + 1]
             part[0] = acc
             np.square(np.abs(block, out=part[1:]), out=part[1:])
             np.sum(part, axis=0, out=acc)
-    return totals
 
 
 def measure_register(sv: StateVector, rng_seed: int, shots: int) -> dict[int, int]:
@@ -660,7 +681,11 @@ def _deal(levels: Sequence[Sequence[Callable[[np.ndarray], object]]], scratch: i
     levels before it wrote.  The values come back as one list per level, in
     job order.  The calling thread is worker 0; helper threads take the rest
     and are joined before this returns.  A job's exception aborts the
-    barrier, so no worker waits for it, and is raised here.  With ``blas``,
+    barrier, so no worker waits for it, and is raised here.  The dealt
+    kernels are `power_pass`, one level per stage, and `inverse_qft` and
+    `register_probabilities`, one level each, of one job per half of the
+    state when it exceeds a block; `register_probabilities` halves it only
+    where each half keeps at least two phase columns.  With ``blas``,
     helpers run only inside `_blas_serial`, which holds OpenBLAS at one
     thread for the call: its own threads would oversubscribe the cores.  A
     call on one thread leaves OpenBLAS's thread count alone.

@@ -15,6 +15,7 @@ import json
 import os
 import warnings
 
+import pytest
 from conftest import ClosedStdout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,3 +105,33 @@ def test_main_keeps_the_contract(argv, closed):
     # A warning is printed on stderr outside a test.
     lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
     assert all(line.startswith("QDET-ERROR") for line in lines), lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "nope", "--gen", "haar-unitary:2"],
+        ["--mode", "qde", "--t", "x", "--gen", "haar-unitary:2"],
+        ["--gen", "haar-unitary:2"],
+        ["--mode", "qde", "--matrix", "m.json", "--gen", "haar-unitary:2"],
+    ],
+    ids=["unknown-mode", "non-integer-t", "missing-mode", "matrix-and-gen"],
+)
+def test_argv_the_parser_refuses_keeps_the_contract(argv):
+    # argparse's own refusals: one QDET-ERROR line and exit 2, no usage text.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("QDET-ERROR code=validation: ")
+
+
+def test_help_prints_usage_on_stdout_and_exits_0():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--help"])
+    assert code == 0
+    assert out.getvalue().startswith("usage: qdet")
+    assert err.getvalue() == ""

@@ -3,7 +3,11 @@
 import collections
 import functools
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -1094,6 +1098,40 @@ class TestBlockedKernels:
             assert np.count_nonzero(rows) == expected.amplitudes.size, (n, t)
 
 
+class TestDealtProbabilities:
+    """`register_probabilities` deals one job per half of the phase columns, or one job."""
+
+    @pytest.mark.parametrize("block", [None, 1 << 12, 1 << 8], ids=["default", "4KiB", "256B"])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bit_exact_with_the_unblocked_sum(self, monkeypatch, n, t, block):
+        # At N = 4, t = 1 and 4 KiB the 8 KiB state exceeds a block, but a
+        # half would be one column, which numpy sums pairwise: one job.
+        layout = QubitLayout(t=t, n_particles=n)
+        rng = np.random.Generator(np.random.PCG64(100 * n + t))
+        sv = StateVector(layout=layout, amplitudes=random_amplitudes(rng, 1 << layout.total_qubits))
+        expected = unblocked_probabilities(sv)
+        if block is not None:
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", block)
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            assert np.array_equal(register_probabilities(sv), expected), workers
+
+    @pytest.mark.parametrize(
+        "n, t, block, jobs",
+        [(4, 14, None, 2), (4, 3, None, 1), (2, 6, None, 1), (4, 1, 1 << 12, 1), (4, 2, 1 << 12, 2)],
+        ids=["qde-phase", "N4-fits", "N2-fits", "one-column-halves", "two-column-halves"],
+    )
+    def test_one_job_per_half_on_two_workers(self, monkeypatch, n, t, block, jobs):
+        if block is not None:
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", block)
+        with_workers(monkeypatch, 2)
+        deals = spy_jobs(monkeypatch)
+        register_probabilities(init_state(QubitLayout(t=t, n_particles=n)))
+        assert [len(calls) for calls in deals] == [jobs]
+        assert len({thread for thread, _ in deals[0]}) == jobs
+
+
 #: Jobs per level of `recording_levels`.
 DEAL_LEVELS = (1, 3, 5, 2)
 
@@ -1299,6 +1337,54 @@ class TestOpenblasLookup:
     def test_none_without_a_get_and_set_pair(self, monkeypatch, symbols):
         monkeypatch.setattr(simulator.ctypes, "CDLL", lambda path: types.SimpleNamespace(**symbols))
         assert simulator._openblas.__wrapped__() is None
+
+
+#: A fresh interpreter that imports qdet first, idles 200 ms, and prints the
+#: CPU its threads other than the main one used meanwhile (utime + stime,
+#: fields 14 and 15 of each thread's stat), OpenBLAS's idle-thread timeout
+#: and OpenBLAS's thread count.
+IDLE_CHILD = """
+import json, os, time
+import qdet
+from qdet import simulator
+time.sleep(0.2)
+ticks = 0
+for tid in os.listdir("/proc/self/task"):
+    if int(tid) != os.getpid():
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])
+get, _ = simulator._openblas()
+print(json.dumps([ticks, os.environ.get("OPENBLAS_THREAD_TIMEOUT"), get()]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads per-thread CPU time from /proc")
+@needs_openblas
+class TestOpenblasIdleThreads:
+    """Importing qdet first makes OpenBLAS's idle pool threads sleep, unless the user set how they wait."""
+
+    def idle_child(self, timeout):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        src = str(pathlib.Path(simulator.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        done = subprocess.run([sys.executable, "-c", IDLE_CHILD], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        ticks, kept, threads = json.loads(done.stdout)
+        if threads < 2:
+            pytest.skip("OpenBLAS runs one thread: it has no pool thread to idle")
+        return ticks * 1000 / os.sysconf("SC_CLK_TCK"), kept
+
+    def test_pool_thread_sleeps_after_import(self):
+        # OpenBLAS's own default spins for about 90 ms of CPU after import.
+        cpu_ms, kept = self.idle_child(None)
+        assert cpu_ms < 30
+        assert kept == "4"
+
+    def test_a_value_the_user_set_is_kept(self):
+        assert self.idle_child("28")[1] == "28"
 
 
 def per_stage_run(layout, u):

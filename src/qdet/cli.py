@@ -115,16 +115,8 @@ class RunReport:
         return EXIT_VERIFICATION if (self.disagreement or self.verify_failed) else EXIT_OK
 
     def to_json(self) -> str:
-        body = {
-            "config": self.config,
-            "mode": self.mode,
-            "result": self.result,
-            "oracle_determinant": self.oracle_determinant,
-            "counters": self.counters,
-            "disagreement": self.disagreement,
-            "wall_time_ms": self.wall_time_ms,
-        }
-        return dump_json(body)
+        """The report as printed: every field but ``verify_failed``, in field order."""
+        return dump_json({key: value for key, value in vars(self).items() if key != "verify_failed"})
 
 
 def parse_matrix_file(path: str) -> np.ndarray:
@@ -211,6 +203,13 @@ def run(config: RunConfig) -> RunReport:
     A matrix mode loads its matrix, takes the LU oracle, then runs, so a
     matrix the oracle refuses is refused before any state is built.
     """
+    report = _timed_report(config)
+    if config.output_path:
+        _write_report(config.output_path, report.to_json())
+    return report
+
+
+def _timed_report(config: RunConfig) -> RunReport:
     start = time.perf_counter()
     if config.mode == "verify":
         report = _run_verify(config)
@@ -227,13 +226,15 @@ def run(config: RunConfig) -> RunReport:
             disagreement=disagreement,
         )
     report.wall_time_ms = (time.perf_counter() - start) * 1e3
-    if config.output_path:
-        try:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write the report to {config.output_path}: {exc}") from exc
     return report
+
+
+def _write_report(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write the report to {path}: {exc}") from exc
 
 
 def _run_qde(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
@@ -256,24 +257,22 @@ def _run_sign(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[
 
 def _run_contract(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
     result = contraction_run(matrix, config.t, config.shots, config.seed, qubit_cap=config.qubit_cap)
-    # The accepted count is binomial in the oracle's acceptance probability p:
-    # more than 5 sigma off is a disagreement (any deviation when p is 0 or 1).
-    p = result.predicted_acceptance
+    # The accepted count is binomial in the oracle's law p = |det A|**(2*(2**t - 1)), clamped at 1 since
+    # norms up to 1 + 1e-9 are admitted: more than 5 sigma off is a disagreement (any when p is 0 or 1).
+    p = min(oracle.magnitude ** (2 * ((1 << config.t) - 1)), 1.0)
     sigma = math.sqrt(result.attempted * p * (1.0 - p))
     disagreement = abs(result.accepted - result.attempted * p) > 5.0 * sigma
     # The exact acceptance follows the same law.  Far from it, it and the
     # exact conditioned distribution are rounding noise: the stages cannot
     # resolve an antisymmetric branch that small.
-    disagreement |= abs(result.exact_acceptance - result.predicted_acceptance) > (
-        _ACCEPTANCE_RTOL * result.predicted_acceptance
-    )
+    disagreement |= abs(result.exact_acceptance - p) > _ACCEPTANCE_RTOL * p
     if not result.no_accepted_shots:
         disagreement |= _phase_disagrees(result.phase, oracle)
     payload = {
         "accepted": result.accepted,
         "attempted": result.attempted,
         "acceptance_rate": result.acceptance_rate,
-        "predicted_acceptance": result.predicted_acceptance,
+        "predicted_acceptance": p,
         "exact_acceptance": result.exact_acceptance,
         "magnitude_estimate": result.magnitude_estimate,
         "no_accepted_shots": result.no_accepted_shots,
@@ -473,7 +472,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, or an argv the parser refused
         return exc.code
     try:
-        report = run(RunConfig(**vars(args)))
+        config = RunConfig(**vars(args))
+        report = _timed_report(config)
+        text = report.to_json()  # formatted once, for the file and stdout
+        if config.output_path:
+            _write_report(config.output_path, text)
     except StateTooLargeError as exc:
         print(f"QDET-ERROR code=resource-cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -484,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"QDET-ERROR code=validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        print(report.to_json(), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # The reader closed stdout: the rest of the report goes to devnull,
         # and so does the interpreter's flush of it at exit.

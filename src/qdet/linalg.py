@@ -24,6 +24,9 @@ LEVI_CIVITA_MAX_DIM = 8
 
 TWO_PI = 2.0 * math.pi
 
+#: Slack admitted on an input's unitarity, realness and operator norm.
+VALIDATION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DetValue:
@@ -211,7 +214,7 @@ def block_encode(a) -> np.ndarray:
     """
     arr = as_matrix(a)
     norm = operator_norm(arr)
-    if norm > 1.0 + 1e-9:
+    if norm > 1.0 + VALIDATION_TOL:
         raise ValidationError(f"not a contraction: operator norm {norm:.12g} > 1")
     d = arr.shape[0]
     eye = np.eye(d)
@@ -219,7 +222,7 @@ def block_encode(a) -> np.ndarray:
     # -2e-9; pass a matching tolerance so psd_sqrt clamps instead of raising.
     # Snapping tiny positive eigenvalues keeps the encoding of a unitary
     # exactly block-diagonal instead of sqrt-amplifying rounding noise.
-    slack = max(1e-10, (1.0 + 1e-9) ** 2 - 1.0 + 1e-12)
+    slack = max(1e-10, (1.0 + VALIDATION_TOL) ** 2 - 1.0 + 1e-12)
     upper_right = psd_sqrt(eye - arr @ arr.conj().T, tol=slack, snap=1e-11)
     lower_left = psd_sqrt(eye - arr.conj().T @ arr, tol=slack, snap=1e-11)
     out = np.empty((2 * d, 2 * d), dtype=np.complex128)

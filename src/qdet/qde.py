@@ -6,7 +6,8 @@
 * `contraction_run`: the block-encoded extension to contractions, with
   per-stage ancilla post-selection and magnitude recovery from the
   acceptance rate.  Its ancillas are not simulated: each stage applies the
-  block where its ancilla reads 0, and the state is that branch.
+  block where its ancilla reads 0, and the state is that branch.  `cli`
+  takes the law its acceptance follows from the run's one LU oracle.
 
 Every result carries the exact (non-sampled) distributions alongside the
 sampled histograms, because the verification suite asserts exact
@@ -23,13 +24,15 @@ import numpy as np
 from .errors import ValidationError, VerificationError
 from .linalg import (
     TWO_PI,
+    VALIDATION_TOL,
     as_matrix,
-    det_lu,
     is_unitary,
     operator_norm,
     stage_powers,
 )
 from .simulator import (
+    _AMPLITUDE_FLOOR,
+    _NORM_TOL,
     DEFAULT_QUBIT_CAP,
     CostCounters,
     QubitLayout,
@@ -40,8 +43,6 @@ from .simulator import (
     register_probabilities,
     sample_distribution,
 )
-
-VALIDATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,13 @@ class SignResult:
 
 @dataclass(frozen=True)
 class ContractionResult:
+    """What a contraction run measured; `cli` takes the law it is judged by from its LU oracle."""
+
     accepted: int
     attempted: int
     acceptance_rate: float
     phase: PhaseEstimate
     magnitude_estimate: float
-    #: The law |det A|**(2*(2**t - 1)), clamped at 1: norms up to 1 + 1e-9 are admitted.
-    predicted_acceptance: float
     #: Product of the exact per-stage ancilla-zero probabilities.
     exact_acceptance: float
     #: Exact phase-register distribution conditioned on all-zero ancillas,
@@ -210,7 +211,7 @@ def contraction_run(
         for m, a_m in enumerate(stage_powers(arr, t)):
             block, rho = contraction_block(m, a_m)
             rhos.append(rho)
-            yield block * rho ** (-1.0 / layout.n_particles) if rho * rho >= 1e-300 else np.zeros_like(block)
+            yield block * rho ** (-1.0 / layout.n_particles) if rho * rho >= _AMPLITUDE_FLOOR else np.zeros_like(block)
 
     # A generator: the pass reads it once the state is allocated, before a large t overflows a bound.
     sv, prefix = power_pass(layout, scaled_blocks())
@@ -219,9 +220,9 @@ def contraction_run(
     for m, rho in enumerate(rhos):
         norm_sq = prefix[m + 1]
         p_zero = float(rho * rho * norm_sq / (2.0 * prefix[m])) if np.isfinite(norm_sq) else 0.0
-        if p_zero > 1.0 + 1e-10:  # a contraction cannot add norm
+        if p_zero > 1.0 + _NORM_TOL:  # a contraction cannot add norm
             raise VerificationError(f"stage {m}'s ancilla-0 branch has squared norm {p_zero:.12g} > 1")
-        if p_zero < 1e-300:  # no usable amplitude: every shot is rejected here
+        if p_zero < _AMPLITUDE_FLOOR:  # no usable amplitude: every shot is rejected here
             stage_zero_probs.append(0.0)
             sv.counters.controlled_slot_applications = (m + 1) * layout.n_particles
             break
@@ -234,16 +235,12 @@ def contraction_run(
     exact_acceptance = float(np.prod(stage_zero_probs))
     counts = {} if conditioned is None else sample_distribution(conditioned, seed, shots, stage_zero_probs)
     accepted = sum(counts.values())
-
-    oracle_magnitude = det_lu(arr).magnitude
-    exponent = 2 * ((1 << t) - 1)
     return ContractionResult(
         accepted=accepted,
         attempted=shots,
         acceptance_rate=accepted / shots,
         phase=PhaseEstimate.from_counts(counts, t),
         magnitude_estimate=magnitude_estimate(accepted, shots, t),
-        predicted_acceptance=min(oracle_magnitude**exponent, 1.0),
         exact_acceptance=exact_acceptance,
         exact_conditioned_distribution=conditioned,
         no_accepted_shots=accepted == 0,

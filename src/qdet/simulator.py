@@ -100,12 +100,12 @@ import numpy.fft  # numpy loads it lazily; pay that at import, not in the first 
 
 from .antisym import asym_state
 from .errors import StateTooLargeError, ValidationError, VerificationError
-from .linalg import as_matrix
+from .linalg import VALIDATION_TOL, as_matrix
 
 DEFAULT_QUBIT_CAP = 26
 
 _NORM_TOL = 1e-10
-_CONTRACTION_SLACK = 1e-9  # operator-norm slack admitted for contraction inputs
+_AMPLITUDE_FLOOR = 1e-300  # a squared norm or P(0) below this has no usable amplitude
 _LEAK_SNAP = 1e-11  # 1 - rho**2 below this is rounding noise: rho snaps to 1
 _U64 = (1 << 64) - 1
 #: Shots sampled per chunk: bounds sampling memory for any shot count.  Picked
@@ -513,7 +513,7 @@ def measure_ancilla_postselect(sv: StateVector) -> float:
     p0 = ancilla_zero_probability(sv)
     if p0 > 1.0 + _NORM_TOL:
         raise VerificationError(f"the ancilla-0 branch has squared norm {p0:.12g} > 1")
-    if p0 >= 1e-300:
+    if p0 >= _AMPLITUDE_FLOOR:
         sv.amplitudes /= math.sqrt(p0)
         _assert_normalized(sv.norm_sq(), "measure_ancilla_postselect")
     return p0
@@ -549,7 +549,7 @@ def contraction_block(m: int, a_m: np.ndarray) -> tuple[np.ndarray, float]:
     is raised when a_m = A**(2**m) has a norm above (1 + 1e-9)**(2**m).
     """
     w, s, vh = np.linalg.svd(a_m)
-    if s[0] > (1.0 + _CONTRACTION_SLACK) ** (1 << m):
+    if s[0] > (1.0 + VALIDATION_TOL) ** (1 << m):
         raise ValidationError(f"not a contraction: stage {m} operator norm {s[0]:.12g} > 1")
     s = np.minimum(s, 1.0)
     rho = float(np.prod(s))

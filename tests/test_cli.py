@@ -15,7 +15,11 @@ import numpy as np
 import pytest
 from conftest import ClosedStdout
 
+import qdet.antisym
 import qdet.cli
+import qdet.linalg
+import qdet.qde
+import qdet.simulator
 from qdet.cli import (
     EXIT_RESOURCE,
     EXIT_VALIDATION,
@@ -29,7 +33,7 @@ from qdet.cli import (
     run,
 )
 from qdet.errors import MatrixParseError, ValidationError, VerificationError
-from qdet.linalg import haar_unitary
+from qdet.linalg import det_lu, haar_unitary
 from qdet.qde import contraction_run
 
 
@@ -418,6 +422,60 @@ class TestRunDispatch:
         on_disk = out.read_text()
         assert on_disk.strip() == report.to_json()
         json.loads(on_disk)  # must be valid JSON
+
+    def test_out_formats_the_report_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting_dump_json(obj):
+            calls.append(obj)
+            return dump_json(obj)
+
+        monkeypatch.setattr(qdet.cli, "dump_json", counting_dump_json)
+        out = tmp_path / "report.json"
+        assert main(["--mode", "qde", "--gen", "haar-unitary:2", "--t", "6", "--shots", "50", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+# Every contract run of CI's README-examples and CPU-count steps but the N=8 one (25 qubits, 1 GiB).
+CI_CONTRACT_EXAMPLES = [
+    "scaled-identity:2:0.9:0 --t 2 --shots 10000 --seed 1",
+    "scaled-identity:4:0.9999:0 --t 10 --shots 2000 --seed 1",
+    "scaled-identity:4:0.9999:0 --t 10 --qubit-cap 18 --shots 2000 --seed 1",
+    "scaled-identity:4:0.999:0 --t 9 --shots 20000 --seed 2",
+    "scaled-identity:2:1.0000000005:0 --t 19 --shots 10",
+    "haar-unitary:4 --t 6 --shots 2000 --seed 2",
+    "haar-unitary:4 --t 8 --shots 2000 --seed 2",
+    "haar-unitary:4 --t 10 --shots 2000 --seed 2",
+    "haar-unitary:4 --t 12 --shots 2000 --seed 2",
+    "scaled-identity:4:0:0 --t 10 --shots 200 --seed 1",
+]
+
+
+class TestContractOracle:
+    """A contract run takes one LU oracle, in `cli.run`, and its acceptance law from it."""
+
+    def test_one_oracle_per_run(self, monkeypatch, capsys):
+        calls = []
+
+        def counting_det_lu(a):
+            calls.append(a)
+            return det_lu(a)
+
+        for module in (qdet.cli, qdet.qde, qdet.simulator, qdet.antisym, qdet.linalg):
+            if hasattr(module, "det_lu"):
+                monkeypatch.setattr(module, "det_lu", counting_det_lu)
+        assert main(["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2", "--shots", "100"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("example", CI_CONTRACT_EXAMPLES)
+    def test_predicted_acceptance_is_the_oracle_law(self, capsys, example):
+        assert main(["--mode", "contract", "--gen", *example.split()]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        config = doc["config"]
+        oracle = det_lu(generator_spec(config["gen"], config["seed"]))
+        law = min(oracle.magnitude ** (2 * (2 ** config["t"] - 1)), 1.0)
+        assert doc["result"]["predicted_acceptance"] == law
 
 
 CONFIG_KEYS = [

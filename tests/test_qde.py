@@ -156,7 +156,6 @@ class TestContractionRun:
         shots = 10_000
         result = contraction_run(0.9 * np.eye(2), t=2, shots=shots, seed=17)
         p = 0.81 ** (2 * (2**2 - 1))
-        assert result.predicted_acceptance == pytest.approx(p, abs=1e-12)
         assert result.exact_acceptance == pytest.approx(p, abs=1e-9)
         assert abs(result.acceptance_rate - p) <= 3.0 * math.sqrt(p * (1 - p) / shots)
         assert abs(result.magnitude_estimate - 0.81) <= 0.02

@@ -5,7 +5,7 @@ run doubles as a regression test: a mismatch beyond the mode's tolerance
 sets the ``disagreement`` flag and a nonzero exit code.
 
 Exit codes: 0 success, 2 validation error, 3 verification or disagreement
-failure, 4 resource cap exceeded.
+failure, 4 qubit cap exceeded or an allocation refused.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .linalg import (
     haar_unitary,
     operator_norm,
 )
-from .qde import PhaseEstimate, contraction_run, phase_from_k, qde_run, sign_run
+from .qde import PhaseEstimate, contraction_run, magnitude_estimate, phase_from_k, qde_run, sign_run
 from .simulator import DEFAULT_QUBIT_CAP
 
 MODES = ("qde", "sign", "contract", "verify", "oracle")
@@ -247,8 +247,8 @@ def _run_sign(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[
     result = sign_run(matrix, config.shots, config.seed, qubit_cap=config.qubit_cap)
     payload = {
         "sign": result.sign,
-        "shots": result.shots,
-        "unanimous": result.unanimous,
+        "shots": config.shots,
+        "unanimous": True,  # sign_run raises on a split readout
         "majority_probability": result.majority_probability,
     }
     oracle_sign = 1 if oracle.value.real >= 0 else -1
@@ -266,16 +266,16 @@ def _run_contract(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tu
     # exact conditioned distribution are rounding noise: the stages cannot
     # resolve an antisymmetric branch that small.
     disagreement |= abs(result.exact_acceptance - p) > _ACCEPTANCE_RTOL * p
-    if not result.no_accepted_shots:
+    if result.accepted:
         disagreement |= _phase_disagrees(result.phase, oracle)
     payload = {
         "accepted": result.accepted,
         "attempted": result.attempted,
-        "acceptance_rate": result.acceptance_rate,
+        "acceptance_rate": result.accepted / result.attempted,
         "predicted_acceptance": p,
         "exact_acceptance": result.exact_acceptance,
-        "magnitude_estimate": result.magnitude_estimate,
-        "no_accepted_shots": result.no_accepted_shots,
+        "magnitude_estimate": magnitude_estimate(result.accepted, result.attempted, config.t),
+        "no_accepted_shots": result.accepted == 0,
     }
     payload.update(_phase_payload(result.phase, exact=result.exact_conditioned_distribution))
     return payload, result.counters.as_dict(), disagreement
@@ -477,13 +477,13 @@ def main(argv: list[str] | None = None) -> int:
         text = report.to_json()  # formatted once, for the file and stdout
         if config.output_path:
             _write_report(config.output_path, text)
-    except StateTooLargeError as exc:
-        print(f"QDET-ERROR code=resource-cap: {exc}", file=sys.stderr)
+    except (StateTooLargeError, MemoryError) as exc:  # the qubit cap, or any allocation the host refused
+        print(f"QDET-ERROR code=resource-cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except VerificationError as exc:
         print(f"QDET-ERROR code=verification: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValidationError, QdetError) as exc:
+    except QdetError as exc:
         print(f"QDET-ERROR code=validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

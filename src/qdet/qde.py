@@ -4,14 +4,15 @@
 * `sign_run`: the one-qubit variant deciding det(O) = +1 or -1 for
   orthogonal O with certainty.
 * `contraction_run`: the block-encoded extension to contractions, with
-  per-stage ancilla post-selection and magnitude recovery from the
-  acceptance rate.  Its ancillas are not simulated: each stage applies the
-  block where its ancilla reads 0, and the state is that branch.  `cli`
-  takes the law its acceptance follows from the run's one LU oracle.
+  per-stage ancilla post-selection.  Its ancillas are not simulated: each
+  stage applies the block where its ancilla reads 0, and the state is that
+  branch.  `magnitude_estimate` recovers |det A| from its acceptance rate.
 
-Every result carries the exact (non-sampled) distributions alongside the
-sampled histograms, because the verification suite asserts exact
-probabilities, not just frequencies.
+Each result holds only what its run measured; `cli` derives the report's
+other figures from it, and takes the law a contraction run's acceptance
+follows from the run's one LU oracle.  Every result carries the exact
+(non-sampled) distributions alongside the sampled histograms, because the
+verification suite asserts exact probabilities, not just frequencies.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ class QdeResult:
 
 @dataclass(frozen=True)
 class SignResult:
+    """A sign run's readout; a split one raises instead, so every result was unanimous."""
+
     sign: int
-    shots: int
-    unanimous: bool
     #: Exact probability of the majority outcome; 1.0 for orthogonal input.
     majority_probability: float
     counters: CostCounters
@@ -96,19 +97,20 @@ class SignResult:
 
 @dataclass(frozen=True)
 class ContractionResult:
-    """What a contraction run measured; `cli` takes the law it is judged by from its LU oracle."""
+    """What a contraction run measured.
+
+    `cli` derives the rest from it: the acceptance rate, the magnitude
+    estimate, and the law the run is judged by, from its LU oracle.
+    """
 
     accepted: int
     attempted: int
-    acceptance_rate: float
     phase: PhaseEstimate
-    magnitude_estimate: float
     #: Product of the exact per-stage ancilla-zero probabilities.
     exact_acceptance: float
     #: Exact phase-register distribution conditioned on all-zero ancillas,
     #: or None when that branch has zero probability.
     exact_conditioned_distribution: np.ndarray | None
-    no_accepted_shots: bool
     counters: CostCounters
 
 
@@ -155,17 +157,13 @@ def sign_run(o, shots: int, seed: int, *, qubit_cap: int = DEFAULT_QUBIT_CAP) ->
 
     result = qde_run(arr, 1, shots, seed, qubit_cap=qubit_cap)
     counts = result.phase.histogram
-    unanimous = len(counts) == 1
-    if not unanimous:
+    if len(counts) != 1:
         raise VerificationError(
             f"sign readout was not unanimous over {shots} shots ({counts}); "
             "the input is not orthogonal within tolerance"
         )
-    outcome = result.phase.k_prime
     return SignResult(
-        sign=1 if outcome == 0 else -1,
-        shots=shots,
-        unanimous=unanimous,
+        sign=1 if result.phase.k_prime == 0 else -1,
         majority_probability=float(np.max(result.exact_distribution)),
         counters=result.counters,
     )
@@ -232,18 +230,13 @@ def contraction_run(
         inverse_qft(sv)
         conditioned = register_probabilities(sv)
 
-    exact_acceptance = float(np.prod(stage_zero_probs))
     counts = {} if conditioned is None else sample_distribution(conditioned, seed, shots, stage_zero_probs)
-    accepted = sum(counts.values())
     return ContractionResult(
-        accepted=accepted,
+        accepted=sum(counts.values()),
         attempted=shots,
-        acceptance_rate=accepted / shots,
         phase=PhaseEstimate.from_counts(counts, t),
-        magnitude_estimate=magnitude_estimate(accepted, shots, t),
-        exact_acceptance=exact_acceptance,
+        exact_acceptance=float(np.prod(stage_zero_probs)),
         exact_conditioned_distribution=conditioned,
-        no_accepted_shots=accepted == 0,
         counters=sv.counters,
     )
 

@@ -34,7 +34,7 @@ from qdet.cli import (
 )
 from qdet.errors import MatrixParseError, ValidationError, VerificationError
 from qdet.linalg import det_lu, haar_unitary
-from qdet.qde import contraction_run
+from qdet.qde import PhaseEstimate, contraction_run, magnitude_estimate, qde_run
 
 
 def source_env():
@@ -63,6 +63,16 @@ class TestParseMatrixFile:
         path = write_matrix(tmp_path, {"n": 2, "rows": [[[1, 0], [0, 0]], [[0, 0]]]})
         with pytest.raises(MatrixParseError, match="row 1"):
             parse_matrix_file(path)
+
+    @pytest.mark.parametrize("doc", [[[1, 0]], {"n": 1}, {"rows": []}], ids=["list", "no-rows", "no-n"])
+    def test_not_an_object_with_n_and_rows(self, tmp_path, doc):
+        with pytest.raises(MatrixParseError, match='expected an object with "n" and "rows"'):
+            parse_matrix_file(write_matrix(tmp_path, doc))
+
+    @pytest.mark.parametrize("rows, got", [([[[1, 0]]], "got 1"), ({"0": []}, "got dict")])
+    def test_row_count_mismatch(self, tmp_path, rows, got):
+        with pytest.raises(MatrixParseError, match=f"expected 2 rows, {got}"):
+            parse_matrix_file(write_matrix(tmp_path, {"n": 2, "rows": rows}))
 
     def test_bad_entry_names_position(self, tmp_path):
         path = write_matrix(tmp_path, {"n": 1, "rows": [[["x", 0]]]})
@@ -219,6 +229,10 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(mode="verify", shots=0)
 
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(ValidationError, match="unknown mode 'nope'"):
+            RunConfig(mode="nope", generator="haar-unitary:2")
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_verify_rejects_an_empty_sample(self, count, capsys):
         # A verify run over no matrices would check nothing and report "passed".
@@ -276,8 +290,10 @@ class TestRunDispatch:
         assert report.oracle_determinant["phase"] == pytest.approx(math.pi / 2)
 
     def test_sign_report_matches_oracle(self):
+        # CI's sign example.
         config = RunConfig(mode="sign", generator="haar-orthogonal:4", shots=50, seed=3)
         report = run(config)
+        assert report.result["shots"] == 50
         assert report.result["unanimous"] is True
         oracle_sign = 1 if report.oracle_determinant["value"][0] > 0 else -1
         assert report.result["sign"] == oracle_sign
@@ -300,7 +316,9 @@ class TestRunDispatch:
         monkeypatch.setattr(qdet.cli, "contraction_run", skewed_run)
         argv = ["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2", "--shots", "2000"]
         assert main(argv) == EXIT_VERIFICATION
-        assert json.loads(capsys.readouterr().out)["disagreement"] is True
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["disagreement"] is True
+        assert doc["result"]["acceptance_rate"] == 0.5  # the rate of the count the run returned
 
     def test_contract_law_above_one_is_clamped(self, capsys):
         # Norms up to 1 + 1e-9 are admitted, so |det A| = 1 + 5e-10 is: at
@@ -405,6 +423,41 @@ class TestRunDispatch:
             "QDET-ERROR code=verification: state norm drifted by 1.000e-03 after controlled_power_stage m=0"
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "qde", "--gen", "haar-unitary:2", "--t", "3", "--shots", "10"],
+            ["--mode", "sign", "--gen", "haar-orthogonal:4", "--seed", "3", "--shots", "50"],
+            ["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2", "--shots", "100"],
+        ],
+        ids=["qde", "sign", "contract"],
+    )
+    def test_refused_allocation_exits_4_with_no_report(self, monkeypatch, capsys, argv):
+        # As numpy's scratch allocation in the dealer fails under an address-space limit.
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qdet.simulator, "_deal", refuse)
+        assert main(argv) == EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["QDET-ERROR code=resource-cap: out of memory"]
+
+    def test_split_sign_readout_exits_3_with_no_report(self, monkeypatch, capsys):
+        # A histogram of two outcomes, as a sign run of a matrix not orthogonal within tolerance reads.
+        def split_run(*args, **kwargs):
+            result = qde_run(*args, **kwargs)
+            return dataclasses.replace(result, phase=PhaseEstimate.from_counts({0: 30, 1: 20}, 1))
+
+        monkeypatch.setattr(qdet.qde, "qde_run", split_run)
+        assert main(["--mode", "sign", "--gen", "haar-orthogonal:4", "--seed", "3", "--shots", "50"]) == EXIT_VERIFICATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "QDET-ERROR code=verification: sign readout was not unanimous over 50 shots ({0: 30, 1: 20}); "
+            "the input is not orthogonal within tolerance"
+        ]
+
     def test_oracle_mode_agreement(self):
         config = RunConfig(mode="oracle", generator="haar-unitary:4", seed=9)
         report = run(config)
@@ -453,7 +506,7 @@ CI_CONTRACT_EXAMPLES = [
 
 
 class TestContractOracle:
-    """A contract run takes one LU oracle, in `cli.run`, and its acceptance law from it."""
+    """A contract run takes one LU oracle, in `cli.run`, and its acceptance law from it; `cli` derives the rest."""
 
     def test_one_oracle_per_run(self, monkeypatch, capsys):
         calls = []
@@ -469,13 +522,17 @@ class TestContractOracle:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("example", CI_CONTRACT_EXAMPLES)
-    def test_predicted_acceptance_is_the_oracle_law(self, capsys, example):
+    def test_derived_figures_are_their_definitions(self, capsys, example):
         assert main(["--mode", "contract", "--gen", *example.split()]) == 0
         doc = json.loads(capsys.readouterr().out)
-        config = doc["config"]
+        config, result = doc["config"], doc["result"]
         oracle = det_lu(generator_spec(config["gen"], config["seed"]))
         law = min(oracle.magnitude ** (2 * (2 ** config["t"] - 1)), 1.0)
-        assert doc["result"]["predicted_acceptance"] == law
+        assert result["predicted_acceptance"] == law
+        accepted, attempted = result["accepted"], result["attempted"]
+        assert result["acceptance_rate"] == accepted / attempted
+        assert result["magnitude_estimate"] == magnitude_estimate(accepted, attempted, config["t"])
+        assert result["no_accepted_shots"] is (accepted == 0)
 
 
 CONFIG_KEYS = [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qdet.errors import ValidationError
 from qdet.linalg import (
     DetValue,
+    as_matrix,
     block_encode,
     det_levi_civita,
     det_lu,
@@ -97,6 +98,20 @@ class TestIsUnitary:
 
     def test_haar_sample(self):
         assert is_unitary(haar_unitary(4, 7), 1e-10)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("a", [np.ones(4), np.ones((2, 2, 2)), 1.0], ids=["1-D", "3-D", "scalar"])
+    def test_rejects_non_2d_input(self, a):
+        with pytest.raises(ValidationError, match="expected a 2-D matrix"):
+            as_matrix(a)
+
+
+@pytest.mark.parametrize("haar", [haar_unitary, haar_orthogonal])
+@pytest.mark.parametrize("n", [0, -1])
+def test_haar_samplers_reject_a_dimension_below_1(haar, n):
+    with pytest.raises(ValidationError, match=f"dimension must be positive, got {n}"):
+        haar(n, 0)
 
 
 class TestHaarUnitary:

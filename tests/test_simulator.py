@@ -101,6 +101,10 @@ class TestLayout:
         with pytest.raises(ValidationError):
             QubitLayout(t=1, n_particles=3)
 
+    def test_rejects_an_empty_phase_register(self):
+        with pytest.raises(ValidationError, match="at least 1 qubit, got t=0"):
+            QubitLayout(t=0, n_particles=2)
+
     def test_rejects_partial_ancilla_register(self):
         # The layout has two registers, phase and slots: no ancilla qubit is simulated.
         for count in (1, 3):
@@ -1238,6 +1242,10 @@ class TestDeal:
             assert [str(exc) for exc in raised] == [f"job {fail[1]} of level 2 failed"]
             assert [thread is caller for k, i, thread, _ in starts if (k, i) == fail] == [fail[1] == 0]
             assert max(k for k, *_ in starts) == 2  # no job of level 3 ran
+
+    def test_one_worker_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(simulator.os, "sched_getaffinity")
+        assert simulator._worker_count(8) == 1
 
 
 class TestSlotwiseWorkers:

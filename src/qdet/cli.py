@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,16 +107,19 @@ class RunReport:
     oracle_determinant: dict | None
     counters: dict | None
     disagreement: bool
-    wall_time_ms: float = 0.0
-    verify_failed: bool = field(default=False, repr=False)
+    wall_time_ms: float
+
+    @property
+    def verify_failed(self) -> bool:
+        return self.mode == "verify" and not self.result["passed"]
 
     @property
     def exit_code(self) -> int:
         return EXIT_VERIFICATION if (self.disagreement or self.verify_failed) else EXIT_OK
 
     def to_json(self) -> str:
-        """The report as printed: every field but ``verify_failed``, in field order."""
-        return dump_json({key: value for key, value in vars(self).items() if key != "verify_failed"})
+        """The report as printed: every field, in field order."""
+        return dump_json(vars(self))
 
 
 def parse_matrix_file(path: str) -> np.ndarray:
@@ -210,23 +213,24 @@ def run(config: RunConfig) -> RunReport:
 
 
 def _timed_report(config: RunConfig) -> RunReport:
+    """Every mode's report, built here; verify mode has no oracle, counters or disagreement."""
     start = time.perf_counter()
     if config.mode == "verify":
-        report = _run_verify(config)
+        result, oracle_payload, counters, disagreement = _run_verify(config), None, None, False
     else:
         matrix = load_matrix(config)
         oracle = det_lu(matrix)
         result, counters, disagreement = _MATRIX_MODES[config.mode](config, matrix, oracle)
-        report = RunReport(
-            config=config.echo(),
-            mode=config.mode,
-            result=result,
-            oracle_determinant=_det_payload(oracle),
-            counters=counters,
-            disagreement=disagreement,
-        )
-    report.wall_time_ms = (time.perf_counter() - start) * 1e3
-    return report
+        oracle_payload = _det_payload(oracle)
+    return RunReport(
+        config=config.echo(),
+        mode=config.mode,
+        result=result,
+        oracle_determinant=oracle_payload,
+        counters=counters,
+        disagreement=disagreement,
+        wall_time_ms=(time.perf_counter() - start) * 1e3,
+    )
 
 
 def _write_report(path: str, text: str) -> None:
@@ -257,25 +261,26 @@ def _run_sign(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[
 
 def _run_contract(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tuple[dict, dict | None, bool]:
     result = contraction_run(matrix, config.t, config.shots, config.seed, qubit_cap=config.qubit_cap)
+    accepted, attempted = result.phase.shots, config.shots
     # The accepted count is binomial in the oracle's law p = |det A|**(2*(2**t - 1)), clamped at 1 since
     # norms up to 1 + 1e-9 are admitted: more than 5 sigma off is a disagreement (any when p is 0 or 1).
     p = min(oracle.magnitude ** (2 * ((1 << config.t) - 1)), 1.0)
-    sigma = math.sqrt(result.attempted * p * (1.0 - p))
-    disagreement = abs(result.accepted - result.attempted * p) > 5.0 * sigma
+    sigma = math.sqrt(attempted * p * (1.0 - p))
+    disagreement = abs(accepted - attempted * p) > 5.0 * sigma
     # The exact acceptance follows the same law.  Far from it, it and the
     # exact conditioned distribution are rounding noise: the stages cannot
     # resolve an antisymmetric branch that small.
     disagreement |= abs(result.exact_acceptance - p) > _ACCEPTANCE_RTOL * p
-    if result.accepted:
+    if accepted:
         disagreement |= _phase_disagrees(result.phase, oracle)
     payload = {
-        "accepted": result.accepted,
-        "attempted": result.attempted,
-        "acceptance_rate": result.accepted / result.attempted,
+        "accepted": accepted,
+        "attempted": attempted,
+        "acceptance_rate": accepted / attempted,
         "predicted_acceptance": p,
         "exact_acceptance": result.exact_acceptance,
-        "magnitude_estimate": magnitude_estimate(result.accepted, result.attempted, config.t),
-        "no_accepted_shots": result.accepted == 0,
+        "magnitude_estimate": magnitude_estimate(accepted, attempted, config.t),
+        "no_accepted_shots": accepted == 0,
     }
     payload.update(_phase_payload(result.phase, exact=result.exact_conditioned_distribution))
     return payload, result.counters.as_dict(), disagreement
@@ -296,8 +301,8 @@ def _run_oracle(config: RunConfig, matrix: np.ndarray, oracle: DetValue) -> tupl
 _MATRIX_MODES = {"qde": _run_qde, "sign": _run_sign, "contract": _run_contract, "oracle": _run_oracle}
 
 
-def _run_verify(config: RunConfig) -> RunReport:
-    """Brute-force the determinant identity over four matrix classes."""
+def _run_verify(config: RunConfig) -> dict:
+    """Brute-force the determinant identity over four matrix classes; the report's result."""
     n = config.verify_n
     rows = []
     max_residual = 0.0
@@ -315,21 +320,12 @@ def _run_verify(config: RunConfig) -> RunReport:
                     "det": _complex_pair(det_levi_civita(matrix).value),
                 }
             )
-    passed = max_residual <= config.verify_tolerance
-    return RunReport(
-        config=config.echo(),
-        mode="verify",
-        result={
-            "rows": rows,
-            "max_residual": max_residual,
-            "tolerance": config.verify_tolerance,
-            "passed": passed,
-        },
-        oracle_determinant=None,
-        counters=None,
-        disagreement=False,
-        verify_failed=not passed,
-    )
+    return {
+        "rows": rows,
+        "max_residual": max_residual,
+        "tolerance": config.verify_tolerance,
+        "passed": max_residual <= config.verify_tolerance,
+    }
 
 
 def _verify_sample(matrix_class: str, n: int, seed: int, class_index: int, i: int) -> np.ndarray:

@@ -61,16 +61,16 @@ def phase_in_2pi(value: complex) -> float:
     return 0.0 if phase == TWO_PI else phase
 
 
-def as_matrix(a, *, square: bool = True) -> np.ndarray:
-    """Validate and return ``a`` as a complex128 matrix.
+def as_matrix(a) -> np.ndarray:
+    """Validate and return ``a`` as a complex128 square matrix.
 
-    Raises ValidationError for non-2D input, non-finite entries, or (when
-    ``square`` is set) a non-square shape.
+    Raises ValidationError for non-2D input, a non-square shape, or
+    non-finite entries.
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if square and arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValidationError("matrix contains NaN or Inf entries")
@@ -201,8 +201,8 @@ def psd_sqrt(h, *, tol: float = 1e-10, snap: float = 0.0) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(a, square=False), ord=2))
+    """Largest singular value of a square matrix."""
+    return float(np.linalg.norm(as_matrix(a), ord=2))
 
 
 def block_encode(a) -> np.ndarray:

@@ -8,11 +8,12 @@
   stage applies the block where its ancilla reads 0, and the state is that
   branch.  `magnitude_estimate` recovers |det A| from its acceptance rate.
 
-Each result holds only what its run measured; `cli` derives the report's
-other figures from it, and takes the law a contraction run's acceptance
-follows from the run's one LU oracle.  Every result carries the exact
-(non-sampled) distributions alongside the sampled histograms, because the
-verification suite asserts exact probabilities, not just frequencies.
+Each result holds only what its run measured, and a count only in its phase
+histogram; `cli` derives the report's other figures from the result and the
+config, and takes the law a contraction run's acceptance follows from the
+run's one LU oracle.  Every result carries the exact (non-sampled)
+distributions alongside the sampled histograms, because the verification
+suite asserts exact probabilities, not just frequencies.
 """
 
 from __future__ import annotations
@@ -48,33 +49,33 @@ from .simulator import (
 
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """Readout of the phase register: modal value, grid phase, histogram."""
+    """Readout of the phase register: the sorted histogram, and the shots, k' and phi_hat read off it."""
 
-    k_prime: int | None
     t: int
-    phi_hat: float | None
     histogram: dict[int, int]
-    shots: int
 
     @classmethod
     def from_counts(cls, counts: dict[int, int], t: int) -> "PhaseEstimate":
-        shots = sum(counts.values())
-        if not counts:
-            return cls(k_prime=None, t=t, phi_hat=None, histogram={}, shots=0)
-        best = max(counts.values())
-        k_prime = min(k for k, c in counts.items() if c == best)
-        return cls(
-            k_prime=k_prime,
-            t=t,
-            phi_hat=phase_from_k(k_prime, t),
-            histogram=dict(sorted(counts.items())),
-            shots=shots,
-        )
+        return cls(t=t, histogram=dict(sorted(counts.items())))
+
+    @property
+    def shots(self) -> int:
+        return sum(self.histogram.values())
+
+    @property
+    def k_prime(self) -> int | None:
+        """The modal outcome, the smallest of tied ones; None without shots."""
+        return min(self.histogram, key=lambda k: (-self.histogram[k], k)) if self.histogram else None
+
+    @property
+    def phi_hat(self) -> float | None:
+        return None if self.k_prime is None else phase_from_k(self.k_prime, self.t)
 
     def frequencies(self) -> dict[int, float]:
-        if self.shots == 0:
+        shots = self.shots
+        if shots == 0:
             return {}
-        return {k: c / self.shots for k, c in self.histogram.items()}
+        return {k: c / shots for k, c in self.histogram.items()}
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,11 @@ class SignResult:
 class ContractionResult:
     """What a contraction run measured.
 
-    `cli` derives the rest from it: the acceptance rate, the magnitude
-    estimate, and the law the run is judged by, from its LU oracle.
+    The accepted shots are the phase histogram's.  `cli` derives the rest
+    from it and the config: the attempted shots, the acceptance rate, the
+    magnitude estimate, and the law the run is judged by, from its LU oracle.
     """
 
-    accepted: int
-    attempted: int
     phase: PhaseEstimate
     #: Product of the exact per-stage ancilla-zero probabilities.
     exact_acceptance: float
@@ -232,8 +232,6 @@ def contraction_run(
 
     counts = {} if conditioned is None else sample_distribution(conditioned, seed, shots, stage_zero_probs)
     return ContractionResult(
-        accepted=sum(counts.values()),
-        attempted=shots,
         phase=PhaseEstimate.from_counts(counts, t),
         exact_acceptance=float(np.prod(stage_zero_probs)),
         exact_conditioned_distribution=conditioned,

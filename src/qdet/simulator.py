@@ -545,8 +545,9 @@ def contraction_block(m: int, a_m: np.ndarray) -> tuple[np.ndarray, float]:
     """Stage m's control-1 block, the N x N a_m with its singular values clamped at 1, and rho.
 
     rho, |det| of the block, is snapped to 1 when 1 - rho**2 is rounding
-    noise.  A run admits inputs of norm up to 1 + 1e-9, so ValidationError
-    is raised when a_m = A**(2**m) has a norm above (1 + 1e-9)**(2**m).
+    noise, and the block is then the polar factor w @ vh.  A run admits
+    inputs of norm up to 1 + 1e-9, so ValidationError is raised when
+    a_m = A**(2**m) has a norm above (1 + 1e-9)**(2**m).
     """
     w, s, vh = np.linalg.svd(a_m)
     if s[0] > (1.0 + VALIDATION_TOL) ** (1 << m):
@@ -554,7 +555,7 @@ def contraction_block(m: int, a_m: np.ndarray) -> tuple[np.ndarray, float]:
     s = np.minimum(s, 1.0)
     rho = float(np.prod(s))
     if 1.0 - rho * rho < _LEAK_SNAP:
-        rho = 1.0
+        return w @ vh, 1.0  # singular values a hair below 1 would leak norm at every stage
     return (w * s) @ vh, rho
 
 

@@ -161,8 +161,8 @@ def test_criterion_7_contraction_acceptance():
     result = contraction_run(0.9 * np.eye(2), t=2, shots=shots, seed=2026)
     exact_ok = abs(result.exact_acceptance - p) <= 1e-9
     sigma3 = 3.0 * math.sqrt(p * (1 - p) / shots)
-    rate = result.accepted / result.attempted
-    magnitude = magnitude_estimate(result.accepted, result.attempted, 2)
+    rate = result.phase.shots / shots
+    magnitude = magnitude_estimate(result.phase.shots, shots, 2)
     empirical_ok = abs(rate - p) <= sigma3
     magnitude_ok = abs(magnitude - 0.81) <= 0.02
     report(
@@ -177,7 +177,7 @@ def test_criterion_7_contraction_acceptance():
 def test_criterion_8_postselected_phase():
     a = 0.95 * np.exp(1j * math.pi / 4) * np.eye(2)
     result = contraction_run(a, t=2, shots=4000, seed=31)
-    point_mass = set(result.phase.histogram) == {1} and result.accepted > 0
+    point_mass = set(result.phase.histogram) == {1} and result.phase.shots > 0
     exact_ok = result.exact_conditioned_distribution[1] >= 1.0 - 1e-9
     report(
         8,

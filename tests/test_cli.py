@@ -25,6 +25,7 @@ from qdet.cli import (
     EXIT_VALIDATION,
     EXIT_VERIFICATION,
     RunConfig,
+    RunReport,
     build_parser,
     dump_json,
     generator_spec,
@@ -311,14 +312,17 @@ class TestRunDispatch:
         # binomial spread of the predicted acceptance rate (0.81**6 = 0.28).
         def skewed_run(*args, **kwargs):
             result = contraction_run(*args, **kwargs)
-            return dataclasses.replace(result, accepted=result.attempted // 2)
+            return dataclasses.replace(result, phase=PhaseEstimate.from_counts({0: 1000}, result.phase.t))
 
         monkeypatch.setattr(qdet.cli, "contraction_run", skewed_run)
         argv = ["--mode", "contract", "--gen", "scaled-identity:2:0.9:0", "--t", "2", "--shots", "2000"]
         assert main(argv) == EXIT_VERIFICATION
         doc = json.loads(capsys.readouterr().out)
         assert doc["disagreement"] is True
-        assert doc["result"]["acceptance_rate"] == 0.5  # the rate of the count the run returned
+        result = doc["result"]
+        # Every count the report prints is the histogram's the run returned.
+        assert result["accepted"] == result["shots"] == sum(result["histogram"].values()) == 1000
+        assert result["acceptance_rate"] == 0.5
 
     def test_contract_law_above_one_is_clamped(self, capsys):
         # Norms up to 1 + 1e-9 are admitted, so |det A| = 1 + 5e-10 is: at
@@ -333,7 +337,7 @@ class TestRunDispatch:
     def test_contract_flags_any_deviation_at_certain_acceptance(self, monkeypatch):
         def one_rejected(*args, **kwargs):
             result = contraction_run(*args, **kwargs)
-            return dataclasses.replace(result, accepted=result.attempted - 1)
+            return dataclasses.replace(result, phase=PhaseEstimate.from_counts({0: 499}, result.phase.t))
 
         monkeypatch.setattr(qdet.cli, "contraction_run", one_rejected)
         config = RunConfig(mode="contract", generator="scaled-identity:2:1:0", t=2, shots=500, seed=3)
@@ -530,11 +534,14 @@ class TestContractOracle:
         law = min(oracle.magnitude ** (2 * (2 ** config["t"] - 1)), 1.0)
         assert result["predicted_acceptance"] == law
         accepted, attempted = result["accepted"], result["attempted"]
+        assert accepted == result["shots"] == sum(result["histogram"].values())
+        assert attempted == config["shots"]
         assert result["acceptance_rate"] == accepted / attempted
         assert result["magnitude_estimate"] == magnitude_estimate(accepted, attempted, config["t"])
         assert result["no_accepted_shots"] is (accepted == 0)
 
 
+REPORT_KEYS = ["config", "mode", "result", "oracle_determinant", "counters", "disagreement", "wall_time_ms"]
 CONFIG_KEYS = [
     "mode", "matrix", "gen", "t", "shots", "seed", "qubit_cap", "verify_tolerance", "verify_n", "verify_count"
 ]
@@ -566,11 +573,13 @@ class TestReportKeyOrder:
     )
     def test_report_keys_in_order(self, config, result_keys):
         body = json.loads(run(config).to_json())
-        assert list(body) == [
-            "config", "mode", "result", "oracle_determinant", "counters", "disagreement", "wall_time_ms"
-        ]
+        assert list(body) == REPORT_KEYS
         assert list(body["config"]) == CONFIG_KEYS
         assert list(body["result"]) == result_keys
+
+    def test_the_report_prints_every_field(self):
+        # A verify failure is read off the result, not kept in a hidden field.
+        assert [f.name for f in dataclasses.fields(RunReport)] == REPORT_KEYS
 
 
 class TestReproducibility:

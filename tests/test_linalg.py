@@ -267,6 +267,11 @@ def test_operator_norm_is_largest_singular_value():
     assert operator_norm(a) == pytest.approx(0.9)
 
 
+def test_operator_norm_rejects_a_non_square_matrix():
+    with pytest.raises(ValidationError, match="expected a square matrix"):
+        operator_norm(np.ones((2, 3)))
+
+
 def test_detvalue_from_complex_zero():
     d = DetValue.from_complex(0.0)
     assert d.magnitude == 0.0 and d.phase == 0.0

@@ -1,5 +1,6 @@
 """End-to-end behavior of the three determinant-estimation modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from qdet import qde
 from qdet.errors import StateTooLargeError, ValidationError, VerificationError
 from qdet.linalg import TWO_PI, det_lu, haar_orthogonal, haar_unitary, stage_powers
 from qdet.qde import (
+    ContractionResult,
+    PhaseEstimate,
     contraction_run,
     magnitude_estimate,
     phase_from_k,
@@ -51,6 +54,26 @@ class TestPhaseFromK:
             phase_from_k(8, 3)
         with pytest.raises(ValidationError):
             phase_from_k(-1, 3)
+
+
+class TestPhaseEstimate:
+    """The histogram is the one count a result stores; the rest is read off it."""
+
+    def test_result_fields(self):
+        assert [f.name for f in dataclasses.fields(PhaseEstimate)] == ["t", "histogram"]
+        assert [f.name for f in dataclasses.fields(ContractionResult)] == [
+            "phase", "exact_acceptance", "exact_conditioned_distribution", "counters"
+        ]
+
+    def test_readout_is_read_off_the_sorted_histogram(self):
+        phase = PhaseEstimate.from_counts({5: 3, 2: 3, 1: 1}, 3)
+        assert list(phase.histogram) == [1, 2, 5]
+        assert (phase.shots, phase.k_prime, phase.phi_hat) == (7, 2, phase_from_k(2, 3))
+        assert phase.frequencies() == {1: 1 / 7, 2: 3 / 7, 5: 3 / 7}
+
+    def test_no_shots_has_no_readout(self):
+        phase = PhaseEstimate.from_counts({}, 4)
+        assert (phase.shots, phase.k_prime, phase.phi_hat, phase.frequencies()) == (0, None, None, {})
 
 
 class TestQdeRun:
@@ -151,17 +174,24 @@ class TestSignRun:
 class TestContractionRun:
     def test_unitary_input_always_accepts(self):
         result = contraction_run(np.eye(2), t=2, shots=500, seed=3)
-        assert result.accepted == result.attempted == 500
+        assert result.phase.shots == 500
         assert result.exact_acceptance == pytest.approx(1.0, abs=1e-12)
         assert result.phase.k_prime == 0
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unitary_input_has_acceptance_one(self, n, seed):
+        # Every stage's rho snaps to 1 and its block is the polar factor, which loses no norm.
+        result = contraction_run(haar_unitary(n, seed), t=12, shots=100, seed=seed)
+        assert abs(1.0 - result.exact_acceptance) <= 1e-14
 
     def test_scaled_identity_acceptance_statistics(self):
         shots = 10_000
         result = contraction_run(0.9 * np.eye(2), t=2, shots=shots, seed=17)
         p = 0.81 ** (2 * (2**2 - 1))
         assert result.exact_acceptance == pytest.approx(p, abs=1e-9)
-        assert abs(result.accepted / shots - p) <= 3.0 * math.sqrt(p * (1 - p) / shots)
-        assert abs(magnitude_estimate(result.accepted, shots, 2) - 0.81) <= 0.02
+        assert abs(result.phase.shots / shots - p) <= 3.0 * math.sqrt(p * (1 - p) / shots)
+        assert abs(magnitude_estimate(result.phase.shots, shots, 2) - 0.81) <= 0.02
 
     def test_postselected_phase_point_mass(self):
         a = 0.95 * np.exp(1j * math.pi / 4) * np.eye(2)
@@ -172,17 +202,17 @@ class TestContractionRun:
 
     def test_zero_matrix_never_accepts(self):
         result = contraction_run(np.zeros((2, 2)), t=2, shots=200, seed=5)
-        assert result.accepted == 0
+        assert result.phase.shots == 0
         assert result.phase.histogram == {}
         assert result.phase.k_prime is None
-        assert magnitude_estimate(result.accepted, result.attempted, 2) == 0.0
+        assert magnitude_estimate(result.phase.shots, 200, 2) == 0.0
         assert result.exact_acceptance == 0.0
 
     def test_vanishing_determinant_rejects_without_error(self):
         # |det| = 1e-160, so the first stage's zero branch underflows; the run
         # must report universal rejection, not raise.
         result = contraction_run(1e-80 * np.eye(2), t=3, shots=50, seed=2)
-        assert result.accepted == 0
+        assert result.phase.shots == 0
         assert result.exact_acceptance == 0.0
 
     def test_rejects_expanding_matrix(self):
@@ -276,7 +306,7 @@ class TestContractionRun:
         a = random_contraction(2, 4242)
         r1 = contraction_run(a, t=2, shots=800, seed=77)
         r2 = contraction_run(a, t=2, shots=800, seed=77)
-        assert r1.accepted == r2.accepted
+        assert r1.phase.shots == r2.phase.shots
         assert r1.phase.histogram == r2.phase.histogram
 
     def test_four_slot_contraction(self):
@@ -359,14 +389,14 @@ class TestBulkSurvivalWalk:
         # A small chunk makes every run span several blocks of shots.
         monkeypatch.setattr(simulator, "_SHOT_CHUNK", 700)
         result = contraction_run(a, t=t, shots=shots, seed=seed)
-        assert (result.accepted, result.phase.histogram) == reference_contraction_counts(a, t, shots, seed)
+        assert (result.phase.shots, result.phase.histogram) == reference_contraction_counts(a, t, shots, seed)
 
     def test_matches_per_shot_walk_at_default_chunk(self):
         a = workload_style_contraction(2, 70, 0.95)
         shots = simulator._SHOT_CHUNK + 100
         result = contraction_run(a, t=2, shots=shots, seed=7)
-        assert 0 < result.accepted < shots
-        assert (result.accepted, result.phase.histogram) == reference_contraction_counts(a, 2, shots, 7)
+        assert 0 < result.phase.shots < shots
+        assert (result.phase.shots, result.phase.histogram) == reference_contraction_counts(a, 2, shots, 7)
 
 
 PER_STAGE_GATES = ("init_state", "load_asym", "hadamard_layer", "controlled_block_stage", "measure_ancilla_postselect")
@@ -420,14 +450,14 @@ class TestOnePassContraction:
         stage_zero_probs, _, counters = per_stage_contraction(a, 8)
         result = contraction_run(a, t=8, shots=50, seed=0)
         assert result.exact_acceptance == math.prod(stage_zero_probs) == 0.0
-        assert (result.accepted, result.exact_conditioned_distribution) == (0, None)
+        assert (result.phase.shots, result.exact_conditioned_distribution) == (0, None)
         assert result.counters.controlled_slot_applications == counters.controlled_slot_applications == 8 * 4
 
     def test_calls_no_per_stage_gate(self, monkeypatch):
         for name in PER_STAGE_GATES:
             monkeypatch.setattr(simulator, name, lambda *args, name=name: pytest.fail(f"{name} called"))
         result = contraction_run(workload_style_contraction(4, 9, 0.999), t=6, shots=100, seed=1)
-        assert result.accepted > 0
+        assert result.phase.shots > 0
         assert not [name for name in PER_STAGE_GATES + ("asym_state",) if hasattr(qde, name)]
 
     def test_zero_branch_gaining_norm_raises(self, monkeypatch):
@@ -460,7 +490,7 @@ class TestDeadStage:
         monkeypatch.setattr(qde, "inverse_qft", lambda sv: pytest.fail("inverse_qft ran"))
         result = contraction_run(a, t=t, shots=50, seed=1)
         assert zero_blocks == [False] * (applied - 1) + [True]
-        assert (result.accepted, result.exact_acceptance, result.exact_conditioned_distribution) == (0, 0.0, None)
+        assert (result.phase.shots, result.exact_acceptance, result.exact_conditioned_distribution) == (0, 0.0, None)
         assert stage_zero_probs[-1] == 0.0 and len(stage_zero_probs) == applied
         assert result.counters == counters
 

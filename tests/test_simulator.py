@@ -1861,5 +1861,5 @@ class TestKernelMemory:
             peak = tracemalloc.get_traced_memory()[1] - state_bytes
         finally:
             tracemalloc.stop()
-        assert result.accepted > 0
+        assert result.phase.shots > 0
         assert peak <= 0.25 * state_bytes, peak

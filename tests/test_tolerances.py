@@ -67,12 +67,12 @@ class TestDriftBound:
 class TestLeakSnap:
     @pytest.mark.parametrize("scale, snaps", [(0.5, True), (2.0, False)])
     def test_rho_snaps_to_1(self, capsys, scale, snaps):
-        # r I at t = 1 has rho**2 = r**4.  A snapped rho reads 1 while the
-        # block keeps r, so P(0) = (1 + r**4)/2; otherwise P(0) = r**4.
+        # r I at t = 1 has rho**2 = r**4.  A snapped rho reads 1 and the
+        # block is the polar factor I, so P(0) = 1; otherwise P(0) = r**4.
         r = (1.0 - scale * _LEAK_SNAP) ** 0.25
         assert main(scaled_identity(r, "contract", 1)) == 0
         exact = json.loads(capsys.readouterr().out)["result"]["exact_acceptance"]
-        assert exact == pytest.approx((1.0 + r**4) / 2 if snaps else r**4, abs=1e-14)
+        assert exact == pytest.approx(1.0 if snaps else r**4, abs=1e-14)
 
 
 class TestAmplitudeFloor:
